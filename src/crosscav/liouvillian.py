@@ -24,6 +24,12 @@ _TWO_PI = 2.0 * np.pi
 _PSD_TOL = 1e-12
 
 
+def _require_finite(params):
+    for name, value in vars(params).items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class DecayParameters:
     """Full set of decay rates and frequency shifts for two modes.
@@ -45,6 +51,7 @@ class DecayParameters:
     omega2: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.k11 < 0 or self.k22 < 0:
             raise ValueError("local decay rates must be non-negative")
         dm = self.damping_matrix()
@@ -79,6 +86,7 @@ class SymmetricDecayParameters:
     omega: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.k < 0:
             raise ValueError("decay rate k must be non-negative")
         r, gamma = self.r, self.gamma
@@ -129,9 +137,6 @@ class SuperOperator:
                 f"superoperator shape {self.matrix.shape} does not match D^2={d2}"
             )
         object.__setattr__(self, "matrix", sp.csr_matrix(self.matrix))
-
-    def todense(self) -> np.ndarray:
-        return self.matrix.toarray()
 
     def __add__(self, other):
         if self.space != other.space:

@@ -10,7 +10,7 @@ a flag turns it on for sensitivity checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import pi, sqrt
+from math import isfinite, pi, sqrt
 
 import numpy as np
 import scipy.sparse as sp
@@ -90,14 +90,17 @@ class ProtocolConfig:
     delta: float = None
 
     def __post_init__(self):
+        if self.delta is None:
+            object.__setattr__(self, "delta", 50.0 * self.G)
+        for name in ("G", "theta", "phi", "T", "Omega", "delta"):
+            if not isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.G <= 0:
             raise ValueError("coupling G must be positive")
         if self.T < 0:
             raise ValueError("window T must be non-negative")
         object.__setattr__(self, "theta", float(self.theta) % (2 * pi))
         object.__setattr__(self, "phi", float(self.phi) % (2 * pi))
-        if self.delta is None:
-            object.__setattr__(self, "delta", 50.0 * self.G)
         if self.delta <= 0:
             raise ValueError("dispersive detuning must be positive")
 

@@ -134,6 +134,18 @@ def test_bad_json_exit_1(tmp_path, capsys):
     assert run_cli(["sweep-phi", "--config", str(path)]) == 1
 
 
+def test_overflow_exit_1_one_line(tmp_path, capsys):
+    # cosh(r*T) overflows a float at r*T = 1e3
+    path = write_config(
+        tmp_path, {"decay": {"k": 1000, "gamma": 1.0}, "sweep": {"stop": 1.0}}
+    )
+    assert run_cli(["sweep-time", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_validate_zero_dissipation_profile(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run_cli(["validate", "--profile", "zero-dissipation", "--out", str(out)]) == 0

@@ -2,8 +2,12 @@ from math import cos, exp, pi, sin, sqrt
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
+import crosscav.integrator
 from conftest import random_density
+from crosscav.analytic import robust_coherent_state
 from crosscav.integrator import (
     EvolutionSpec,
     evolve_master,
@@ -95,6 +99,67 @@ def test_trajectory_invariants(two_mode_nmax1, rng):
         assert abs(np.trace(m) - 1) <= 1e-9
         assert np.abs(m - m.conj().T).max() <= 1e-9
         assert np.linalg.eigvalsh(m).min() >= -1e-8
+
+
+# --- exact path against scipy's matrix exponential ---
+
+K_EXACT = 1000.0
+EXACT_CASES = {
+    "r=k": (K_EXACT, 1e-3, "rotating", 0.0),
+    "r=k(1-1e-7)": (K_EXACT * (1 - 1e-7), 1e-3, "rotating", 0.0),
+    "r<k": (0.4 * K_EXACT, 2e-3, "rotating", 0.0),
+    "lab": (0.7 * K_EXACT, 2e-3, "lab", 2 * pi * 5e3),
+    "T=1s": (K_EXACT, 1.0, "rotating", 0.0),
+}
+
+
+@pytest.mark.parametrize("dims", [[2, 2], [2, 2, 2]], ids=str)
+@pytest.mark.parametrize("case", EXACT_CASES)
+def test_expm_matches_dense_exponential(dims, case, rng):
+    r, T, frame, omega = EXACT_CASES[case]
+    space = make_space(dims)
+    params = SymmetricDecayParameters(K_EXACT, r, rng.uniform(0, 2 * pi), omega)
+    L = build_symmetric_liouvillian(params, space, frame)
+    rho0 = random_density(space, rng)
+    out = evolve_master(rho0, L, EvolutionSpec(T)).matrix.reshape(-1)
+    ref = expm(L.matrix.toarray() * T) @ rho0.matrix.reshape(-1)
+    assert np.abs(out - ref).max() <= 1e-10
+
+
+def test_expm_matches_expm_multiply_at_nmax8():
+    gamma, T = 2.0, 1e-3
+    psi = robust_coherent_state(gamma, 0.3, n_max=8)
+    L = build_symmetric_liouvillian(
+        SymmetricDecayParameters(K_EXACT, K_EXACT, gamma), psi.space, "rotating"
+    )
+    rho0 = density_from_ket(psi)
+    out = evolve_master(rho0, L, EvolutionSpec(T)).matrix.reshape(-1)
+    ref = expm_multiply(L.matrix * T, rho0.matrix.reshape(-1))
+    assert np.abs(out - ref).max() <= 1e-12
+
+
+def test_expm_never_falls_back_to_rk4(two_mode_nmax1, rng, monkeypatch):
+    def no_rk4(*args, **kwargs):
+        raise AssertionError("method='expm' must not run RK4")
+
+    monkeypatch.setattr(crosscav.integrator, "_rk4", no_rk4)
+    L = build_symmetric_liouvillian(
+        SymmetricDecayParameters(K_EXACT, K_EXACT, 0.3), two_mode_nmax1
+    )
+    rho0 = random_density(two_mode_nmax1, rng)
+    out = evolve_master(rho0, L, EvolutionSpec(1e-3, method="expm"))
+    assert abs(np.trace(out.matrix) - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("kw", [
+    {"duration": float("nan")},
+    {"duration": float("inf")},
+    {"duration": 1e-3, "step": float("nan")},
+    {"duration": 1e-3, "step": float("inf")},
+])
+def test_spec_rejects_non_finite(kw):
+    with pytest.raises(ValueError, match="finite"):
+        EvolutionSpec(**kw)
 
 
 # --- unitary segments ---

@@ -111,6 +111,23 @@ def test_positivity_rejected():
         DecayParameters(k11=100.0, k22=100.0, k12=150.0, k21=150.0)
 
 
+@pytest.mark.parametrize("field", ["k", "r", "gamma", "omega"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_symmetric_parameters_reject_non_finite(field, value):
+    kw = dict(k=1000.0, r=10.0, gamma=0.0, omega=0.0)
+    kw[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SymmetricDecayParameters(**kw)
+
+
+@pytest.mark.parametrize("field", ["k11", "k12", "d21", "omega1"])
+def test_general_parameters_reject_non_finite(field):
+    kw = dict(k11=1000.0, k22=1000.0)
+    kw[field] = float("nan")
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        DecayParameters(**kw)
+
+
 def test_negative_r_folds_into_phase():
     p = SymmetricDecayParameters(k=100.0, r=-50.0, gamma=0.0)
     assert p.r == 50.0

@@ -47,6 +47,16 @@ def test_config_rejects_bad_values():
         ProtocolConfig(G=1e5, decay=dec, theta=1.0, phi=1.0, T=1e-3, delta=-5.0)
 
 
+@pytest.mark.parametrize("field", ["G", "theta", "phi", "T", "Omega", "delta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite(field, value):
+    kw = dict(G=1e5, decay=SymmetricDecayParameters(100.0, 0.0, 0.0),
+              theta=1.0, phi=1.0, T=1e-3)
+    kw[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ProtocolConfig(**kw)
+
+
 def test_segment_validation():
     with pytest.raises(ValueError, match="kind"):
         Segment("warp", 1e-6)
