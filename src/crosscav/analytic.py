@@ -9,7 +9,7 @@ differences to avoid cancellation at small rt.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, cosh, exp, factorial, pi, sin, sinh, sqrt
+from math import cos, cosh, exp, factorial, isfinite, pi, sin, sinh, sqrt
 
 import numpy as np
 
@@ -49,7 +49,17 @@ class AmplitudePair:
         return np.array([self.u1, self.u2], dtype=complex)
 
 
-def _check_rates(k: float, r: float, t: float):
+def _require_finite(**values):
+    """Raise ValueError naming the first non-finite argument."""
+    for name, value in values.items():
+        if not isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _check_rates(k: float, r: float, t: float, gamma: float):
+    # the sweeps call this once per point, so test cheaply before naming
+    if not (isfinite(k) and isfinite(r) and isfinite(t) and isfinite(gamma)):
+        _require_finite(k=k, r=r, t=t, gamma=gamma)
     if t < 0:
         raise ValueError("time must be non-negative")
     if k < 0:
@@ -84,7 +94,7 @@ def single_excitation_propagator(
     master-equation oracle; it exists only so the validation suite can
     document the disagreement.
     """
-    _check_rates(k, r, t)
+    _check_rates(k, r, t, gamma)
     if cross_factor == "phase":
         off = 1.0
     elif cross_factor == "scaled":
@@ -115,7 +125,7 @@ def prob_e_two_cavity(
     to (e^{-2kT}/4) |(e^{-rT}+e^{rT})
                      + sin(2 theta) cos(gamma + phi) (e^{-rT}-e^{rT})|^2.
     """
-    _check_rates(k, r, T)
+    _check_rates(k, r, T, gamma)
     amp = cosh(r * T) - sinh(r * T) * sin(2 * p.theta) * cos(gamma + p.phi)
     return exp(-2 * k * T) * amp * amp
 
@@ -123,13 +133,15 @@ def prob_e_two_cavity(
 def prob_e_single_cavity_resonant(k: float, r: float, gamma: float, T: float) -> float:
     """Single-cavity two-polarization experiment; equals the two-cavity
     probability at theta = pi/4, phi = pi/2."""
-    _check_rates(k, r, T)
+    _check_rates(k, r, T, gamma)
     amp = cosh(r * T) + sinh(r * T) * sin(gamma)
     return exp(-2 * k * T) * amp * amp
 
 
 def prob_e_single_cavity_detuned(k: float, T: float) -> float:
     """Reference experiment with a single resonant mode: e^{-2kT}."""
+    if not (isfinite(k) and isfinite(T)):
+        _require_finite(k=k, T=T)
     if T < 0 or k < 0:
         raise ValueError("k and T must be non-negative")
     return exp(-2 * k * T)
@@ -144,6 +156,7 @@ def discriminator_D(k: float, r: float, gamma: float, T: float) -> float:
 
 def robust_entangled_state(gamma: float, n_max: int = 1) -> Ket:
     """(|1,0> - e^{i gamma}|0,1>)/sqrt(2), i.e. the slow mode's one-photon state."""
+    _require_finite(gamma=gamma)
     space = two_mode_space(n_max)
     v = np.zeros(space.dim, dtype=complex)
     v += basis_ket(space, (1, 0)).amplitudes / sqrt(2.0)
@@ -153,6 +166,7 @@ def robust_entangled_state(gamma: float, n_max: int = 1) -> Ket:
 
 def robust_coherent_state(gamma: float, v: complex, n_max: int = 8) -> Ket:
     """Truncated two-mode coherent state with amplitudes (v, -e^{i gamma} v)."""
+    _require_finite(gamma=gamma)
     v = complex(v)
     if abs(v) ** 2 > n_max / 4.0:
         raise ValueError(
@@ -172,6 +186,7 @@ def robust_coherent_state(gamma: float, v: complex, n_max: int = 8) -> Ket:
 
 def robust_fock_state(gamma: float, n: int, n_max: int) -> Ket:
     """Normalized n-fold slow-mode excitation of the two-mode vacuum."""
+    _require_finite(gamma=gamma)
     if n < 0:
         raise ValueError("excitation count must be non-negative")
     if n > n_max:

@@ -164,87 +164,70 @@ class EnvironmentSpec:
         object.__setattr__(self, "entries", entries)
 
 
-@dataclass(frozen=True)
-class ModeTransform:
-    """Unitary mixing (a1, a2) -> (A1, A2) set by the cross-decay phase."""
+def normal_mode_transform(gamma: float) -> np.ndarray:
+    """Unitary mixing (a1, a2) -> (A1, A2) set by the cross-decay phase.
 
-    gamma: float
-
-    @property
-    def matrix(self) -> np.ndarray:
-        g = self.gamma
-        return np.array(
-            [[1.0, -np.exp(-1j * g)], [np.exp(1j * g), 1.0]], dtype=complex
-        ) / np.sqrt(2.0)
-
-
-def normal_mode_transform(gamma: float) -> ModeTransform:
-    return ModeTransform(float(gamma))
+    Its rows are the eigenvectors of the symmetric damping matrix: the
+    first (slow, rate k - r) and the second (fast, rate k + r).
+    """
+    return np.array(
+        [[1.0, -np.exp(-1j * gamma)], [np.exp(1j * gamma), 1.0]], dtype=complex
+    ) / np.sqrt(2.0)
 
 
 def normal_mode_ops(space: SpaceSignature, gamma: float):
     """Slow/fast collective lowering operators (A1, A2) on the given space."""
-    a1 = annihilation_op(space, 0)
-    a2 = annihilation_op(space, 1)
-    m = normal_mode_transform(gamma).matrix
-    A1 = Operator(m[0, 0] * a1.matrix + m[0, 1] * a2.matrix, space)
-    A2 = Operator(m[1, 0] * a1.matrix + m[1, 1] * a2.matrix, space)
-    return A1, A2
+    a1 = annihilation_op(space, 0).matrix
+    a2 = annihilation_op(space, 1).matrix
+    m = normal_mode_transform(gamma)
+    return tuple(Operator(u1 * a1 + u2 * a2, space) for u1, u2 in m)
 
 
-def _sandwich(A: np.ndarray, B: np.ndarray) -> sp.csr_matrix:
-    """Vectorized rho -> A rho B."""
-    return sp.kron(sp.csr_matrix(A), sp.csr_matrix(B).T, format="csr")
+def _gksl(space: SpaceSignature, ops, gamma, h) -> SuperOperator:
+    """GKSL generator of the lowering operators ops on row-major vec(rho).
 
-
-def _left(A: np.ndarray, dim: int) -> sp.csr_matrix:
-    return sp.kron(sp.csr_matrix(A), sp.identity(dim, format="csr"), format="csr")
-
-
-def _right(B: np.ndarray, dim: int) -> sp.csr_matrix:
-    return sp.kron(sp.identity(dim, format="csr"), sp.csr_matrix(B).T, format="csr")
+    rho -> sum_ij gamma_ij (2 o_i rho o_j^dag - {o_j^dag o_i, rho}) - i[H, rho]
+    with H = sum_ij h_ij o_i^dag o_j.  A sandwich A rho B vectorizes to
+    kron(A, B.T), so with K = sum_ij gamma_ij o_j^dag o_i + iH the generator
+    is 2 sum_ij gamma_ij kron(o_i, conj o_j) - kron(K, I) - kron(I, conj K).
+    """
+    D = space.dim
+    ops = [sp.csr_matrix(o) for o in ops]
+    eye = sp.identity(D, format="csr")
+    K = sp.csr_matrix((D, D), dtype=complex)
+    jump = sp.csr_matrix((D * D, D * D), dtype=complex)
+    for i, oi in enumerate(ops):
+        for j, oj in enumerate(ops):
+            K = K + complex(gamma[i, j] + 1j * h[j, i]) * (oj.conj().T @ oi)
+            if gamma[i, j] != 0:
+                sandwich = sp.kron(oi, oj.conj(), format="csr")
+                jump = jump + complex(2 * gamma[i, j]) * sandwich
+    L = jump - sp.kron(K, eye, format="csr") - sp.kron(eye, K.conj(), format="csr")
+    return SuperOperator(L, space)
 
 
 def build_general_liouvillian(
     params: DecayParameters, space: SpaceSignature
 ) -> SuperOperator:
-    """Assemble every term of the zero-temperature cross-decay generator.
+    """Zero-temperature cross-decay generator of the two field modes.
 
-    Any subsystems beyond the first two (e.g. an atom factor) are left
-    untouched.  Mode frequencies enter through the -i*Omega commutators;
-    pass omega1 = omega2 = 0 for rotating-frame dynamics.
+    GKSL form with lowering operators (a1, a2):
+    rho -> sum_ij G_ij (2 a_i rho a_j^dag - {a_j^dag a_i, rho}) - i[H, rho],
+    where G = params.damping_matrix() = [[k11, kappa], [conj kappa, k22]],
+    kappa = (k12 + k21)/2 + i(d12 - d21)/2, and H = sum_ij h_ij a_i^dag a_j
+    with h = [[omega1 - d11, -c], [-conj c, omega2 - d22]],
+    c = (d12 + d21)/2 + i(k12 - k21)/2, so the shifts d11 and d22 lower the
+    mode frequencies.  Any subsystems beyond the first two (e.g. an atom
+    factor) are left untouched; omega1 = omega2 = 0 gives rotating-frame
+    dynamics.
     """
     if len(space.dims) < 2:
         raise ValueError("space must contain the two field modes")
-    D = space.dim
-    a1 = annihilation_op(space, 0).matrix
-    a2 = annihilation_op(space, 1).matrix
-    a1d, a2d = a1.conj().T, a2.conj().T
-    n1, n2 = a1d @ a1, a2d @ a2
-    x12 = a1d @ a2  # a1^dag a2
-    x21 = a2d @ a1
-
     p = params
-    L = p.k11 * (2 * _sandwich(a1, a1d) - _left(n1, D) - _right(n1, D))
-    L = L + 1j * (p.d11 - p.omega1) * (_left(n1, D) - _right(n1, D))
-    L = L + p.k22 * (2 * _sandwich(a2, a2d) - _left(n2, D) - _right(n2, D))
-    L = L + 1j * (p.d22 - p.omega2) * (_left(n2, D) - _right(n2, D))
-    L = L + p.k12 * (
-        _sandwich(a1, a2d) + _sandwich(a2, a1d) - _right(x21, D) - _left(x12, D)
-    )
-    L = L + p.k21 * (
-        _sandwich(a2, a1d) + _sandwich(a1, a2d) - _right(x12, D) - _left(x21, D)
-    )
-    L = L + 0.5j * (p.d12 - p.d21) * (
-        _sandwich(a1, a2d) - _sandwich(a2, a1d) - _right(x21, D) + _left(x12, D)
-    )
-    L = L + 0.5j * (p.d21 - p.d12) * (
-        _sandwich(a2, a1d) - _sandwich(a1, a2d) - _right(x12, D) + _left(x21, D)
-    )
-    L = L + 0.5j * (p.d12 + p.d21) * (
-        _left(x12 + x21, D) - _right(x12 + x21, D)
-    )
-    return SuperOperator(sp.csr_matrix(L), space)
+    c = 0.5 * (p.d12 + p.d21) + 0.5j * (p.k12 - p.k21)
+    h = np.array([[p.omega1 - p.d11, -c], [-np.conj(c), p.omega2 - p.d22]])
+    ops = [annihilation_op(space, 0).matrix, annihilation_op(space, 1).matrix]
+    return _gksl(space, ops, p.damping_matrix(), h)
 
 
 def build_symmetric_liouvillian(
@@ -305,15 +288,6 @@ def cross_rates_from_environment(env: EnvironmentSpec) -> DecayParameters:
     )
 
 
-def _dissipator(Amat: np.ndarray, rate: float, omega: float, D: int) -> sp.csr_matrix:
-    Ad = Amat.conj().T
-    N = Ad @ Amat
-    out = rate * (2 * _sandwich(Amat, Ad) - _left(N, D) - _right(N, D))
-    if omega != 0.0:
-        out = out - 1j * omega * (_left(N, D) - _right(N, D))
-    return sp.csr_matrix(out)
-
-
 def decompose_symmetric(
     params: SymmetricDecayParameters,
     space: SpaceSignature,
@@ -321,12 +295,13 @@ def decompose_symmetric(
 ):
     """Split the symmetric generator into slow (k - r) and fast (k + r) channels.
 
-    The number-commutator carries the same -i*Omega sign as the direct
-    builder, so L1 + L2 reproduces it entry-wise in either frame.
+    Each channel is the GKSL generator of one normal mode (A1 or A2 from
+    normal_mode_ops) with H = omega A^dag A.  The rates are exactly k - r
+    and k + r, so L1 vanishes at r = k, and L1 + L2 reproduces the builder
+    in either frame.
     """
-    D = space.dim
-    omega = _frame_omega(params.omega, frame)
+    omega = np.array([[_frame_omega(params.omega, frame)]])
     A1, A2 = normal_mode_ops(space, params.gamma)
-    L1 = SuperOperator(_dissipator(A1.matrix, params.k - params.r, omega, D), space)
-    L2 = SuperOperator(_dissipator(A2.matrix, params.k + params.r, omega, D), space)
+    L1 = _gksl(space, [A1.matrix], np.array([[params.k - params.r]]), omega)
+    L2 = _gksl(space, [A2.matrix], np.array([[params.k + params.r]]), omega)
     return L1, L2

@@ -82,6 +82,28 @@ def test_propagator_rejects_bad_domain():
         single_excitation_propagator(100.0, 50.0, 0.0, -1e-3)
 
 
+_NAN, _INF = float("nan"), float("inf")
+_PREP = PreparedStateParams(pi / 4, pi / 2)
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: prob_e_single_cavity_resonant(1000.0, 1000.0, 1.0, _NAN), "t"),
+    (lambda: prob_e_single_cavity_resonant(_INF, 10.0, 1.0, 1e-3), "k"),
+    (lambda: prob_e_two_cavity(_PREP, 1000.0, _NAN, 1.0, 1e-3), "r"),
+    (lambda: prob_e_two_cavity(_PREP, 1000.0, 10.0, -_INF, 1e-3), "gamma"),
+    (lambda: single_excitation_propagator(1000.0, 10.0, _NAN, 1e-3), "gamma"),
+    (lambda: discriminator_D(1000.0, 10.0, 1.0, _INF), "t"),
+    (lambda: prob_e_single_cavity_detuned(1000.0, _NAN), "T"),
+    (lambda: prob_e_single_cavity_detuned(_NAN, 1e-3), "k"),
+    (lambda: robust_entangled_state(_NAN), "gamma"),
+    (lambda: robust_coherent_state(_INF, 0.3), "gamma"),
+    (lambda: robust_fock_state(_NAN, 1, 2), "gamma"),
+])
+def test_analytic_rejects_non_finite(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call()
+
+
 def test_amplitude_pair_evolution_population():
     u0 = AmplitudePair(1j / sqrt(2), 1 / sqrt(2))
     u = evolve_amplitudes(u0, 1000.0, 1000.0, pi / 2, 1e-3)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from math import pi
+from pathlib import Path
 
 import pytest
 
+import crosscav
 from crosscav.cli import main
 from crosscav.liouvillian import SymmetricDecayParameters
 from crosscav.validate import check_dfs_preservation
@@ -16,6 +21,23 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["--version"])
     assert exc.value.code == 0
+
+
+def test_cli_import_loads_no_scipy_linalg():
+    # scipy.linalg and scipy.sparse.linalg add ~10 MB of resident memory to
+    # every run; the package propagates and diagonalizes with numpy only
+    src = str(Path(crosscav.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, crosscav.cli; print([m for m in sys.modules "
+        "if m.startswith(('scipy.linalg', 'scipy.sparse.linalg'))])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_unknown_command_exit_1(capsys):

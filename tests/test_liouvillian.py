@@ -18,41 +18,8 @@ from crosscav.liouvillian import (
     normal_mode_ops,
     normal_mode_transform,
 )
-from crosscav.tensor import (
-    SpaceSignature,
-    annihilation_op,
-    basis_ket,
-    density_from_ket,
-    make_space,
-    number_op,
-)
-
-
-def liouvillian_direct(p: DecayParameters, space: SpaceSignature, X: np.ndarray):
-    """Independent term-by-term evaluation of the generator on a matrix."""
-    a1 = annihilation_op(space, 0).matrix
-    a2 = annihilation_op(space, 1).matrix
-    a1d, a2d = a1.conj().T, a2.conj().T
-    n1, n2 = a1d @ a1, a2d @ a2
-    out = p.k11 * (2 * a1 @ X @ a1d - X @ n1 - n1 @ X)
-    out += 1j * (p.d11 - p.omega1) * (n1 @ X - X @ n1)
-    out += p.k22 * (2 * a2 @ X @ a2d - X @ n2 - n2 @ X)
-    out += 1j * (p.d22 - p.omega2) * (n2 @ X - X @ n2)
-    out += p.k12 * (a1 @ X @ a2d + a2 @ X @ a1d - X @ a2d @ a1 - a1d @ a2 @ X)
-    out += p.k21 * (a2 @ X @ a1d + a1 @ X @ a2d - X @ a1d @ a2 - a2d @ a1 @ X)
-    out += (
-        0.5j
-        * (p.d12 - p.d21)
-        * (a1 @ X @ a2d - a2 @ X @ a1d - X @ a2d @ a1 + a1d @ a2 @ X)
-    )
-    out += (
-        0.5j
-        * (p.d21 - p.d12)
-        * (a2 @ X @ a1d - a1 @ X @ a2d - X @ a1d @ a2 + a2d @ a1 @ X)
-    )
-    h = a1d @ a2 + a2d @ a1
-    out += 0.5j * (p.d12 + p.d21) * (h @ X - X @ h)
-    return out
+from crosscav.tensor import basis_ket, density_from_ket, make_space, number_op
+from crosscav.validate import liouvillian_direct
 
 
 def test_independent_channels_photon_decay(two_mode_nmax1):
@@ -134,18 +101,20 @@ def test_negative_r_folds_into_phase():
     assert p.gamma == pytest.approx(pi)
 
 
-def test_apply_matches_direct_evaluation(two_mode_nmax1, rng):
+@pytest.mark.parametrize("dims", [[2, 2], [3, 3, 2]], ids=["two_mode", "with_atom"])
+def test_apply_matches_direct_evaluation(dims, rng):
+    space = make_space(dims)
     p = DecayParameters(
         k11=900.0, k22=1100.0, k12=300.0, k21=280.0,
         d11=15.0, d22=-10.0, d12=120.0, d21=-90.0,
         omega1=2e4, omega2=2.1e4,
     )
-    L = build_general_liouvillian(p, two_mode_nmax1)
+    L = build_general_liouvillian(p, space)
     for _ in range(10):
-        X = random_hermitian(two_mode_nmax1.dim, rng)
+        X = random_hermitian(space.dim, rng)
         np.testing.assert_allclose(
             apply_liouvillian(L, X),
-            liouvillian_direct(p, two_mode_nmax1, X),
+            liouvillian_direct(p, space, X),
             atol=1e-12 * 2000,
         )
 
@@ -237,13 +206,26 @@ def test_environment_mirror_spectrum_conjugate_symmetry():
 
 
 def test_transform_gamma_zero():
-    m = normal_mode_transform(0.0).matrix
+    m = normal_mode_transform(0.0)
     np.testing.assert_allclose(m * np.sqrt(2), [[1, -1], [1, 1]], atol=1e-15)
 
 
 def test_transform_unitary():
-    m = normal_mode_transform(1.234).matrix
+    m = normal_mode_transform(1.234)
     np.testing.assert_allclose(m @ m.conj().T, np.eye(2), atol=1e-15)
+
+
+def test_transform_rows_are_damping_eigenvectors():
+    # decompose_symmetric relies on rows of the transform diagonalizing the
+    # damping matrix with rates exactly k - r (slow) and k + r (fast)
+    rng = np.random.default_rng(31)
+    for k, s, gamma in rng.uniform([1.0, 0.0, 0.0], [2000.0, 1.0, 2 * pi], (6, 3)):
+        for r in (0.0, s * k, k):
+            p = SymmetricDecayParameters(k, r, gamma)
+            G = p.to_general().damping_matrix()
+            m = normal_mode_transform(gamma)
+            for row, rate in zip(m, (k - r, k + r)):
+                np.testing.assert_allclose(G @ row, rate * row, rtol=0, atol=1e-12 * k)
 
 
 def test_normal_modes_annihilate_vacuum_and_commute():
