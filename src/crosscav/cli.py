@@ -4,6 +4,8 @@ All rates are in 1/s, times in seconds, angles in radians.  CSV goes to
 stdout (or --out), diagnostics to stderr.  Output is deterministic:
 fixed 15-significant-digit scientific notation, LF endings, stable row
 order (engines, then the r list as given, then the swept value ascending).
+Sweeps evaluate their points one after another in the calling thread;
+--jobs is accepted for compatibility and has no effect.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 validation failure.
 """
@@ -14,15 +16,15 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from math import pi
+from contextlib import nullcontext
+from dataclasses import replace
+from math import isfinite, pi
 
 import numpy as np
 
 from . import __version__
 from .analytic import (
     PreparedStateParams,
-    discriminator_D,
     prob_e_single_cavity_detuned,
     prob_e_single_cavity_resonant,
     prob_e_two_cavity,
@@ -52,6 +54,19 @@ def _require(cond, field, message):
         raise UsageError(f"config field {field!r}: {message}")
 
 
+def _number(value, field, cast=float):
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"config field {field!r}: must be a number ({exc})") from exc
+
+
+def _section(cfg, name):
+    sec = cfg.get(name, {})
+    _require(isinstance(sec, dict), name, "must be an object")
+    return sec
+
+
 def _load_config(path):
     if path is None:
         return {}
@@ -68,69 +83,79 @@ def _load_config(path):
 
 
 def _decay_from_config(cfg, r_override=None):
-    sec = cfg.get("decay", {})
-    _require(isinstance(sec, dict), "decay", "must be an object")
-    k = float(sec.get("k", 1000.0))
-    r = float(r_override if r_override is not None else sec.get("r", 0.0))
-    gamma = float(sec.get("gamma", pi / 2))
-    omega = float(sec.get("omega", 0.0))
+    sec = _section(cfg, "decay")
+    k = _number(sec.get("k", 1000.0), "decay.k")
+    r = _number(r_override if r_override is not None else sec.get("r", 0.0), "decay.r")
+    gamma = _number(sec.get("gamma", pi / 2), "decay.gamma")
+    omega = _number(sec.get("omega", 0.0), "decay.omega")
     _require(k >= 0, "decay.k", "must be non-negative")
     _require(0 <= r <= k, "decay.r", f"must satisfy 0 <= r <= k (k={k})")
     return SymmetricDecayParameters(k, r, gamma, omega)
 
 
 def _protocol_from_config(cfg, decay):
-    sec = cfg.get("protocol", {})
-    _require(isinstance(sec, dict), "protocol", "must be an object")
-    G = float(sec.get("G", 2 * pi * 25e3))
-    theta = float(sec.get("theta", pi / 4))
-    phi = float(sec.get("phi", pi / 2))
-    T = float(sec.get("T", 500e-6))
+    sec = _section(cfg, "protocol")
+    G = _number(sec.get("G", 2 * pi * 25e3), "protocol.G")
+    theta = _number(sec.get("theta", pi / 4), "protocol.theta")
+    phi = _number(sec.get("phi", pi / 2), "protocol.phi")
+    T = _number(sec.get("T", 500e-6), "protocol.T")
     _require(G > 0, "protocol.G", "must be positive")
     _require(T >= 0, "protocol.T", "must be non-negative")
-    kwargs = {}
-    if "Omega" in sec:
-        kwargs["Omega"] = float(sec["Omega"])
-    if "delta" in sec:
-        kwargs["delta"] = float(sec["delta"])
+    kwargs = {
+        key: _number(sec[key], f"protocol.{key}")
+        for key in ("Omega", "delta")
+        if key in sec
+    }
     return ProtocolConfig(G=G, decay=decay, theta=theta, phi=phi, T=T, **kwargs)
 
 
-def _parse_r_list(text):
-    try:
-        values = [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"bad --r-list: {exc}") from exc
-    if not values:
-        raise UsageError("--r-list must contain at least one value")
-    return values
+def _r_list(args, cfg, default, k):
+    """Cross rates from --r-list or sweep.r_list, each within [0, k]."""
+    if args.r_list:
+        try:
+            r_list = [float(v) for v in args.r_list.split(",") if v.strip() != ""]
+        except ValueError as exc:
+            raise UsageError(f"bad --r-list: {exc}") from exc
+    else:
+        r_list = _section(cfg, "sweep").get("r_list", default)
+        _require(isinstance(r_list, list), "sweep.r_list", "must be a list of numbers")
+        r_list = [_number(r, "sweep.r_list") for r in r_list]
+    _require(r_list, "sweep.r_list", "must hold at least one cross rate")
+    for r in r_list:
+        _require(0 <= r <= k, "sweep.r_list", f"must satisfy 0 <= r <= k (k={k})")
+    return r_list
 
 
 def _sweep_range(args, cfg, default_start, default_stop):
-    sec = cfg.get("sweep", {})
-    start = float(sec.get("start", default_start))
-    stop = float(sec.get("stop", default_stop))
-    count = int(args.points if args.points is not None else sec.get("count", 201))
+    sec = _section(cfg, "sweep")
+    start = _number(sec.get("start", default_start), "sweep.start")
+    stop = _number(sec.get("stop", default_stop), "sweep.stop")
+    count = args.points
+    if count is None:
+        count = _number(sec.get("count", 201), "sweep.count", int)
     _require(count >= 2, "sweep.count", "must be at least 2")
+    _require(isfinite(stop - start), "sweep.start", "the range must be finite")
     _require(start < stop, "sweep.start", "must be below sweep.stop")
     return np.linspace(start, stop, count)
 
 
-def _open_out(args):
+def _sweep_rows(engine, points, r_list, grid, row):
+    """CSV rows: engine (in the order of `points`), then the r list as given,
+    then the grid ascending; `points` maps each engine to f(r, x)."""
+    engines = list(points) if engine == "both" else [engine]
+    return [
+        row(x, r, points[e](r, x), e) for e in engines for r in r_list for x in grid
+    ]
+
+
+def _write(args, lines):
+    """Write LF-terminated lines to --out, or to stdout."""
     if args.out:
-        return open(args.out, "w", encoding="utf-8", newline="\n")
-    return sys.stdout
-
-
-def _emit(out, lines):
-    for line in lines:
-        out.write(line + "\n")
-
-
-def _engines(engine):
-    if engine == "both":
-        return ["analytic", "simulated"]
-    return [engine]
+        target = open(args.out, "w", encoding="utf-8", newline="\n")
+    else:
+        target = nullcontext(sys.stdout)
+    with target as out:
+        out.writelines(line + "\n" for line in lines)
 
 
 def _meta_line(command, params):
@@ -140,64 +165,46 @@ def _meta_line(command, params):
 
 def cmd_sweep_phi(args):
     cfg = _load_config(args.config)
-    r_list = _parse_r_list(args.r_list) if args.r_list else list(
-        cfg.get("sweep", {}).get("r_list", [500.0, 750.0, 1000.0])
-    )
     phis = _sweep_range(args, cfg, 0.0, 2 * pi)
     base_decay = _decay_from_config(cfg, r_override=0.0)
     proto = _protocol_from_config(cfg, base_decay)
     k, gamma = base_decay.k, base_decay.gamma
     theta, T = proto.theta, proto.T
+    r_list = _r_list(args, cfg, [500.0, 750.0, 1000.0], k)
 
     def analytic_point(r, phi):
         return prob_e_two_cavity(PreparedStateParams(theta, phi), k, r, gamma, T)
 
     def simulated_point(r, phi):
-        dec = SymmetricDecayParameters(k, r, gamma, base_decay.omega)
-        c = ProtocolConfig(
-            G=proto.G, decay=dec, theta=theta, phi=phi, T=T,
-            Omega=proto.Omega, delta=proto.delta,
-        )
+        c = replace(proto, decay=replace(base_decay, r=r), phi=phi)
         return run_two_cavity(c, readout="overlap", frame=args.frame).p_e
 
-    lines = [
-        _meta_line(
-            "sweep-phi",
-            {
-                "k": _fmt(k), "gamma": _fmt(gamma), "theta": _fmt(theta),
-                "T": _fmt(T), "r_list": ",".join(_fmt(r) for r in r_list),
-                "points": len(phis), "phi_start": _fmt(phis[0]),
-                "phi_stop": _fmt(phis[-1]), "engine": args.engine,
-                "frame": args.frame,
-            },
-        ),
-        "phi_rad,r_per_s,p_e,engine",
-    ]
-    for engine in _engines(args.engine):
-        point = analytic_point if engine == "analytic" else simulated_point
-        for r in r_list:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                values = list(pool.map(lambda p: point(r, p), phis))
-            for phi, p_e in zip(phis, values):
-                lines.append(f"{_fmt(phi)},{_fmt(r)},{_fmt(p_e)},{engine}")
-    out = _open_out(args)
-    try:
-        _emit(out, lines)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    def row(phi, r, p_e, engine):
+        return f"{_fmt(phi)},{_fmt(r)},{_fmt(p_e)},{engine}"
+
+    meta = _meta_line(
+        "sweep-phi",
+        {
+            "k": _fmt(k), "gamma": _fmt(gamma), "theta": _fmt(theta),
+            "T": _fmt(T), "r_list": ",".join(_fmt(r) for r in r_list),
+            "points": len(phis), "phi_start": _fmt(phis[0]),
+            "phi_stop": _fmt(phis[-1]), "engine": args.engine,
+            "frame": args.frame,
+        },
+    )
+    points = {"analytic": analytic_point, "simulated": simulated_point}
+    rows = _sweep_rows(args.engine, points, r_list, phis, row)
+    _write(args, [meta, "phi_rad,r_per_s,p_e,engine", *rows])
     return 0
 
 
 def cmd_sweep_time(args):
     cfg = _load_config(args.config)
-    r_list = _parse_r_list(args.r_list) if args.r_list else list(
-        cfg.get("sweep", {}).get("r_list", [500.0, 900.0, 1000.0])
-    )
     times = _sweep_range(args, cfg, 0.0, 2e-3)
     base_decay = _decay_from_config(cfg, r_override=0.0)
     proto = _protocol_from_config(cfg, base_decay)
     k, gamma = base_decay.k, base_decay.gamma
+    r_list = _r_list(args, cfg, [500.0, 900.0, 1000.0], k)
 
     def analytic_point(r, T):
         return (
@@ -206,45 +213,32 @@ def cmd_sweep_time(args):
         )
 
     def simulated_point(r, T):
-        dec = SymmetricDecayParameters(k, r, gamma, base_decay.omega)
-        c = ProtocolConfig(
-            G=proto.G, decay=dec, theta=proto.theta, phi=proto.phi, T=T,
-            Omega=proto.Omega, delta=proto.delta,
-        )
+        c = replace(proto, decay=replace(base_decay, r=r), T=T)
         return (
             run_single_cavity(c, variant="resonant", frame=args.frame).p_e,
             run_single_cavity(c, variant="detuned", frame=args.frame).p_e,
         )
 
-    lines = [
-        _meta_line(
-            "sweep-time",
-            {
-                "k": _fmt(k), "gamma": _fmt(gamma),
-                "r_list": ",".join(_fmt(r) for r in r_list),
-                "points": len(times), "T_start": _fmt(times[0]),
-                "T_stop": _fmt(times[-1]), "engine": args.engine,
-                "frame": args.frame,
-            },
-        ),
-        "T_s,r_per_s,p_e_r,p_e_nr,D,engine",
-    ]
-    for engine in _engines(args.engine):
-        point = analytic_point if engine == "analytic" else simulated_point
-        for r in r_list:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                values = list(pool.map(lambda t: point(r, t), times))
-            for T, (p_r, p_nr) in zip(times, values):
-                lines.append(
-                    f"{_fmt(T)},{_fmt(r)},{_fmt(p_r)},{_fmt(p_nr)},"
-                    f"{_fmt(p_r - p_nr)},{engine}"
-                )
-    out = _open_out(args)
-    try:
-        _emit(out, lines)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    def row(T, r, p, engine):
+        p_r, p_nr = p
+        return (
+            f"{_fmt(T)},{_fmt(r)},{_fmt(p_r)},{_fmt(p_nr)},"
+            f"{_fmt(p_r - p_nr)},{engine}"
+        )
+
+    meta = _meta_line(
+        "sweep-time",
+        {
+            "k": _fmt(k), "gamma": _fmt(gamma),
+            "r_list": ",".join(_fmt(r) for r in r_list),
+            "points": len(times), "T_start": _fmt(times[0]),
+            "T_stop": _fmt(times[-1]), "engine": args.engine,
+            "frame": args.frame,
+        },
+    )
+    points = {"analytic": analytic_point, "simulated": simulated_point}
+    rows = _sweep_rows(args.engine, points, r_list, times, row)
+    _write(args, [meta, "T_s,r_per_s,p_e_r,p_e_nr,D,engine", *rows])
     return 0
 
 
@@ -293,13 +287,7 @@ def cmd_simulate(args):
     elif engine == "simulated":
         result.pop("p_e_analytic")
     # engine 'both' keeps both fields
-    text = json.dumps(result, indent=2, sort_keys=True)
-    out = _open_out(args)
-    try:
-        out.write(text + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write(args, [json.dumps(result, indent=2, sort_keys=True)])
     return 0
 
 
@@ -307,13 +295,7 @@ def cmd_validate(args):
     t0 = time.time()
     report = run_validation(args.profile)
     report["elapsed_s"] = round(time.time() - t0, 3)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    out = _open_out(args)
-    try:
-        out.write(text + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write(args, [json.dumps(report, indent=2, sort_keys=True)])
     for check in report["checks"]:
         status = "pass" if check["passed"] else "FAIL"
         print(
@@ -342,19 +324,19 @@ def build_parser():
         p.add_argument("--frame", choices=["lab", "rotating"], default="rotating")
         p.add_argument("--out", help="write output to this file instead of stdout")
 
-    p = sub.add_parser("sweep-phi", help="detection probability versus phi")
-    common(p)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--r-list", help="comma-separated cross rates in 1/s")
-    p.add_argument("--jobs", type=int, default=4)
-    p.set_defaults(func=cmd_sweep_phi)
-
-    p = sub.add_parser("sweep-time", help="discriminator D versus the window T")
-    common(p)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--r-list", help="comma-separated cross rates in 1/s")
-    p.add_argument("--jobs", type=int, default=4)
-    p.set_defaults(func=cmd_sweep_time)
+    for name, text, func in (
+        ("sweep-phi", "detection probability versus phi", cmd_sweep_phi),
+        ("sweep-time", "discriminator D versus the window T", cmd_sweep_time),
+    ):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.add_argument("--points", type=int, default=None)
+        p.add_argument("--r-list", help="comma-separated cross rates in 1/s")
+        p.add_argument(
+            "--jobs", type=int,
+            help="accepted for compatibility; has no effect (sweeps run serially)",
+        )
+        p.set_defaults(func=func)
 
     p = sub.add_parser("simulate", help="run one protocol from a config file")
     common(p, engine_default="both")

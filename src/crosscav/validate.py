@@ -31,6 +31,7 @@ from .liouvillian import (
     DecayParameters,
     SymmetricDecayParameters,
     apply_liouvillian,
+    build_general_liouvillian,
     build_symmetric_liouvillian,
     decompose_symmetric,
 )
@@ -178,23 +179,34 @@ def check_propagator_cross_factor(k=1000.0, r=750.0, gamma=pi / 2, T=500e-6):
 
 
 def check_builder_consistency(tol=1e-12):
-    """Sparse symmetric builder against the direct D x D oracle, relative to
-    the oracle's largest entry, on random complex inputs; the atom factor of
-    the [3, 3, 2] space must be left untouched."""
+    """Sparse builders against the direct D x D oracle, relative to the
+    oracle's largest entry, on random complex inputs; the atom factor of the
+    [3, 3, 2] space must be left untouched.
+
+    Symmetric parameters have c = (d12 + d21)/2 + i(k12 - k21)/2 = 0, so one
+    asymmetric case through the general builder exercises the off-diagonal
+    Hamiltonian entries."""
     rng = np.random.default_rng(_SEED)
     cases = [(1000.0, 500.0, pi / 3), (800.0, 800.0, 1.1), (1.0, 0.0, 0.0)]
+    asymmetric = DecayParameters(
+        k11=1000.0, k22=800.0, k12=600.0, k21=200.0, d11=30.0, d22=-20.0,
+        d12=150.0, d21=-50.0, omega1=2e5, omega2=1.9e5,
+    )
     devs = []
     for space in (two_mode_space(1), make_space([3, 3, 2])):
         D = space.dim
-        for k, r, gamma in cases:
-            p = SymmetricDecayParameters(k, r, gamma, omega=2e5)
-            for frame in ("rotating", "lab"):
-                L = build_symmetric_liouvillian(p, space, frame)
-                for _ in range(3):
-                    X = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
-                    direct = liouvillian_direct(p.to_general(frame), space, X)
-                    dev = np.abs(apply_liouvillian(L, X) - direct).max()
-                    devs.append(dev / np.abs(direct).max())
+        builds = [
+            (build_symmetric_liouvillian(p, space, frame), p.to_general(frame))
+            for p in (SymmetricDecayParameters(*c, omega=2e5) for c in cases)
+            for frame in ("rotating", "lab")
+        ]
+        builds.append((build_general_liouvillian(asymmetric, space), asymmetric))
+        for L, general in builds:
+            for _ in range(3):
+                X = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
+                direct = liouvillian_direct(general, space, X)
+                dev = np.abs(apply_liouvillian(L, X) - direct).max()
+                devs.append(dev / np.abs(direct).max())
     return _check("builder_consistency", max(devs), tol)
 
 

@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from math import pi
+from math import inf, nan, pi
 from pathlib import Path
 
 import pytest
@@ -72,11 +72,47 @@ def test_sweep_time_schema(capsys):
 
 
 def test_output_deterministic(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["sweep-phi", "--points", "11", "--r-list", "600", "--jobs", "3"]
-    assert run_cli(args + ["--out", str(a)]) == 0
-    assert run_cli(args + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    # repeated runs and every --jobs value give the same bytes
+    for command in ("sweep-phi", "sweep-time"):
+        args = [command, "--points", "11", "--r-list", "600"]
+        outputs = []
+        for i, jobs in enumerate(["1", "3", "3"]):
+            path = tmp_path / f"{command}-{i}.csv"
+            assert run_cli(args + ["--jobs", jobs, "--out", str(path)]) == 0
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_sweep_row_order(capsys):
+    # engine, then the r list as given (not sorted), then phi ascending
+    args = ["sweep-phi", "--engine", "both", "--r-list", "900,300", "--points", "3"]
+    assert run_cli(args) == 0
+    rows = [l.split(",") for l in capsys.readouterr().out.strip().split("\n")[2:]]
+    blocks = [
+        (engine, r) for engine in ("analytic", "simulated") for r in (900.0, 300.0)
+    ]
+    assert [(row[3], float(row[1])) for row in rows] == [
+        block for block in blocks for _ in range(3)
+    ]
+    for start in range(0, len(rows), 3):
+        phis = [float(row[0]) for row in rows[start:start + 3]]
+        assert phis == sorted(phis) and phis[0] < phis[-1]
+
+
+@pytest.mark.parametrize("command", ["sweep-time", "simulate"])
+def test_out_matches_stdout(tmp_path, capsys, command):
+    cfg = {
+        "decay": {"k": 1000.0, "r": 600.0},
+        "protocol": {"T": 2e-4},
+        "sweep": {"count": 4, "r_list": [1000.0, 400.0]},
+    }
+    args = [command, "--config", write_config(tmp_path, cfg)]
+    assert run_cli(args) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "out.txt"
+    assert run_cli(args + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == printed.encode("utf-8")
 
 
 def test_engines_agree(capsys):
@@ -150,6 +186,107 @@ def test_bad_config_fields_exit_1(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def assert_one_error_line(err):
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["sweep-phi", "sweep-time"])
+@pytest.mark.parametrize("engine", ["analytic", "simulated"])
+@pytest.mark.parametrize("source", ["option", "config"])
+def test_sweep_r_out_of_range_exit_1(tmp_path, capsys, command, engine, source):
+    # a negative r would be folded into the phase gamma + pi and the rows
+    # mislabelled, so it is rejected before any engine runs
+    if source == "option":
+        args = ["--r-list=-500"]
+    else:
+        args = ["--config", write_config(tmp_path, {"sweep": {"r_list": [-500]}})]
+    assert run_cli([command, "--engine", engine, "--points", "3", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert "sweep.r_list" in captured.err
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"sweep": {"r_list": "12"}},
+        {"sweep": {"r_list": 5}},
+        {"sweep": []},
+        {"protocol": {"T": None}},
+    ],
+    ids=["r_list-string", "r_list-number", "sweep-list", "T-null"],
+)
+def test_malformed_config_exit_1_one_line(tmp_path, capsys, cfg):
+    path = write_config(tmp_path, cfg)
+    assert run_cli(["sweep-phi", "--points", "3", "--config", path]) == 1
+    assert_one_error_line(capsys.readouterr().err)
+
+
+def test_sweep_config_fuzz_exit_0_or_1(tmp_path, capsys):
+    pytest.importorskip("hypothesis")
+    from hypothesis import HealthCheck, given, settings
+    from hypothesis import strategies as st
+
+    scalars = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.text(max_size=4),
+        st.integers(-3000, 3000),
+        st.floats(-3000.0, 3000.0),
+        st.sampled_from([nan, inf, -inf]),
+    )
+    values = st.recursive(
+        scalars,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3),
+            st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        ),
+        max_leaves=6,
+    )
+    # count stays small so that no draw asks for a huge grid
+    count = st.one_of(
+        st.integers(-2, 9), st.floats(-2.0, 9.0), st.none(), st.text(max_size=2)
+    )
+
+    def section(fields):
+        return st.one_of(values, st.fixed_dictionaries({}, optional=fields))
+
+    configs = st.fixed_dictionaries(
+        {},
+        optional={
+            "decay": section({key: values for key in ("k", "r", "gamma", "omega")}),
+            "protocol": section(
+                {key: values for key in ("G", "theta", "phi", "T", "Omega", "delta")}
+            ),
+            "sweep": section(
+                {"start": values, "stop": values, "count": count,
+                 "r_list": st.one_of(values, st.lists(scalars, max_size=3))}
+            ),
+        },
+    )
+
+    @settings(
+        max_examples=200, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture,
+                               HealthCheck.too_slow],
+    )
+    @given(command=st.sampled_from(["sweep-phi", "sweep-time"]), cfg=configs)
+    def check(command, cfg):
+        path = write_config(tmp_path, cfg)
+        rc = run_cli([command, "--engine", "analytic", "--config", path])
+        err = capsys.readouterr().err
+        assert rc in (0, 1)
+        if rc == 1:
+            assert_one_error_line(err)
+        else:
+            assert err == ""
+
+    check()
+
+
 def test_bad_json_exit_1(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -162,10 +299,7 @@ def test_overflow_exit_1_one_line(tmp_path, capsys):
         tmp_path, {"decay": {"k": 1000, "gamma": 1.0}, "sweep": {"stop": 1.0}}
     )
     assert run_cli(["sweep-time", "--config", path]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert err.count("\n") == 1
-    assert "Traceback" not in err
+    assert_one_error_line(capsys.readouterr().err)
 
 
 def test_validate_zero_dissipation_profile(tmp_path, capsys):
