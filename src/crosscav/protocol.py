@@ -9,19 +9,13 @@ a flag turns it on for sensitivity checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isfinite, pi, sqrt
 
 import numpy as np
 import scipy.sparse as sp
 
-from .analytic import (
-    PreparedStateParams,
-    prepared_state,
-    prob_e_single_cavity_detuned,
-    prob_e_single_cavity_resonant,
-    prob_e_two_cavity,
-)
+from .analytic import PreparedStateParams, prepared_state
 from .integrator import (
     EvolutionSpec,
     evolve_master,
@@ -63,6 +57,10 @@ class Segment:
     frame: str = "rotating"
 
     def __post_init__(self):
+        for name in ("duration", "G", "Omega", "Omega_a"):
+            value = getattr(self, name)
+            if not isfinite(value):
+                raise ValueError(f"segment {name} must be finite, got {value}")
         if self.duration < 0:
             raise ValueError(f"segment duration must be >= 0, got {self.duration}")
         if self.kind not in UNITARY_KINDS + ("dissipative",):
@@ -141,7 +139,6 @@ class RunRecord:
     """Outcome of one protocol run."""
 
     p_e: float
-    p_e_analytic: float
     prep_fidelity: float
     after_preparation: DensityMatrix
     after_window: DensityMatrix
@@ -154,7 +151,6 @@ class RunRecord:
         return {
             "label": self.label,
             "p_e": self.p_e,
-            "p_e_analytic": self.p_e_analytic,
             "prep_fidelity": self.prep_fidelity,
             "after_window_purity": self.after_window.purity(),
             "segments": [
@@ -216,18 +212,48 @@ def _frame_freqs(cfg: ProtocolConfig, frame: str, resonant: bool):
     raise ValueError(f"frame must be 'lab' or 'rotating', got {frame!r}")
 
 
-def _attach_atom_ground(field_ket: Ket, space) -> Ket:
+def _attach_atom_ground(field_ket: Ket) -> Ket:
     amps = np.kron(field_ket.amplitudes, np.array([1.0, 0.0], dtype=complex))
-    return Ket(amps, space)
+    return Ket(amps, make_space(field_ket.space.dims + (2,)))
 
 
-def _excited_projector(space) -> np.ndarray:
-    e = basis_ket(make_space([2]), (ATOM_E,)).amplitudes
-    proj = np.outer(e, e.conj())
-    out = np.eye(1, dtype=complex)
-    for d in space.dims[:-1]:
-        out = np.kron(out, np.eye(d))
-    return np.kron(out, proj)
+def _atom_population(rho: DensityMatrix, level: int) -> float:
+    """Population of one atom level in the atom marginal (atom is last)."""
+    atom = partial_trace(rho, [len(rho.space.dims) - 1])
+    return float(np.real(atom.matrix[level, level]))
+
+
+def _run(cfg, frame, dissipate, label, prep, target, window_decay, readout):
+    """Prepare from |0,0,e>, check the prepared state against `target`,
+    open the dissipative window, then read out.
+
+    readout=None projects the post-window state onto `target`; a segment
+    list replays those pulses and reads the atom's excited population.
+    """
+    rho0 = density_from_ket(basis_ket(target.space, (0, 0, ATOM_E)))
+    rho_prep = compose_segments(rho0, prep, dissipate)
+    fid = rho_prep.fidelity_with_ket(target)
+    if not dissipate and fid < _PREP_FIDELITY_MIN:
+        raise RuntimeError(f"preparation fidelity {fid} below contract")
+
+    window = Segment("dissipative", cfg.T, decay=window_decay, frame=frame)
+    rho_T = compose_segments(rho_prep, [window])
+
+    if readout is None:
+        p_e, readout = rho_T.fidelity_with_ket(target), []
+    else:
+        p_e = _atom_population(compose_segments(rho_T, readout, dissipate), ATOM_E)
+
+    segments = prep + [window] + readout
+    return RunRecord(
+        p_e=float(p_e),
+        prep_fidelity=float(fid),
+        after_preparation=rho_prep,
+        after_window=rho_T,
+        segments=tuple((s.kind, s.duration) for s in segments),
+        total_time=sum(s.duration for s in segments),
+        label=label,
+    )
 
 
 def run_two_cavity(
@@ -251,54 +277,23 @@ def run_two_cavity(
             f"time (2*theta - pi)/(2G) = {cfg.t_2p:.3e} s is negative; use the "
             "overlap readout outside that range"
         )
-    space = make_space([2, 2, 2])
     om_r, oma_r = _frame_freqs(cfg, frame, resonant=True)
     om_d, oma_d = _frame_freqs(cfg, frame, resonant=False)
 
-    prep = [
-        Segment("resonant-mode1", cfg.t_1s, cfg.G, om_r, oma_r, cfg.decay, frame),
-        Segment("dispersive", cfg.t_0s, 0.0, om_d, oma_d, cfg.decay, frame),
-        Segment("resonant-mode2", cfg.t_2s, cfg.G, om_r, oma_r, cfg.decay, frame),
-    ]
-    rho0 = density_from_ket(basis_ket(space, (0, 0, ATOM_E)))
-    rho_prep = compose_segments(rho0, prep, dissipate_during_pulses)
-
-    psi_target = _attach_atom_ground(
-        prepared_state(PreparedStateParams(cfg.theta, cfg.phi)), space
-    )
-    fid = rho_prep.fidelity_with_ket(psi_target)
-    if not dissipate_during_pulses and fid < _PREP_FIDELITY_MIN:
-        raise RuntimeError(f"preparation fidelity {fid} below contract")
-
-    window = Segment("dissipative", cfg.T, decay=cfg.decay, frame=frame)
-    rho_T = compose_segments(rho_prep, [window])
-
-    if readout == "overlap":
-        p_e = rho_T.fidelity_with_ket(psi_target)
-        ro_segments = []
-    else:
-        ro_segments = [
-            Segment("resonant-mode1", cfg.t_1p, cfg.G, om_r, oma_r, cfg.decay, frame),
-            Segment("dispersive", cfg.t_0p, 0.0, om_d, oma_d, cfg.decay, frame),
-            Segment("resonant-mode2", cfg.t_2p, cfg.G, om_r, oma_r, cfg.decay, frame),
+    def pulses(t_1, t_0, t_2):
+        return [
+            Segment("resonant-mode1", t_1, cfg.G, om_r, oma_r, cfg.decay, frame),
+            Segment("dispersive", t_0, 0.0, om_d, oma_d, cfg.decay, frame),
+            Segment("resonant-mode2", t_2, cfg.G, om_r, oma_r, cfg.decay, frame),
         ]
-        rho_out = compose_segments(rho_T, ro_segments, dissipate_during_pulses)
-        p_e = float(np.real(np.trace(_excited_projector(space) @ rho_out.matrix)))
 
-    dec = cfg.decay
-    analytic = prob_e_two_cavity(
-        PreparedStateParams(cfg.theta, cfg.phi), dec.k, dec.r, dec.gamma, cfg.T
+    target = _attach_atom_ground(
+        prepared_state(PreparedStateParams(cfg.theta, cfg.phi))
     )
-    segments = prep + [window] + ro_segments
-    return RunRecord(
-        p_e=float(p_e),
-        p_e_analytic=analytic,
-        prep_fidelity=float(fid),
-        after_preparation=rho_prep,
-        after_window=rho_T,
-        segments=tuple((s.kind, s.duration) for s in segments),
-        total_time=sum(s.duration for s in segments),
-        label=f"two-cavity/{readout}",
+    ro = pulses(cfg.t_1p, cfg.t_0p, cfg.t_2p) if readout == "explicit" else None
+    return _run(
+        cfg, frame, dissipate_during_pulses, f"two-cavity/{readout}",
+        pulses(cfg.t_1s, cfg.t_0s, cfg.t_2s), target, cfg.decay, ro,
     )
 
 
@@ -320,58 +315,33 @@ def run_single_cavity(
     dec = cfg.decay
 
     if variant == "resonant":
-        pulse_kind, pulse_t = "both-modes-phase", cfg.t_12a
-        window_decay = dec
-        analytic = prob_e_single_cavity_resonant(dec.k, dec.r, dec.gamma, cfg.T)
-        target = np.zeros(space.dim, dtype=complex)
-        target += basis_ket(space, (0, 1, ATOM_G)).amplitudes / sqrt(2.0)
-        target += 1j * basis_ket(space, (1, 0, ATOM_G)).amplitudes / sqrt(2.0)
-        psi_target = Ket(target, space)
+        pulse_kind, pulse_t, window_decay = "both-modes-phase", cfg.t_12a, dec
+        target = Ket(
+            (
+                basis_ket(space, (0, 1, ATOM_G)).amplitudes
+                + 1j * basis_ket(space, (1, 0, ATOM_G)).amplitudes
+            )
+            / sqrt(2.0),
+            space,
+        )
     elif variant == "detuned":
         pulse_kind, pulse_t = "resonant-mode2", pi / (2 * cfg.G)
         # no cross decay between a resonant and a far-detuned mode
         window_decay = SymmetricDecayParameters(dec.k, 0.0, 0.0, dec.omega)
-        analytic = prob_e_single_cavity_detuned(dec.k, cfg.T)
-        psi_target = _attach_atom_ground(
-            Ket(
-                basis_ket(make_space([2, 2]), (0, 1)).amplitudes, make_space([2, 2])
-            ),
-            space,
-        )
+        target = basis_ket(space, (0, 1, ATOM_G))
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
-    prep = [Segment(pulse_kind, pulse_t, cfg.G, om_r, oma_r, window_decay, frame)]
-    rho0 = density_from_ket(basis_ket(space, (0, 0, ATOM_E)))
-    rho_prep = compose_segments(rho0, prep, dissipate_during_pulses)
-    fid = rho_prep.fidelity_with_ket(psi_target)
-    if not dissipate_during_pulses and fid < _PREP_FIDELITY_MIN:
-        raise RuntimeError(f"preparation fidelity {fid} below contract")
-
-    window = Segment("dissipative", cfg.T, decay=window_decay, frame=frame)
-    rho_T = compose_segments(rho_prep, [window])
-
-    ro = [Segment(pulse_kind, pulse_t, cfg.G, om_r, oma_r, window_decay, frame)]
-    rho_out = compose_segments(rho_T, ro, dissipate_during_pulses)
-    p_e = float(np.real(np.trace(_excited_projector(space) @ rho_out.matrix)))
-
-    segments = prep + [window] + ro
-    return RunRecord(
-        p_e=p_e,
-        p_e_analytic=analytic,
-        prep_fidelity=float(fid),
-        after_preparation=rho_prep,
-        after_window=rho_T,
-        segments=tuple((s.kind, s.duration) for s in segments),
-        total_time=sum(s.duration for s in segments),
-        label=f"single-cavity/{variant}",
+    pulse = [Segment(pulse_kind, pulse_t, cfg.G, om_r, oma_r, window_decay, frame)]
+    return _run(
+        cfg, frame, dissipate_during_pulses, f"single-cavity/{variant}",
+        pulse, target, window_decay, pulse,
     )
 
 
 def atom_ground_population(rho: DensityMatrix) -> float:
     """Population of |g> in the atom marginal (atom is the last subsystem)."""
-    atom = partial_trace(rho, [len(rho.space.dims) - 1])
-    return float(np.real(atom.matrix[ATOM_G, ATOM_G]))
+    return _atom_population(rho, ATOM_G)
 
 
 def field_marginal(rho: DensityMatrix) -> DensityMatrix:

@@ -111,6 +111,8 @@ class Ket:
             raise ValueError(
                 f"vector length {v.shape[0]} does not match space dimension {self.space.dim}"
             )
+        if not np.isfinite(v).all():
+            raise ValueError("ket has non-finite amplitudes")
         if self.normalized and abs(np.linalg.norm(v) - 1.0) > 1e-12:
             raise ValueError(f"ket marked normalized has norm {np.linalg.norm(v)}")
         v.setflags(write=False)
@@ -143,6 +145,8 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix shape {m.shape} does not match space dimension {self.space.dim}"
             )
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix has non-finite entries")
         herm_dev = np.abs(m - m.conj().T).max()
         if herm_dev > _HERM_TOL:
             raise ValueError(f"density matrix not Hermitian (deviation {herm_dev:.3e})")

@@ -3,6 +3,12 @@ from math import exp, pi, sqrt
 import numpy as np
 import pytest
 
+from crosscav.analytic import (
+    PreparedStateParams,
+    prob_e_single_cavity_detuned,
+    prob_e_single_cavity_resonant,
+    prob_e_two_cavity,
+)
 from crosscav.liouvillian import SymmetricDecayParameters
 from crosscav.protocol import (
     ProtocolConfig,
@@ -66,6 +72,15 @@ def test_segment_validation():
         Segment("dissipative", 1e-3)
 
 
+@pytest.mark.parametrize("field", ["duration", "G", "Omega", "Omega_a"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_segment_rejects_non_finite(field, value):
+    kw = dict(kind="resonant-mode1", duration=1e-6, G=1e5)
+    kw[field] = value
+    with pytest.raises(ValueError, match=f"segment {field} must be finite"):
+        Segment(**kw)
+
+
 def test_compose_empty_segments():
     space = make_space([2, 2, 2])
     rho = density_from_ket(basis_ket(space, (0, 0, ATOM_E)))
@@ -119,15 +134,21 @@ def test_simulated_matches_analytic_random(rng):
             phi=cfg.phi,
             T=cfg.T,
         )
-        rec = run_two_cavity(cfg)
-        assert rec.p_e == pytest.approx(rec.p_e_analytic, abs=1e-6)
+        dec = cfg.decay
+        expected = prob_e_two_cavity(
+            PreparedStateParams(cfg.theta, cfg.phi), dec.k, dec.r, dec.gamma, cfg.T
+        )
+        assert run_two_cavity(cfg).p_e == pytest.approx(expected, abs=1e-6)
 
 
 def test_single_cavity_matches_analytic():
     for r in (0.0, 500.0, 1000.0):
         cfg = make_cfg(r=r, T=800e-6)
-        rec = run_single_cavity(cfg, "resonant")
-        assert rec.p_e == pytest.approx(rec.p_e_analytic, abs=1e-6)
+        dec = cfg.decay
+        expected = prob_e_single_cavity_resonant(dec.k, dec.r, dec.gamma, cfg.T)
+        assert run_single_cavity(cfg, "resonant").p_e == pytest.approx(
+            expected, abs=1e-6
+        )
     rec = run_single_cavity(make_cfg(r=0.0, T=600e-6), "detuned")
     assert rec.p_e == pytest.approx(exp(-2 * 1000.0 * 600e-6), abs=1e-6)
 
@@ -193,3 +214,51 @@ def test_run_record_summary_is_json_friendly():
     assert s["label"] == "single-cavity/resonant"
     assert s["total_time"] == pytest.approx(rec.total_time)
     assert [d["kind"] for d in s["segments"]].count("dissipative") == 1
+
+
+def test_runs_are_physical_over_the_whole_range():
+    # r in [0, k] with both endpoints, windows up to 20/k: probabilities stay
+    # in [0, 1], the post-window state keeps unit trace and Hermiticity, and
+    # the replay agrees with the closed forms
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    angle = st.floats(-2 * pi, 2 * pi)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.floats(100.0, 5000.0),
+        r_frac=st.floats(0.0, 1.0),
+        gamma=angle,
+        theta=angle,
+        phi=angle,
+        kT=st.floats(0.0, 20.0),
+    )
+    @example(k=1000.0, r_frac=0.0, gamma=1.0, theta=pi / 4, phi=0.5, kT=20.0)
+    @example(k=1000.0, r_frac=1.0, gamma=1.0, theta=pi / 4, phi=0.5, kT=20.0)
+    def check(k, r_frac, gamma, theta, phi, kT):
+        r, T = r_frac * k, kT / k
+        cfg = make_cfg(theta=theta, phi=phi, k=k, r=r, gamma=gamma, T=T)
+        runs = {
+            "two": run_two_cavity(cfg),
+            "resonant": run_single_cavity(cfg, "resonant"),
+            "detuned": run_single_cavity(cfg, "detuned"),
+        }
+        for rec in runs.values():
+            assert -1e-12 <= rec.p_e <= 1 + 1e-12
+            m = rec.after_window.matrix
+            assert abs(np.trace(m) - 1.0) < 1e-12
+            assert np.abs(m - m.conj().T).max() < 1e-12
+        # r T <= 20 here, far below where cosh(r T) overflows
+        dec = cfg.decay
+        params = PreparedStateParams(cfg.theta, cfg.phi)
+        expected = {
+            "two": prob_e_two_cavity(params, dec.k, dec.r, dec.gamma, T),
+            "resonant": prob_e_single_cavity_resonant(dec.k, dec.r, dec.gamma, T),
+            "detuned": prob_e_single_cavity_detuned(dec.k, T),
+        }
+        for name, rec in runs.items():
+            assert rec.p_e == pytest.approx(expected[name], abs=1e-6), name
+
+    check()

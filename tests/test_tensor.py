@@ -5,6 +5,7 @@ from conftest import random_density
 from crosscav.tensor import (
     ATOM_E,
     ATOM_G,
+    DensityMatrix,
     Ket,
     Operator,
     adjoint,
@@ -153,6 +154,25 @@ def test_density_from_ket_rejects_unnormalized():
     psi = Ket([0.5, 0.5], space, normalized=False)
     with pytest.raises(ValueError):
         density_from_ket(psi)
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("normalized", [True, False])
+def test_ket_rejects_non_finite(value, normalized):
+    with pytest.raises(ValueError, match="non-finite"):
+        Ket([value, 0.0], make_space([2]), normalized=normalized)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_density_rejects_non_finite(value):
+    space = make_space([2])
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(np.full((2, 2), value), space)
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(np.diag([1.0, value]), space)
 
 
 def test_density_properties_random(rng):
