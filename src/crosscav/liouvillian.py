@@ -2,8 +2,12 @@
 
 The generator acts on row-major vectorized density matrices: with
 vec(rho) = rho.reshape(-1), a sandwich map rho -> A rho B becomes
-kron(A, B.T).  Superoperator matrices are stored as scipy CSR so the
-n_max = 8 coherent-state space (D = 81, D^2 = 6561) stays cheap.
+kron(A, B.T).  One routine, _gksl, assembles every generator in a single
+pass: each sandwich term is turned into COO triplets by index arithmetic
+on the nonzeros of its dense D x D factors, and one CSR conversion sums
+them, so no Kronecker product is ever formed.  Superoperator matrices are
+stored as scipy CSR so the n_max = 8 coherent-state space (D = 81,
+D^2 = 6561) stays cheap.
 """
 
 from __future__ import annotations
@@ -183,64 +187,96 @@ def normal_mode_ops(space: SpaceSignature, gamma: float):
     return tuple(Operator(u1 * a1 + u2 * a2, space) for u1, u2 in m)
 
 
-def _gksl(space: SpaceSignature, ops, gamma, h) -> SuperOperator:
+def _sandwich_coo(coef: complex, A: np.ndarray, B: np.ndarray, D: int):
+    """COO triplets of the vectorized sandwich rho -> coef A rho B.
+
+    The sandwich vectorizes to coef kron(A, B.T): entry (a, c) of A times
+    entry (d, b) of B lands at row a*D + b, column c*D + d.  The triplets
+    come from the nonzeros of the dense factors, with int32 indices.
+    """
+    ra, ca = np.nonzero(A)
+    cb, rb = np.nonzero(B)
+    rows = (ra.astype(np.int32)[:, None] * D + rb.astype(np.int32)).ravel()
+    cols = (ca.astype(np.int32)[:, None] * D + cb.astype(np.int32)).ravel()
+    vals = coef * np.multiply.outer(A[ra, ca], B[cb, rb]).ravel()
+    return rows, cols, vals
+
+
+def _gksl(space: SpaceSignature, ops, gamma, h, H=None) -> SuperOperator:
     """GKSL generator of the lowering operators ops on row-major vec(rho).
 
-    rho -> sum_ij gamma_ij (2 o_i rho o_j^dag - {o_j^dag o_i, rho}) - i[H, rho]
-    with H = sum_ij h_ij o_i^dag o_j.  A sandwich A rho B vectorizes to
-    kron(A, B.T), so with K = sum_ij gamma_ij o_j^dag o_i + iH the generator
-    is 2 sum_ij gamma_ij kron(o_i, conj o_j) - kron(K, I) - kron(I, conj K).
+    rho -> sum_ij gamma_ij (2 o_i rho o_j^dag - {o_j^dag o_i, rho}) - i[H_o + H, rho]
+    with H_o = sum_ij h_ij o_i^dag o_j and H an optional full-space
+    Hamiltonian matrix.  Every term is a sandwich A rho B, whose vectorized
+    form is kron(A, B.T): the jumps 2 gamma_ij o_i rho o_j^dag, and -K rho
+    and -rho K^dag with the dense K = sum_ij (gamma_ij + i h_ji) o_j^dag o_i
+    + iH.  Each sandwich becomes COO triplets by index arithmetic on the
+    nonzeros of its dense factors; one CSR conversion sums the duplicates,
+    and entries that cancel exactly are dropped.
     """
     D = space.dim
-    ops = [sp.csr_matrix(o) for o in ops]
-    eye = sp.identity(D, format="csr")
-    K = sp.csr_matrix((D, D), dtype=complex)
-    jump = sp.csr_matrix((D * D, D * D), dtype=complex)
+    eye = np.eye(D, dtype=complex)
+    K = np.zeros((D, D), dtype=complex) if H is None else 1j * np.asarray(H)
+    terms = []
     for i, oi in enumerate(ops):
         for j, oj in enumerate(ops):
-            K = K + complex(gamma[i, j] + 1j * h[j, i]) * (oj.conj().T @ oi)
+            P = oj.conj().T @ oi
+            if i == j:
+                # a fused multiply-add in the dense product can leave an
+                # imaginary rounding residue on the diagonal of o^dag o
+                P = 0.5 * (P + P.conj().T)
+            K = K + complex(gamma[i, j] + 1j * h[j, i]) * P
             if gamma[i, j] != 0:
-                sandwich = sp.kron(oi, oj.conj(), format="csr")
-                jump = jump + complex(2 * gamma[i, j]) * sandwich
-    L = jump - sp.kron(K, eye, format="csr") - sp.kron(eye, K.conj(), format="csr")
+                terms.append(_sandwich_coo(2 * gamma[i, j], oi, oj.conj().T, D))
+    terms.append(_sandwich_coo(-1, K, eye, D))
+    terms.append(_sandwich_coo(-1, eye, K.conj().T, D))
+    rows, cols, vals = (np.concatenate(parts) for parts in zip(*terms))
+    del terms  # the CSR conversion copies the triplets; hold one set, not two
+    L = sp.csr_matrix((vals, (rows, cols)), shape=(D * D, D * D))
+    L.eliminate_zeros()
     return SuperOperator(L, space)
 
 
 def build_general_liouvillian(
-    params: DecayParameters, space: SpaceSignature
+    params: DecayParameters, space: SpaceSignature, H: Operator = None
 ) -> SuperOperator:
     """Zero-temperature cross-decay generator of the two field modes.
 
     GKSL form with lowering operators (a1, a2):
-    rho -> sum_ij G_ij (2 a_i rho a_j^dag - {a_j^dag a_i, rho}) - i[H, rho],
+    rho -> sum_ij G_ij (2 a_i rho a_j^dag - {a_j^dag a_i, rho}) - i[H_m + H, rho],
     where G = params.damping_matrix() = [[k11, kappa], [conj kappa, k22]],
-    kappa = (k12 + k21)/2 + i(d12 - d21)/2, and H = sum_ij h_ij a_i^dag a_j
+    kappa = (k12 + k21)/2 + i(d12 - d21)/2, and H_m = sum_ij h_ij a_i^dag a_j
     with h = [[omega1 - d11, -c], [-conj c, omega2 - d22]],
     c = (d12 + d21)/2 + i(k12 - k21)/2, so the shifts d11 and d22 lower the
     mode frequencies.  Any subsystems beyond the first two (e.g. an atom
     factor) are left untouched; omega1 = omega2 = 0 gives rotating-frame
-    dynamics.
+    dynamics.  H, when given, is an extra full-space Hamiltonian, such as
+    an atom-field pulse that runs while the modes decay; None means zero.
     """
     if len(space.dims) < 2:
         raise ValueError("space must contain the two field modes")
+    if H is not None and H.space != space:
+        raise ValueError(f"Hamiltonian space {H.space.dims} does not match {space.dims}")
     p = params
     c = 0.5 * (p.d12 + p.d21) + 0.5j * (p.k12 - p.k21)
     h = np.array([[p.omega1 - p.d11, -c], [-np.conj(c), p.omega2 - p.d22]])
     ops = [annihilation_op(space, 0).matrix, annihilation_op(space, 1).matrix]
-    return _gksl(space, ops, p.damping_matrix(), h)
+    return _gksl(space, ops, p.damping_matrix(), h, None if H is None else H.matrix)
 
 
 def build_symmetric_liouvillian(
     params: SymmetricDecayParameters,
     space: SpaceSignature,
     frame: str = "rotating",
+    H: Operator = None,
 ) -> SuperOperator:
     """Symmetric-cavity generator: k11 = k22 = k, cross term r e^{i gamma}.
 
     In the rotating frame the -i*Omega number commutators are dropped;
-    measured probabilities are frame-independent.
+    measured probabilities are frame-independent.  H is an optional extra
+    full-space Hamiltonian, as in build_general_liouvillian.
     """
-    return build_general_liouvillian(params.to_general(frame), space)
+    return build_general_liouvillian(params.to_general(frame), space, H)
 
 
 def apply_liouvillian(L: SuperOperator, rho) -> np.ndarray:

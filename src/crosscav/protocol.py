@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from math import isfinite, pi, sqrt
 
 import numpy as np
-import scipy.sparse as sp
 
 from .analytic import PreparedStateParams, prepared_state
 from .integrator import (
@@ -23,11 +22,7 @@ from .integrator import (
     jc_hamiltonian,
     unitary_propagator,
 )
-from .liouvillian import (
-    SuperOperator,
-    SymmetricDecayParameters,
-    build_symmetric_liouvillian,
-)
+from .liouvillian import SymmetricDecayParameters, build_symmetric_liouvillian
 from .tensor import (
     ATOM_E,
     ATOM_G,
@@ -160,19 +155,6 @@ class RunRecord:
         }
 
 
-def _segment_generator(space, seg: Segment, H) -> SuperOperator:
-    """-i[H, .] plus the dissipator, for pulses with dissipation left on."""
-    D = space.dim
-    Hm = H.matrix
-    I = sp.identity(D, format="csr")
-    comm = -1j * (
-        sp.kron(sp.csr_matrix(Hm), I, format="csr")
-        - sp.kron(I, sp.csr_matrix(Hm).T, format="csr")
-    )
-    Ld = build_symmetric_liouvillian(seg.decay, space, seg.frame)
-    return SuperOperator(comm + Ld.matrix, space)
-
-
 def compose_segments(
     initial: DensityMatrix, segments, dissipate_during_pulses: bool = False
 ) -> DensityMatrix:
@@ -194,8 +176,9 @@ def compose_segments(
             }[seg.kind]
             H = jc_hamiltonian(space, which, seg.G, seg.Omega, seg.Omega_a)
         if dissipate_during_pulses and seg.decay is not None:
-            Lfull = _segment_generator(space, seg, H)
-            rho = evolve_master(rho, Lfull, EvolutionSpec(seg.duration))
+            # the pulse Hamiltonian and the dissipator make one generator
+            L = build_symmetric_liouvillian(seg.decay, space, seg.frame, H)
+            rho = evolve_master(rho, L, EvolutionSpec(seg.duration))
         else:
             U = unitary_propagator(H, seg.duration)
             rho = DensityMatrix(U @ rho.matrix @ U.conj().T, space)

@@ -5,11 +5,17 @@ and the atom (dimension 2) comes last when present.  Basis ordering is
 row-major over the subsystem list, so matrix layouts are reproducible
 bit-exactly.  A bosonic mode truncated at n_max occupies n_max + 1 levels.
 Atom levels: index 0 = |g>, index 1 = |e>.
+
+Operator, Ket and DensityMatrix hold read-only copies of the arrays they
+are given.  annihilation_op and atom_ops are cached per (space, subsystem),
+so the Kronecker embedding of each distinct operator runs once and every
+caller shares the same read-only result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 import numpy as np
@@ -20,6 +26,8 @@ ATOM_E = 1
 _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-10
 _EIG_TOL = -1e-9
+# distinct (space, subsystem) operators a process keeps; a sweep needs a few
+_OP_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -49,6 +57,13 @@ def make_space(dims) -> SpaceSignature:
     return SpaceSignature(tuple(dims))
 
 
+def _frozen_copy(a) -> np.ndarray:
+    """Read-only complex copy of a, so the caller's array stays writable."""
+    m = np.array(a, dtype=complex)
+    m.setflags(write=False)
+    return m
+
+
 def _check_same_space(a, b):
     if a.space != b.space:
         raise ValueError(f"space mismatch: {a.space.dims} vs {b.space.dims}")
@@ -62,12 +77,11 @@ class Operator:
     space: SpaceSignature
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = _frozen_copy(self.matrix)
         if m.shape != (self.space.dim, self.space.dim):
             raise ValueError(
                 f"matrix shape {m.shape} does not match space dimension {self.space.dim}"
             )
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     def dag(self) -> "Operator":
@@ -106,7 +120,7 @@ class Ket:
     normalized: bool = True
 
     def __post_init__(self):
-        v = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        v = _frozen_copy(self.amplitudes).reshape(-1)
         if v.shape != (self.space.dim,):
             raise ValueError(
                 f"vector length {v.shape[0]} does not match space dimension {self.space.dim}"
@@ -115,7 +129,6 @@ class Ket:
             raise ValueError("ket has non-finite amplitudes")
         if self.normalized and abs(np.linalg.norm(v) - 1.0) > 1e-12:
             raise ValueError(f"ket marked normalized has norm {np.linalg.norm(v)}")
-        v.setflags(write=False)
         object.__setattr__(self, "amplitudes", v)
 
     def norm(self) -> float:
@@ -140,7 +153,7 @@ class DensityMatrix:
     space: SpaceSignature
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = _frozen_copy(self.matrix)
         if m.shape != (self.space.dim, self.space.dim):
             raise ValueError(
                 f"matrix shape {m.shape} does not match space dimension {self.space.dim}"
@@ -156,7 +169,6 @@ class DensityMatrix:
         min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
         if min_eig < _EIG_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     def purity(self) -> float:
@@ -201,8 +213,13 @@ def identity_op(space: SpaceSignature) -> Operator:
     return Operator(np.eye(space.dim, dtype=complex), space)
 
 
+@lru_cache(maxsize=_OP_CACHE_SIZE)
 def annihilation_op(space: SpaceSignature, subsystem: int) -> Operator:
-    """Embedded lowering operator with <n-1|a|n> = sqrt(n)."""
+    """Embedded lowering operator with <n-1|a|n> = sqrt(n).
+
+    Cached per (space, subsystem): repeat calls return the same read-only
+    Operator, so the embedding runs once per distinct operator.
+    """
     if not 0 <= subsystem < len(space.dims):
         raise ValueError(f"subsystem index {subsystem} out of range")
     d = space.dims[subsystem]
@@ -217,10 +234,13 @@ def number_op(space: SpaceSignature, subsystem: int) -> Operator:
     return a.dag() @ a
 
 
+@lru_cache(maxsize=_OP_CACHE_SIZE)
 def atom_ops(space: SpaceSignature, subsystem: int):
     """Embedded (sigma_z, sigma_plus, sigma_minus) for a two-level subsystem.
 
     sigma_z = |e><e| - |g><g|, sigma_minus = |g><e|, sigma_plus = |e><g|.
+    Cached per (space, subsystem) like annihilation_op; the tuple and its
+    read-only Operators are shared between callers.
     """
     if not 0 <= subsystem < len(space.dims):
         raise ValueError(f"subsystem index {subsystem} out of range")

@@ -2,6 +2,7 @@ from math import pi
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import random_density, random_hermitian
 from crosscav.analytic import robust_entangled_state
@@ -18,7 +19,14 @@ from crosscav.liouvillian import (
     normal_mode_ops,
     normal_mode_transform,
 )
-from crosscav.tensor import basis_ket, density_from_ket, make_space, number_op
+from crosscav.tensor import (
+    annihilation_op,
+    basis_ket,
+    density_from_ket,
+    identity_op,
+    make_space,
+    number_op,
+)
 from crosscav.validate import liouvillian_direct
 
 
@@ -288,3 +296,95 @@ def test_excitation_monotone_under_flow(two_mode_nmax1, rng):
             values.append(np.trace(n_tot @ rho_t.matrix).real)
         diffs = np.diff(values)
         assert (diffs <= 1e-10).all()
+
+
+# --- one-pass COO assembly against a Kronecker-product reference ---
+
+
+def _kron_gksl(D, ops, gamma, h):
+    """Reference generator summed term by term with sp.kron.
+
+    2 sum_ij gamma_ij kron(o_i, conj o_j) - kron(K, I) - kron(I, conj K)
+    with K = sum_ij (gamma_ij + i h_ji) o_j^dag o_i, all in sparse algebra.
+    """
+    ops = [sp.csr_matrix(o) for o in ops]
+    eye = sp.identity(D, format="csr")
+    K = sp.csr_matrix((D, D), dtype=complex)
+    jump = sp.csr_matrix((D * D, D * D), dtype=complex)
+    for i, oi in enumerate(ops):
+        for j, oj in enumerate(ops):
+            K = K + complex(gamma[i, j] + 1j * h[j, i]) * (oj.conj().T @ oi)
+            if gamma[i, j] != 0:
+                jump = jump + complex(2 * gamma[i, j]) * sp.kron(oi, oj.conj(), format="csr")
+    return jump - sp.kron(K, eye, format="csr") - sp.kron(eye, K.conj(), format="csr")
+
+
+def _kron_general(p, space):
+    c = 0.5 * (p.d12 + p.d21) + 0.5j * (p.k12 - p.k21)
+    h = np.array([[p.omega1 - p.d11, -c], [-np.conj(c), p.omega2 - p.d22]])
+    ops = [annihilation_op(space, 0).matrix, annihilation_op(space, 1).matrix]
+    return _kron_gksl(space.dim, ops, p.damping_matrix(), h)
+
+
+def _generator_cases(space):
+    """(label, generator, reference, exact pattern) for every builder path."""
+    k, omega, gamma = 1000.0, 3e4, 2.3
+    for frame in ("rotating", "lab"):
+        for r in (0.0, 400.0, k):
+            p = SymmetricDecayParameters(k, r, gamma, omega)
+            if r != 400.0:
+                yield (f"symmetric-{frame}-r{r:g}",
+                       build_symmetric_liouvillian(p, space, frame),
+                       _kron_general(p.to_general(frame), space), True)
+            w = np.array([[omega if frame == "lab" else 0.0]])
+            A = normal_mode_ops(space, gamma)
+            for n, (L, op, rate) in enumerate(
+                zip(decompose_symmetric(p, space, frame), A, (k - r, k + r)), 1
+            ):
+                ref = _kron_gksl(space.dim, [op.matrix], np.array([[rate]]), w)
+                # the normal-mode operators are complex, so where an entry
+                # cancels exactly in theory, dense and sparse products can
+                # leave rounding residue at different positions
+                yield f"channel{n}-{frame}-r{r:g}", L, ref, False
+    p = DecayParameters(
+        k11=900.0, k22=1100.0, k12=300.0, k21=280.0,
+        d11=15.0, d22=-10.0, d12=120.0, d21=-90.0,
+        omega1=2e4, omega2=2.1e4,
+    )
+    yield "general", build_general_liouvillian(p, space), _kron_general(p, space), True
+
+
+@pytest.mark.parametrize("dims", [[2, 2], [2, 2, 2], [3, 3, 2], [9, 9]],
+                         ids=lambda d: "x".join(map(str, d)))
+def test_coo_assembly_matches_kron_reference(dims):
+    space = make_space(dims)
+    for label, L, ref, exact_pattern in _generator_cases(space):
+        m = L.matrix
+        assert m.indices.dtype == np.int32 and m.indptr.dtype == np.int32, label
+        assert m.has_canonical_format, label
+        assert np.count_nonzero(m.data) == m.nnz, f"{label}: stored explicit zeros"
+        scale = np.abs(ref.data).max() if ref.nnz else 1.0
+        assert np.abs((m - ref).data).max(initial=0.0) <= 1e-15 * scale, label
+        # an entry held by only one of the two is bounded by the check above
+        if exact_pattern:
+            assert m.nnz == ref.nnz, label
+            np.testing.assert_array_equal(m.indptr, ref.indptr, err_msg=label)
+            np.testing.assert_array_equal(m.indices, ref.indices, err_msg=label)
+
+
+def test_extra_hamiltonian_must_share_the_space(two_mode_nmax1):
+    p = SymmetricDecayParameters(1000.0, 500.0, 1.0)
+    H = identity_op(make_space([2, 2, 2]))
+    with pytest.raises(ValueError, match="Hamiltonian space"):
+        build_symmetric_liouvillian(p, two_mode_nmax1, "rotating", H)
+
+
+@pytest.mark.parametrize("dims", [[3, 3, 2], [9, 9]], ids=lambda d: "x".join(map(str, d)))
+def test_hamiltonian_only_channel_is_exactly_anti_hermitian(dims):
+    # at r = k the slow channel is -i[omega A1^dag A1, .] alone, which must
+    # carry no decay: exactly anti-Hermitian, with no rounding residue
+    space = make_space(dims)
+    p = SymmetricDecayParameters(1000.0, 1000.0, 2.3, omega=3e4)
+    L1, _ = decompose_symmetric(p, space, "lab")
+    assert L1.matrix.nnz > 0
+    assert abs(L1.matrix + L1.matrix.conj().T).max() == 0.0

@@ -2,6 +2,7 @@ from math import exp, pi, sqrt
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from crosscav.analytic import (
     PreparedStateParams,
@@ -9,7 +10,12 @@ from crosscav.analytic import (
     prob_e_single_cavity_resonant,
     prob_e_two_cavity,
 )
-from crosscav.liouvillian import SymmetricDecayParameters
+from crosscav.integrator import EvolutionSpec, evolve_master, free_hamiltonian, jc_hamiltonian
+from crosscav.liouvillian import (
+    SuperOperator,
+    SymmetricDecayParameters,
+    build_symmetric_liouvillian,
+)
 from crosscav.protocol import (
     ProtocolConfig,
     Segment,
@@ -262,3 +268,31 @@ def test_runs_are_physical_over_the_whole_range():
             assert rec.p_e == pytest.approx(expected[name], abs=1e-6), name
 
     check()
+
+
+@pytest.mark.parametrize("frame", ["rotating", "lab"])
+def test_leaky_pulse_generator_matches_kron_commutator(frame):
+    # a pulse with dissipation left on is one builder call with the pulse
+    # Hamiltonian folded in; the reference adds -i[H, .] by sp.kron
+    space = make_space([2, 2, 2])
+    decay = SymmetricDecayParameters(1000.0, 600.0, 2.1, omega=2 * pi * 1e5)
+    Om = 2 * pi * 1e5 if frame == "lab" else 0.0
+    Om_d = Om + 50 * G_DEFAULT
+    pulses = [
+        (Segment(kind, 3e-6, G_DEFAULT, Om, Om, decay, frame),
+         jc_hamiltonian(space, which, G_DEFAULT, Om, Om))
+        for kind, which in (("resonant-mode1", "mode1"), ("resonant-mode2", "mode2"),
+                            ("both-modes-phase", "both_with_phase"))
+    ] + [(Segment("dispersive", 3e-6, 0.0, Om, Om_d, decay, frame),
+          free_hamiltonian(space, Om, Om_d))]
+    eye = sp.identity(space.dim, format="csr")
+    rho0 = density_from_ket(basis_ket(space, (0, 1, ATOM_E)))
+    for seg, H in pulses:
+        Hs = sp.csr_matrix(H.matrix)
+        comm = -1j * (sp.kron(Hs, eye, format="csr") - sp.kron(eye, Hs.T, format="csr"))
+        ref = comm + build_symmetric_liouvillian(decay, space, frame).matrix
+        L = build_symmetric_liouvillian(decay, space, frame, H).matrix
+        assert abs(L - ref).max() <= 1e-12 * abs(ref).max(), seg.kind
+        leaky = compose_segments(rho0, [seg], dissipate_during_pulses=True)
+        expected = evolve_master(rho0, SuperOperator(ref, space), EvolutionSpec(seg.duration))
+        np.testing.assert_allclose(leaky.matrix, expected.matrix, rtol=0, atol=1e-12)

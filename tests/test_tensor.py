@@ -201,3 +201,41 @@ def test_partial_trace_preserves_trace(rng):
     rho = random_density(space, rng)
     red = partial_trace(rho, [1])
     assert np.trace(red.matrix).real == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("kind", ["operator", "ket", "density"])
+def test_construction_copies_the_callers_array(kind):
+    space = make_space([2])
+    if kind == "ket":
+        caller = np.array([1.0, 0.0], dtype=complex)
+        stored = Ket(caller, space).amplitudes
+    else:
+        caller = np.diag([1.0, 0.0]).astype(complex)
+        cls = Operator if kind == "operator" else DensityMatrix
+        stored = cls(caller, space).matrix
+    caller[0] = 2.0
+    assert caller.flags.writeable
+    assert not stored.flags.writeable
+    assert stored.reshape(-1)[0] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        stored[0] = 3.0
+
+
+def test_embedded_operators_are_cached_and_read_only():
+    space = make_space([2, 2, 2])
+    a = annihilation_op(space, 0)
+    assert annihilation_op(space, 0) is a
+    assert annihilation_op(space, 1) is not a
+    with pytest.raises(ValueError, match="read-only"):
+        a.matrix[0, 1] = 5.0
+    ops = atom_ops(space, 2)
+    assert atom_ops(space, 2) is ops
+    for op in ops:
+        assert not op.matrix.flags.writeable
+    other = make_space([3, 3, 2])
+    assert annihilation_op(other, 0) is not a
+    assert atom_ops(other, 2) is not ops
+    # a product of cached operators is a new operator; the cache is untouched
+    n = a.dag() @ a
+    assert n.matrix is not a.matrix
+    np.testing.assert_array_equal(annihilation_op(space, 0).matrix, a.matrix)
