@@ -2,19 +2,35 @@
 
 This module is the numerical oracle against which every closed form in
 the package is checked, so it stays deliberately simple.  The master
-equation is propagated by one exact path: the action exp(L t) v of the
-matrix exponential on the vectorized state, computed with the truncated
-Taylor scheme of Al-Mohy & Higham (SIAM J. Sci. Comput. 33:488, 2011)
-on the sparse generator.  Unlike an eigendecomposition it stays exact
-where the generator is defective, as at the decoherence-free point
-r = k.  Fixed-step RK4 runs only when a caller asks for it, as an
-independent oracle.
+equation is propagated exactly on the reachable block of the vectorized
+state: the set R of vec(rho) indices reachable from the support of rho0
+along the generator's nonzeros.  R is closed under L, so L[R^c, R] = 0 and
+exp(L t) v = (exp(L_RR t) v_R, 0) for any generator, frame or rate; a
+protocol state in the N <= 1 excitation sector touches a handful of the
+64 entries of its space, a full-rank state all of them.
+
+One function, _propagate, runs L_RR on one of two branches:
+
+- dense Taylor scaling and squaring of exp(L_RR t), whose cost grows
+  with log T (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005);
+- the truncated Taylor action exp(L_RR t) v_R of Al-Mohy & Higham
+  (SIAM J. Sci. Comput. 33:488, 2011) on the sparse block, whose cost
+  grows with T but needs no dense matrix.
+
+It takes the branch with the smaller estimated cost, from |R|, the
+block's stored entries and t*||L_RR||_1, and blocks with more than
+_DENSE_MAX_DIM rows always take the action, which caps the dense block's
+memory.  Neither branch diagonalizes, so both stay exact where the
+generator is defective, as at the decoherence-free point r = k.
+Fixed-step RK4 runs only when a caller asks for it, as an independent
+oracle on the full generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, isfinite
+from functools import lru_cache
+from math import ceil, inf, isfinite, ldexp, log2
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +54,16 @@ _TAYLOR_THETA = {
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
 _UNIT_ROUNDOFF = 2.0**-53
+# reachable blocks with more rows always take the sparse action: a dense
+# 384 x 384 complex block is 2.4 MB, and squaring holds a few of them
+_DENSE_MAX_DIM = 384
+# rough cost of one numpy or scipy call beyond its arithmetic, counted in
+# the complex multiply-adds a dense product does in the same time
+_CALL_COST = 2.0e4
+# a sparse product costs about this many dense multiply-adds per entry
+_SPARSE_ENTRY_COST = 20.0
+# distinct pulse Hamiltonians a process keeps; a sweep needs a few
+_HAMILTONIAN_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -141,15 +167,137 @@ def _expm_action(A: sp.csr_matrix, v: np.ndarray, t: float) -> np.ndarray:
     return F
 
 
+def _reachable_block(A: sp.csr_matrix, v: np.ndarray):
+    """Indices R reachable from supp(v) along A's stored entries, and A_RR.
+
+    (A v)_i involves v_j wherever A[i, j] is stored, so R grows by the rows
+    of the stored entries in its columns until it stops growing.  Returns
+    R (None when it is every index) and A_RR as COO triplets in block
+    indices; every stored entry of a column in R has its row in R.
+    """
+    n = A.shape[0]
+    row_of = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
+    mask = v != 0
+    while True:
+        grown = mask.copy()
+        grown[row_of[mask[A.indices]]] = True
+        if np.array_equal(grown, mask):
+            break
+        mask = grown
+    if mask.all():
+        return None, row_of, A.indices, A.data
+    keep = mask[A.indices]
+    pos = np.cumsum(mask) - 1
+    return (np.flatnonzero(mask), pos[row_of[keep]], pos[A.indices[keep]],
+            A.data[keep])
+
+
+def _squaring_plan(t: float, norm: float):
+    """(m, s) minimising the m + s dense products of _expm_dense.
+
+    Degree-m Taylor on B t / 2^s with t*norm / 2^s <= theta_m, the
+    backward-error bound of _expm_action; s comes from log2 t + log2 norm,
+    so no finite window overflows it.
+    """
+    log_norm = log2(t) + log2(norm)
+    return min(
+        ((m, max(0, ceil(log_norm - log2(theta)))) for m, theta in _TAYLOR_THETA.items()),
+        key=sum,
+    )
+
+
+def _expm_dense(B: np.ndarray, t: float, norm: float) -> np.ndarray:
+    """exp(B t) by truncated Taylor scaling and squaring; norm = ||B||_1 > 0.
+
+    F = exp(B h) - I is summed and squared, F <- 2F + F^2, without the
+    identity, so its rounding stays relative to F while F is small (as in
+    expm1); the Taylor sum stops early like _expm_action's.  The rounding
+    of I + F, about n u ||I + F||_1, doubles with every squaring, and
+    squaring stops once one more squaring would change I + F by less than
+    the rounding it already carries: every mode has then either decayed or
+    moves slower than the computation can resolve, and the remaining
+    squarings would only amplify rounding (at r = k they would turn the
+    conserved slow-mode population into 0 or inf for windows near the
+    float range).
+    """
+    n = B.shape[0]
+    m, s = _squaring_plan(t, norm)
+    X = B * ldexp(t, -s)
+    F = term = X
+    c1 = np.abs(X).max()
+    for j in range(2, m + 1):
+        term = (X @ term) / j
+        c2 = np.abs(term).max()
+        F = F + term
+        if c1 + c2 <= _UNIT_ROUNDOFF * np.abs(F).max():
+            break
+        c1 = c2
+    eye = np.eye(n)
+    tol = n * _UNIT_ROUNDOFF * np.abs(eye + F).sum(axis=0).max()
+    for _ in range(s):
+        F2 = 2 * F + F @ F
+        done = np.abs(F2 - F).sum(axis=0).max() <= tol
+        F = F2
+        if done:
+            break
+        tol *= 2
+    return eye + F
+
+
+def _propagate(A: sp.csr_matrix, v: np.ndarray, t: float) -> np.ndarray:
+    """exp(A t) v on the block of v's reachable indices; zero elsewhere.
+
+    The block runs densely when that is estimated cheaper than the sparse
+    action: (m + s) products of n^3 multiply-adds against the action's
+    m*s products of its stored entries, each call also paying _CALL_COST,
+    with (m, s) from t*||A_RR||_1 as in _squaring_plan and _expm_action.
+    """
+    R, rows, cols, vals = _reachable_block(A, v)
+    n = A.shape[0] if R is None else len(R)
+    v_R = v if R is None else v[R]
+    norm = float(np.bincount(cols, weights=np.abs(vals), minlength=n).max())
+    if norm == 0:
+        return v
+    x = float(t) * norm  # inf for the longest windows, without a numpy warning
+    action_products = (
+        min(m * ceil(x / theta) for m, theta in _TAYLOR_THETA.items())
+        if isfinite(x) else inf
+    )
+    dense_products = sum(_squaring_plan(t, norm))
+    dense = n <= _DENSE_MAX_DIM and (
+        dense_products * (n**3 + _CALL_COST)
+        <= action_products * (_SPARSE_ENTRY_COST * len(vals) + _CALL_COST)
+    )
+    if dense:
+        B = np.zeros((n, n), dtype=complex)
+        np.add.at(B, (rows, cols), vals)
+        w = _expm_dense(B, t, norm) @ v_R
+    else:
+        block = A if R is None else sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        del rows, cols, vals  # the action needs only the block
+        w = _expm_action(block, v_R, t)
+    if R is None:
+        return w
+    out = np.zeros_like(v)
+    out[R] = w
+    return out
+
+
 def evolve_master(rho0: DensityMatrix, L: SuperOperator, spec: EvolutionSpec) -> DensityMatrix:
-    """Integrate d(rho)/dt = L rho for spec.duration."""
+    """Integrate d(rho)/dt = L rho for spec.duration.
+
+    method "expm" propagates the block of vec(rho0) reachable under L, on
+    the dense or the sparse branch (see the module docstring); entries
+    outside the block stay exactly zero.  L is only read, so a generator
+    shared through the builders' reuse cache can be passed as it is.
+    """
     if rho0.space != L.space:
         raise ValueError("space mismatch between state and superoperator")
     if spec.duration == 0:
         return rho0
     v0 = rho0.matrix.reshape(-1)
     if spec.method == "expm":
-        v = _expm_action(L.matrix, v0, spec.duration)
+        v = _propagate(L.matrix, v0, spec.duration)
     else:
         step = _auto_step(L, spec.duration) if spec.step == "auto" else float(spec.step)
         v = _rk4(L.matrix, v0, spec.duration, step, check_step=spec.step != "auto")
@@ -184,6 +332,7 @@ def _find_atom(space: SpaceSignature) -> int:
     return idx
 
 
+@lru_cache(maxsize=_HAMILTONIAN_CACHE_SIZE)
 def jc_hamiltonian(
     space: SpaceSignature,
     which: str,
@@ -197,6 +346,7 @@ def jc_hamiltonian(
     'both_with_phase' variant couples it to both orthogonally polarized
     modes, with the mode-1 coupling carrying a relative factor i.
     Frequencies are angular; pass Omega = Omega_a = 0 for the rotating frame.
+    Memoized by its arguments: equal calls share one read-only Operator.
     """
     atom = _find_atom(space)
     sz, spl, smi = atom_ops(space, atom)
@@ -221,8 +371,12 @@ def jc_hamiltonian(
     return H
 
 
+@lru_cache(maxsize=_HAMILTONIAN_CACHE_SIZE)
 def free_hamiltonian(space: SpaceSignature, Omega: float, Omega_a: float) -> Operator:
-    """Dispersive segment: free fields plus the detuned atom splitting."""
+    """Dispersive segment: free fields plus the detuned atom splitting.
+
+    Memoized by its arguments, like jc_hamiltonian.
+    """
     atom = _find_atom(space)
     sz, _, _ = atom_ops(space, atom)
     n_total = number_op(space, 0)

@@ -8,10 +8,15 @@ on the nonzeros of its dense D x D factors, and one CSR conversion sums
 them, so no Kronecker product is ever formed.  Superoperator matrices are
 stored as scipy CSR so the n_max = 8 coherent-state space (D = 81,
 D^2 = 6561) stays cheap.
+
+Generators without an extra Hamiltonian are reused by value: equal
+(parameters, space) return the same SuperOperator, whose CSR arrays are
+read-only, from a private cache of the two most recently used.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +31,9 @@ from .tensor import (
 
 _TWO_PI = 2.0 * np.pi
 _PSD_TOL = 1e-12
+# generators kept for reuse: a sweep's window generator plus one other
+_REUSE_SIZE = 2
+_generators = OrderedDict()  # (DecayParameters, SpaceSignature) -> SuperOperator
 
 
 def _require_finite(params):
@@ -237,6 +245,35 @@ def _gksl(space: SpaceSignature, ops, gamma, h, H=None) -> SuperOperator:
     return SuperOperator(L, space)
 
 
+def _general(params: DecayParameters, space: SpaceSignature, H=None) -> SuperOperator:
+    """A fresh build_general_liouvillian generator; H is a matrix or None."""
+    p = params
+    c = 0.5 * (p.d12 + p.d21) + 0.5j * (p.k12 - p.k21)
+    h = np.array([[p.omega1 - p.d11, -c], [-np.conj(c), p.omega2 - p.d22]])
+    ops = [annihilation_op(space, 0).matrix, annihilation_op(space, 1).matrix]
+    return _gksl(space, ops, p.damping_matrix(), h, H)
+
+
+def _reused(params: DecayParameters, space: SpaceSignature) -> SuperOperator:
+    """The cached generator for (params, space), built on a miss.
+
+    The least recently used entry is evicted before a build, so no more
+    than _REUSE_SIZE generators are held even while a new one is built.
+    """
+    key = (params, space)
+    L = _generators.get(key)
+    if L is not None:
+        _generators.move_to_end(key)
+        return L
+    while len(_generators) >= _REUSE_SIZE:
+        _generators.popitem(last=False)
+    L = _general(params, space)
+    for a in (L.matrix.data, L.matrix.indices, L.matrix.indptr):
+        a.setflags(write=False)
+    _generators[key] = L
+    return L
+
+
 def build_general_liouvillian(
     params: DecayParameters, space: SpaceSignature, H: Operator = None
 ) -> SuperOperator:
@@ -252,16 +289,19 @@ def build_general_liouvillian(
     factor) are left untouched; omega1 = omega2 = 0 gives rotating-frame
     dynamics.  H, when given, is an extra full-space Hamiltonian, such as
     an atom-field pulse that runs while the modes decay; None means zero.
+
+    Without H the generator is reused by value: equal (params, space) give
+    the same object, whose CSR data, indices and indptr are read-only, and
+    the two most recently used generators are kept.  A build with H is
+    fresh and writable.
     """
     if len(space.dims) < 2:
         raise ValueError("space must contain the two field modes")
-    if H is not None and H.space != space:
+    if H is None:
+        return _reused(params, space)
+    if H.space != space:
         raise ValueError(f"Hamiltonian space {H.space.dims} does not match {space.dims}")
-    p = params
-    c = 0.5 * (p.d12 + p.d21) + 0.5j * (p.k12 - p.k21)
-    h = np.array([[p.omega1 - p.d11, -c], [-np.conj(c), p.omega2 - p.d22]])
-    ops = [annihilation_op(space, 0).matrix, annihilation_op(space, 1).matrix]
-    return _gksl(space, ops, p.damping_matrix(), h, None if H is None else H.matrix)
+    return _general(params, space, H.matrix)
 
 
 def build_symmetric_liouvillian(
@@ -274,7 +314,8 @@ def build_symmetric_liouvillian(
 
     In the rotating frame the -i*Omega number commutators are dropped;
     measured probabilities are frame-independent.  H is an optional extra
-    full-space Hamiltonian, as in build_general_liouvillian.
+    full-space Hamiltonian, as in build_general_liouvillian, which also
+    reuses the result by value when H is None.
     """
     return build_general_liouvillian(params.to_general(frame), space, H)
 

@@ -311,27 +311,28 @@ def test_simulate_rejects_unknown_engine(tmp_path, capsys):
     assert "protocol.engine" in captured.err
 
 
-# at k = r the slow normal mode does not decay: after a window of 1 s the
-# resonant single-cavity probability is (1 + sin gamma)^2 / 4, while
-# cosh(r T) in the closed form overflows a float
+# at k = r the slow normal mode does not decay: after a window of 1 s or
+# longer the resonant single-cavity probability is (1 + sin gamma)^2 / 4,
+# while cosh(r T) in the closed form overflows a float
 DFS_LIMIT = {"decay": {"k": 1000.0, "r": 1000.0, "gamma": 1.0}}
 P_E_DFS = (1 + sin(1.0)) ** 2 / 4
 
 
-def test_simulated_engine_answers_where_closed_form_overflows(tmp_path, capsys):
-    protocol = {"T": 1.0, "kind": "single_cavity", "engine": "simulated"}
+@pytest.mark.parametrize("T", [1.0, 1e3, 1e308])
+def test_simulated_engine_answers_where_closed_form_overflows(tmp_path, capsys, T):
+    protocol = {"T": T, "kind": "single_cavity", "engine": "simulated"}
     path = write_config(tmp_path, {**DFS_LIMIT, "protocol": protocol})
     assert run_cli(["simulate", "--config", path]) == 0
     assert json.loads(capsys.readouterr().out)["p_e"] == pytest.approx(
         P_E_DFS, abs=1e-9
     )
 
-    path = write_config(tmp_path, {**DFS_LIMIT, "sweep": {"stop": 1.0}})
+    path = write_config(tmp_path, {**DFS_LIMIT, "sweep": {"stop": T}})
     args = ["sweep-time", "--engine", "simulated", "--r-list", "1000",
             "--points", "2", "--config", path]
     assert run_cli(args) == 0
     last = capsys.readouterr().out.strip().split("\n")[-1].split(",")
-    assert float(last[0]) == 1.0
+    assert float(last[0]) == T
     assert float(last[2]) == pytest.approx(P_E_DFS, abs=1e-9)
 
 

@@ -7,7 +7,12 @@ from scipy.sparse.linalg import expm_multiply
 
 import crosscav.integrator
 from conftest import random_density
-from crosscav.analytic import robust_coherent_state
+from crosscav.analytic import (
+    PreparedStateParams,
+    prob_e_two_cavity,
+    robust_coherent_state,
+    robust_entangled_state,
+)
 from crosscav.integrator import (
     EvolutionSpec,
     evolve_master,
@@ -23,12 +28,14 @@ from crosscav.liouvillian import (
 from crosscav.tensor import (
     ATOM_E,
     ATOM_G,
+    Ket,
     Operator,
     basis_ket,
     density_from_ket,
     make_space,
     number_op,
 )
+from crosscav.validate import integrated_prob_two_cavity
 
 
 def test_zero_generator_is_identity(two_mode_nmax1, rng):
@@ -149,6 +156,130 @@ def test_expm_never_falls_back_to_rk4(two_mode_nmax1, rng, monkeypatch):
     rho0 = random_density(two_mode_nmax1, rng)
     out = evolve_master(rho0, L, EvolutionSpec(1e-3, method="expm"))
     assert abs(np.trace(out.matrix) - 1) <= 1e-12
+
+
+# --- reachable block: dense and sparse branches against scipy's expm ---
+
+BLOCK_GENERATORS = {
+    **{
+        f"r={name}-{frame}": (SymmetricDecayParameters(K_EXACT, r, 0.9, 2 * pi * 5e3), frame)
+        for name, r in (("0", 0.0), ("k/2", K_EXACT / 2), ("k", K_EXACT))
+        for frame in ("rotating", "lab")
+    },
+    "asymmetric": (DecayParameters(
+        k11=900.0, k22=1100.0, k12=300.0, k21=280.0,
+        d11=15.0, d22=-10.0, d12=120.0, d21=-90.0, omega1=2e4, omega2=2.1e4,
+    ), None),
+}
+
+
+def _generator(case, space):
+    params, frame = BLOCK_GENERATORS[case]
+    if frame is None:
+        return build_general_liouvillian(params, space)
+    return build_symmetric_liouvillian(params, space, frame)
+
+
+def _excitations(space):
+    """Total excitation number of every basis state (the atom's e counts 1)."""
+    levels = np.indices(space.dims).reshape(len(space.dims), -1)
+    return levels.sum(axis=0)
+
+
+def _random_ket(space, rng, allowed):
+    v = np.where(allowed, rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim), 0)
+    return Ket(v / np.linalg.norm(v), space)
+
+
+def _block_states(space, rng):
+    n_exc = _excitations(space)
+    return {
+        # one excitation shared by the modes and, when present, the atom
+        "protocol": density_from_ket(_random_ket(space, rng, n_exc == 1)),
+        "sectors": density_from_ket(_random_ket(space, rng, n_exc <= 2)),
+        "full-rank": random_density(space, rng),
+    }
+
+
+def _reachable_oracle(L, v):
+    """Indices reachable from supp(v) by repeated dense pattern products."""
+    pattern = (L.toarray() != 0).astype(int)
+    reach = v != 0
+    while True:
+        grown = reach | (pattern @ reach > 0)
+        if (grown == reach).all():
+            return reach
+        reach = grown
+
+
+@pytest.mark.parametrize("case", BLOCK_GENERATORS)
+@pytest.mark.parametrize("dims", [[2, 2], [2, 2, 2], [3, 3, 2]], ids=str)
+def test_block_propagation_matches_dense_exponential(dims, case, rng):
+    space = make_space(dims)
+    L = _generator(case, space)
+    dense = L.matrix.toarray()
+    states = _block_states(space, rng)
+    for T in (1e-4, 1e-3, 1.0):
+        prop = expm(dense * T)
+        for label, rho0 in states.items():
+            v = rho0.matrix.reshape(-1)
+            out = evolve_master(rho0, L, EvolutionSpec(T)).matrix.reshape(-1)
+            ref = prop @ v
+            assert np.abs(out - ref).max() <= 1e-10 * np.abs(ref).max(), (label, T)
+            outside = ~_reachable_oracle(L.matrix, v)
+            assert not np.abs(dense[np.ix_(outside, ~outside)]).any()
+            assert (out[outside] == 0).all(), (label, T)
+            if label == "protocol":
+                assert outside.any()
+
+
+def test_sparse_action_runs_the_nmax8_coherent_state(monkeypatch):
+    def no_dense(*args, **kwargs):
+        raise AssertionError("the n_max = 8 coherent state must take the sparse action")
+
+    monkeypatch.setattr(crosscav.integrator, "_expm_dense", no_dense)
+    psi = robust_coherent_state(2.0, 0.3, n_max=8)
+    L = build_symmetric_liouvillian(
+        SymmetricDecayParameters(K_EXACT, K_EXACT, 2.0), psi.space, "rotating"
+    )
+    rho_T = evolve_master(density_from_ket(psi), L, EvolutionSpec(1e-3))
+    assert 1.0 - rho_T.fidelity_with_ket(psi) <= 1e-12
+
+
+@pytest.mark.parametrize("T", [1e-3, 1.0, 1e308])
+def test_dense_squaring_runs_a_protocol_state(monkeypatch, T):
+    def no_action(*args, **kwargs):
+        raise AssertionError("a protocol state must take the dense branch")
+
+    monkeypatch.setattr(crosscav.integrator, "_expm_action", no_action)
+    space = make_space([2, 2, 2])
+    gamma = 0.9
+    L = build_symmetric_liouvillian(
+        SymmetricDecayParameters(K_EXACT, K_EXACT, gamma), space, "rotating"
+    )
+    e10 = basis_ket(space, (1, 0, ATOM_G)).amplitudes
+    e01 = basis_ket(space, (0, 1, ATOM_G)).amplitudes
+    psi0 = (e10 + e01) / sqrt(2)
+    rho_T = evolve_master(density_from_ket(Ket(psi0, space)), L, EvolutionSpec(T)).matrix
+    # at r = k the slow-mode excitation keeps its population for any window
+    slow = np.kron(robust_entangled_state(gamma).amplitudes, [1.0, 0.0])
+    share = abs(np.vdot(slow, psi0)) ** 2
+    assert 0.01 < share < 0.99
+    assert np.vdot(slow, rho_T @ slow).real == pytest.approx(share, abs=1e-12)
+    assert abs(np.trace(rho_T) - 1) <= 1e-12
+
+
+def test_long_windows_keep_closed_form_accuracy(rng):
+    # squaring doubles the rounding the propagator carries, about ten
+    # times for T = 40/k; squaring exp(L h) - I instead of exp(L h) keeps that
+    # rounding at a few 1e-15 (squaring I + F directly gives up to 3e-14)
+    for T in (0.01, 0.02, 0.04):
+        for _ in range(8):
+            theta, phi, gamma = rng.uniform(0, 2 * pi, size=3)
+            params = PreparedStateParams(theta, phi)
+            closed = prob_e_two_cavity(params, K_EXACT, K_EXACT, gamma, T)
+            replay = integrated_prob_two_cavity(theta, phi, K_EXACT, K_EXACT, gamma, T)
+            assert abs(replay - closed) <= 1.5e-14, (theta, phi, gamma, T)
 
 
 @pytest.mark.parametrize("kw", [

@@ -1,3 +1,5 @@
+import weakref
+from collections import OrderedDict
 from math import pi
 
 import numpy as np
@@ -5,8 +7,9 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import random_density, random_hermitian
+from crosscav import liouvillian
 from crosscav.analytic import robust_entangled_state
-from crosscav.integrator import EvolutionSpec, evolve_master
+from crosscav.integrator import EvolutionSpec, evolve_master, jc_hamiltonian
 from crosscav.liouvillian import (
     DecayParameters,
     EnvironmentSpec,
@@ -388,3 +391,87 @@ def test_hamiltonian_only_channel_is_exactly_anti_hermitian(dims):
     L1, _ = decompose_symmetric(p, space, "lab")
     assert L1.matrix.nnz > 0
     assert abs(L1.matrix + L1.matrix.conj().T).max() == 0.0
+
+
+# --- reuse by value ---
+
+
+@pytest.fixture
+def reuse_cache(monkeypatch):
+    """An empty reuse cache for the test, restored afterwards."""
+    cache = OrderedDict()
+    monkeypatch.setattr(liouvillian, "_generators", cache)
+    return cache
+
+
+REUSE_BASE = dict(k=1000.0, r=500.0, gamma=0.3, omega=2e4)
+
+
+def _build(frame="lab", dims=(2, 2, 2), **changes):
+    params = SymmetricDecayParameters(**{**REUSE_BASE, **changes})
+    return params, make_space(dims), build_symmetric_liouvillian(params, make_space(dims), frame)
+
+
+def test_equal_inputs_share_one_read_only_generator(reuse_cache):
+    params, space, L = _build()
+    assert _build()[2] is L
+    assert build_general_liouvillian(params.to_general("lab"), space) is L
+    for name in ("data", "indices", "indptr"):
+        array = getattr(L.matrix, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+
+
+@pytest.mark.parametrize("change", [
+    {"r": 700.0}, {"gamma": 1.1}, {"k": 1200.0}, {"omega": 3e4},
+    {"frame": "rotating"}, {"dims": (3, 3, 2)},
+], ids=lambda c: next(iter(c)))
+def test_changed_input_gives_a_fresh_build(reuse_cache, change):
+    base = _build()[2]
+    frame = change.pop("frame", "lab")
+    params, space, L = _build(frame, **change)
+    assert L is not base
+    fresh = liouvillian._general(params.to_general(frame), space).matrix
+    assert L.matrix.nnz == fresh.nnz
+    np.testing.assert_array_equal(L.matrix.toarray(), fresh.toarray())
+
+
+def test_builds_with_a_hamiltonian_are_never_cached(reuse_cache):
+    space = make_space([2, 2, 2])
+    params = SymmetricDecayParameters(**REUSE_BASE)
+    H = jc_hamiltonian(space, "mode1", 1e5)
+    first = build_symmetric_liouvillian(params, space, "rotating", H)
+    second = build_symmetric_liouvillian(params, space, "rotating", H)
+    assert first is not second
+    assert first.matrix.data.flags.writeable
+    assert not reuse_cache
+
+
+def test_at_most_two_generators_are_retained(reuse_cache):
+    first = weakref.ref(_build(r=100.0)[2])
+    for r in (200.0, 300.0, 400.0):
+        _build(r=r)
+        assert len(reuse_cache) <= 2
+    assert first() is None
+
+
+def test_never_holds_two_nmax8_generators_at_once(reuse_cache, monkeypatch):
+    # as in crosscav validate: an n_max = 8 generator, a small one, another
+    big, small = make_space([9, 9]), make_space([2, 2])
+    built = []  # weak references to every generator built
+    general = liouvillian._general
+
+    def live_big():
+        return sum(L is not None and L.space == big for L in (ref() for ref in built))
+
+    def tracked(params, space, H=None):
+        if space == big:
+            assert live_big() == 0
+        L = general(params, space, H)
+        built.append(weakref.ref(L))
+        return L
+
+    monkeypatch.setattr(liouvillian, "_general", tracked)
+    for space, k in ((big, 1000.0), (small, 1000.0), (big, 900.0)):
+        build_symmetric_liouvillian(SymmetricDecayParameters(k, k, 2.0), space)
+    assert len(built) == 3 and live_big() == 1
