@@ -17,11 +17,11 @@ One function, _propagate, runs L_RR on one of two branches:
   (SIAM J. Sci. Comput. 33:488, 2011) on the sparse block, whose cost
   grows with T but needs no dense matrix.
 
-It takes the branch with the smaller estimated cost, from |R|, the
-block's stored entries and t*||L_RR||_1, and blocks with more than
-_DENSE_MAX_DIM rows always take the action, which caps the dense block's
-memory.  Neither branch diagonalizes, so both stay exact where the
-generator is defective, as at the decoherence-free point r = k.
+Blocks of at most _DENSE_MAX_DIM rows, one full [2,2,2] protocol space,
+run densely; larger ones take the action, which caps the dense block's
+memory and keeps full-support n_max = 8 states sparse.  Neither branch
+diagonalizes, so both stay exact where the generator is defective, as at
+the decoherence-free point r = k.
 Fixed-step RK4 runs only when a caller asks for it, as an independent
 oracle on the full generator.
 """
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, inf, isfinite, ldexp, log2
+from math import ceil, isfinite, ldexp, log2
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,14 +54,9 @@ _TAYLOR_THETA = {
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
 _UNIT_ROUNDOFF = 2.0**-53
-# reachable blocks with more rows always take the sparse action: a dense
-# 384 x 384 complex block is 2.4 MB, and squaring holds a few of them
-_DENSE_MAX_DIM = 384
-# rough cost of one numpy or scipy call beyond its arithmetic, counted in
-# the complex multiply-adds a dense product does in the same time
-_CALL_COST = 2.0e4
-# a sparse product costs about this many dense multiply-adds per entry
-_SPARSE_ENTRY_COST = 20.0
+# reachable blocks with more rows take the sparse action; 64 is the
+# largest block the protocol and validate runs propagate densely
+_DENSE_MAX_DIM = 64
 # distinct pulse Hamiltonians a process keeps; a sweep needs a few
 _HAMILTONIAN_CACHE_SIZE = 16
 
@@ -192,22 +187,13 @@ def _reachable_block(A: sp.csr_matrix, v: np.ndarray):
             A.data[keep])
 
 
-def _squaring_plan(t: float, norm: float):
-    """(m, s) minimising the m + s dense products of _expm_dense.
-
-    Degree-m Taylor on B t / 2^s with t*norm / 2^s <= theta_m, the
-    backward-error bound of _expm_action; s comes from log2 t + log2 norm,
-    so no finite window overflows it.
-    """
-    log_norm = log2(t) + log2(norm)
-    return min(
-        ((m, max(0, ceil(log_norm - log2(theta)))) for m, theta in _TAYLOR_THETA.items()),
-        key=sum,
-    )
-
-
 def _expm_dense(B: np.ndarray, t: float, norm: float) -> np.ndarray:
     """exp(B t) by truncated Taylor scaling and squaring; norm = ||B||_1 > 0.
+
+    Degree-m Taylor on B t / 2^s with t*norm / 2^s <= theta_m, the
+    backward-error bound of _expm_action, and (m, s) minimising the m + s
+    products; s comes from log2 t + log2 norm, so no finite window
+    overflows it.
 
     F = exp(B h) - I is summed and squared, F <- 2F + F^2, without the
     identity, so its rounding stays relative to F while F is small (as in
@@ -221,7 +207,11 @@ def _expm_dense(B: np.ndarray, t: float, norm: float) -> np.ndarray:
     float range).
     """
     n = B.shape[0]
-    m, s = _squaring_plan(t, norm)
+    log_norm = log2(t) + log2(norm)
+    m, s = min(
+        ((m, max(0, ceil(log_norm - log2(theta)))) for m, theta in _TAYLOR_THETA.items()),
+        key=sum,
+    )
     X = B * ldexp(t, -s)
     F = term = X
     c1 = np.abs(X).max()
@@ -247,10 +237,8 @@ def _expm_dense(B: np.ndarray, t: float, norm: float) -> np.ndarray:
 def _propagate(A: sp.csr_matrix, v: np.ndarray, t: float) -> np.ndarray:
     """exp(A t) v on the block of v's reachable indices; zero elsewhere.
 
-    The block runs densely when that is estimated cheaper than the sparse
-    action: (m + s) products of n^3 multiply-adds against the action's
-    m*s products of its stored entries, each call also paying _CALL_COST,
-    with (m, s) from t*||A_RR||_1 as in _squaring_plan and _expm_action.
+    Blocks of at most _DENSE_MAX_DIM rows run densely, larger ones by the
+    sparse action.
     """
     R, rows, cols, vals = _reachable_block(A, v)
     n = A.shape[0] if R is None else len(R)
@@ -258,17 +246,7 @@ def _propagate(A: sp.csr_matrix, v: np.ndarray, t: float) -> np.ndarray:
     norm = float(np.bincount(cols, weights=np.abs(vals), minlength=n).max())
     if norm == 0:
         return v
-    x = float(t) * norm  # inf for the longest windows, without a numpy warning
-    action_products = (
-        min(m * ceil(x / theta) for m, theta in _TAYLOR_THETA.items())
-        if isfinite(x) else inf
-    )
-    dense_products = sum(_squaring_plan(t, norm))
-    dense = n <= _DENSE_MAX_DIM and (
-        dense_products * (n**3 + _CALL_COST)
-        <= action_products * (_SPARSE_ENTRY_COST * len(vals) + _CALL_COST)
-    )
-    if dense:
+    if n <= _DENSE_MAX_DIM:
         B = np.zeros((n, n), dtype=complex)
         np.add.at(B, (rows, cols), vals)
         w = _expm_dense(B, t, norm) @ v_R

@@ -292,8 +292,10 @@ def build_general_liouvillian(
 
     Without H the generator is reused by value: equal (params, space) give
     the same object, whose CSR data, indices and indptr are read-only, and
-    the two most recently used generators are kept.  A build with H is
-    fresh and writable.
+    the two most recently used generators are kept.  That object is shared
+    with every later caller and must not be modified, not even by storing
+    a new entry (which would replace its arrays); work on L.matrix.copy()
+    instead.  A build with H is fresh and writable.
     """
     if len(space.dims) < 2:
         raise ValueError("space must contain the two field modes")

@@ -422,6 +422,17 @@ def test_equal_inputs_share_one_read_only_generator(reuse_cache):
             array[0] = array[0]
 
 
+def test_working_on_a_copy_leaves_the_shared_generator_unchanged(reuse_cache):
+    L = _build()[2]
+    before = L.matrix.toarray()
+    work = L.matrix.copy()
+    with pytest.warns(sp.SparseEfficiencyWarning):
+        work[0, L.space.dim**2 - 1] = 1.0  # an unstored position: new arrays
+    work.data *= 2
+    assert _build()[2] is L
+    np.testing.assert_array_equal(L.matrix.toarray(), before)
+
+
 @pytest.mark.parametrize("change", [
     {"r": 700.0}, {"gamma": 1.1}, {"k": 1200.0}, {"omega": 3e4},
     {"frame": "rotating"}, {"dims": (3, 3, 2)},
