@@ -14,14 +14,16 @@ One function, _propagate, runs L_RR on one of two branches:
 - dense Taylor scaling and squaring of exp(L_RR t), whose cost grows
   with log T (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005);
 - the truncated Taylor action exp(L_RR t) v_R of Al-Mohy & Higham
-  (SIAM J. Sci. Comput. 33:488, 2011) on the sparse block, whose cost
-  grows with T but needs no dense matrix.
+  (SIAM J. Sci. Comput. 33:488, 2011), whose cost grows with T but needs
+  no dense matrix.  It multiplies by the whole generator, stored along
+  its few diagonals; since L[R^c, R] = 0, entries outside R stay exactly
+  zero, and its step plan comes from L_RR alone.
 
 Blocks of at most _DENSE_MAX_DIM rows, one full [2,2,2] protocol space,
 run densely; larger ones take the action, which caps the dense block's
 memory and keeps full-support n_max = 8 states sparse.  Neither branch
 diagonalizes, so both stay exact where the generator is defective, as at
-the decoherence-free point r = k.
+the decoherence-free point r = k.  Both run on numpy alone.
 Fixed-step RK4 runs only when a caller asks for it, as an independent
 oracle on the full generator.
 """
@@ -33,9 +35,8 @@ from functools import lru_cache
 from math import ceil, isfinite, ldexp, log2
 
 import numpy as np
-import scipy.sparse as sp
 
-from .liouvillian import SuperOperator
+from .liouvillian import _CSR, SuperOperator
 from .tensor import (
     DensityMatrix,
     Ket,
@@ -57,6 +58,9 @@ _UNIT_ROUNDOFF = 2.0**-53
 # reachable blocks with more rows take the sparse action; 64 is the
 # largest block the protocol and validate runs propagate densely
 _DENSE_MAX_DIM = 64
+# the action stores a generator by diagonals unless that takes more than
+# this many times its stored entries (the package's generators take < 3.5)
+_DIAGONAL_FILL_LIMIT = 4
 # distinct pulse Hamiltonians a process keeps; a sweep needs a few
 _HAMILTONIAN_CACHE_SIZE = 16
 
@@ -129,22 +133,64 @@ def _rk4(Lmat, v: np.ndarray, duration: float, step: float, check_step: bool) ->
     return y
 
 
-def _expm_action(A: sp.csr_matrix, v: np.ndarray, t: float) -> np.ndarray:
-    """exp(A t) v by s truncated Taylor substeps of degree <= m.
+def _shifted_product(A: _CSR, mu: complex):
+    """The map x -> (A - mu I) x, applied along A's diagonals.
 
-    A is shifted by mu = trace(A)/n to shrink its norm; (m, s) minimise the
-    matrix-vector products m*s subject to t*||A - mu I||_1 / s <= theta_m,
-    and each substep stops once two successive terms fall below 2^-53
-    relative to the partial sum.
+    Diagonal k holds A[i, i + k], and y_i = sum_k A[i, i + k] x_{i+k} is
+    summed in ascending k, so each row adds its entries in column order,
+    as a CSR product does.  Every generator the package builds has at most
+    17 diagonals (a sandwich kron(A, B^T) lands on offsets D o_A + o_B), so
+    a product is a few whole-vector multiply-adds over shifted views of one
+    zero-padded copy of x, faster than gathering x[indices].  A matrix
+    whose diagonals would store more than _DIAGONAL_FILL_LIMIT times its
+    entries takes the CSR product instead.
     """
     n = A.shape[0]
-    mu = A.diagonal().sum() / n
-    A = (A - mu * sp.identity(n, dtype=A.dtype, format="csr")).tocsr()
-    norm = t * float(abs(A).sum(axis=0).max())
+    rows = A.row_of()
+    offset = A.indices - rows
+    ks = np.union1d(offset, [0])
+    if len(ks) * n > _DIAGONAL_FILL_LIMIT * max(A.nnz, n):
+        diagonal = np.arange(n)
+        return (A - _CSR.from_coo(diagonal, diagonal, np.full(n, mu), A.shape)).__matmul__
+    diags = np.zeros((len(ks), n), dtype=complex)
+    diags[np.searchsorted(ks, offset), rows] = A.data
+    diags[np.searchsorted(ks, 0)] -= mu
+    lo = -int(ks[0])
+    padded = np.zeros(lo + n + int(ks[-1]), dtype=complex)
+    views = [padded[lo + k:lo + k + n] for k in ks]
+    tmp = np.empty(n, dtype=complex)
+
+    def product(x):
+        padded[lo:lo + n] = x
+        y = diags[0] * views[0]
+        for d, xk in zip(diags[1:], views[1:]):
+            np.multiply(d, xk, out=tmp)
+            y += tmp
+        return y
+
+    return product
+
+
+def _expm_action(A: _CSR, v: np.ndarray, t: float, mu: complex, norm: float) -> np.ndarray:
+    """exp(A t) v by s truncated Taylor substeps of degree <= m.
+
+    v is supported on a block R of indices closed under A, and mu and norm
+    are trace(A_RR)/|R| and ||A_RR - mu I||_1: the shift that shrinks the
+    block's norm, and that norm.  (m, s) minimise the matrix-vector
+    products m*s subject to t*norm / s <= theta_m, and each substep stops
+    once two successive terms fall below 2^-53 relative to the partial
+    sum.  Since A[R^c, R] = 0, every entry outside R stays exactly zero.
+    """
+    if not isfinite(t * norm):
+        raise ValueError(
+            f"window t = {t:g} s times the generator norm {norm:.3e} 1/s "
+            "overflows the Taylor action's step count"
+        )
     m, s = min(
-        ((m, max(1, ceil(norm / theta))) for m, theta in _TAYLOR_THETA.items()),
+        ((m, max(1, ceil(t * norm / theta))) for m, theta in _TAYLOR_THETA.items()),
         key=lambda ms: ms[0] * ms[1],
     )
+    product = _shifted_product(A, mu)
     h = t / s
     eta = np.exp(mu * h)
     F = v
@@ -152,7 +198,7 @@ def _expm_action(A: sp.csr_matrix, v: np.ndarray, t: float) -> np.ndarray:
         term = F
         c1 = np.abs(term).max()
         for j in range(1, m + 1):
-            term = (h / j) * (A @ term)
+            term = (h / j) * product(term)
             c2 = np.abs(term).max()
             F = F + term
             if c1 + c2 <= _UNIT_ROUNDOFF * np.abs(F).max():
@@ -162,7 +208,7 @@ def _expm_action(A: sp.csr_matrix, v: np.ndarray, t: float) -> np.ndarray:
     return F
 
 
-def _reachable_block(A: sp.csr_matrix, v: np.ndarray):
+def _reachable_block(A: _CSR, v: np.ndarray):
     """Indices R reachable from supp(v) along A's stored entries, and A_RR.
 
     (A v)_i involves v_j wherever A[i, j] is stored, so R grows by the rows
@@ -170,8 +216,7 @@ def _reachable_block(A: sp.csr_matrix, v: np.ndarray):
     R (None when it is every index) and A_RR as COO triplets in block
     indices; every stored entry of a column in R has its row in R.
     """
-    n = A.shape[0]
-    row_of = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
+    row_of = A.row_of()
     mask = v != 0
     while True:
         grown = mask.copy()
@@ -234,26 +279,35 @@ def _expm_dense(B: np.ndarray, t: float, norm: float) -> np.ndarray:
     return eye + F
 
 
-def _propagate(A: sp.csr_matrix, v: np.ndarray, t: float) -> np.ndarray:
+def _shift_and_norm(rows, cols, vals, n):
+    """mu = trace(B)/n and ||B - mu I||_1 of the n x n block B in triplets."""
+    on = rows == cols
+    diag = np.zeros(n, dtype=complex)
+    diag[rows[on]] = vals[on]
+    mu = diag.sum() / n
+    col_sums = np.bincount(cols, weights=np.abs(np.where(on, vals - mu, vals)), minlength=n)
+    no_diag = np.ones(n, dtype=bool)
+    no_diag[rows[on]] = False
+    col_sums[no_diag] += abs(mu)
+    return mu, float(col_sums.max())
+
+
+def _propagate(A: _CSR, v: np.ndarray, t: float) -> np.ndarray:
     """exp(A t) v on the block of v's reachable indices; zero elsewhere.
 
     Blocks of at most _DENSE_MAX_DIM rows run densely, larger ones by the
-    sparse action.
+    sparse action on the whole of A.
     """
     R, rows, cols, vals = _reachable_block(A, v)
     n = A.shape[0] if R is None else len(R)
-    v_R = v if R is None else v[R]
     norm = float(np.bincount(cols, weights=np.abs(vals), minlength=n).max())
     if norm == 0:
         return v
-    if n <= _DENSE_MAX_DIM:
-        B = np.zeros((n, n), dtype=complex)
-        np.add.at(B, (rows, cols), vals)
-        w = _expm_dense(B, t, norm) @ v_R
-    else:
-        block = A if R is None else sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        del rows, cols, vals  # the action needs only the block
-        w = _expm_action(block, v_R, t)
+    if n > _DENSE_MAX_DIM:
+        return _expm_action(A, v, t, *_shift_and_norm(rows, cols, vals, n))
+    B = np.zeros((n, n), dtype=complex)
+    np.add.at(B, (rows, cols), vals)
+    w = _expm_dense(B, t, norm) @ (v if R is None else v[R])
     if R is None:
         return w
     out = np.zeros_like(v)

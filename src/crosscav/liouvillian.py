@@ -4,10 +4,11 @@ The generator acts on row-major vectorized density matrices: with
 vec(rho) = rho.reshape(-1), a sandwich map rho -> A rho B becomes
 kron(A, B.T).  One routine, _gksl, assembles every generator in a single
 pass: each sandwich term is turned into COO triplets by index arithmetic
-on the nonzeros of its dense D x D factors, and one CSR conversion sums
-them, so no Kronecker product is ever formed.  Superoperator matrices are
-stored as scipy CSR so the n_max = 8 coherent-state space (D = 81,
-D^2 = 6561) stays cheap.
+on the nonzeros of its dense D x D factors, and one sort-and-sum turns
+them into compressed sparse rows, so no Kronecker product is ever formed.
+Superoperator matrices are stored in _CSR, a small numpy-only CSR record,
+so the n_max = 8 coherent-state space (D = 81, D^2 = 6561) stays cheap
+and the package runs without scipy.
 
 Generators without an extra Hamiltonian are reused by value: equal
 (parameters, space) return the same SuperOperator, whose CSR arrays are
@@ -20,7 +21,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .tensor import (
     DensityMatrix,
@@ -135,20 +135,115 @@ def _frame_omega(omega: float, frame: str) -> float:
     raise ValueError(f"frame must be 'lab' or 'rotating', got {frame!r}")
 
 
+@dataclass(frozen=True, eq=False)
+class _CSR:
+    """Compressed sparse rows of a complex matrix: the generators' storage.
+
+    Row i stores the columns indices[indptr[i]:indptr[i + 1]], ascending,
+    with the values data[indptr[i]:indptr[i + 1]]: no duplicates and no
+    stored zeros.  indices and indptr are int32.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+    @classmethod
+    def from_coo(cls, rows, cols, vals, shape) -> "_CSR":
+        """Sum the triplets (rows, cols, vals) into CSR, dropping exact zeros.
+
+        Duplicates are summed in the order given; an entry whose sum is
+        exactly zero is not stored.
+        """
+        n_rows, n_cols = shape
+        key = np.asarray(rows, dtype=np.int64) * n_cols + np.asarray(cols)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        data = np.add.reduceat(np.asarray(vals, dtype=complex)[order], starts)
+        keep = data != 0
+        key = key[starts[keep]]
+        counts = np.bincount(key // n_cols, minlength=n_rows)
+        indptr = np.zeros(n_rows + 1, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
+        return cls(data[keep], (key % n_cols).astype(np.int32), indptr, (n_rows, n_cols))
+
+    @classmethod
+    def from_dense(cls, a) -> "_CSR":
+        a = np.asarray(a)
+        if a.ndim != 2:
+            raise ValueError(f"expected a dense 2-D matrix, got shape {a.shape}")
+        rows, cols = np.nonzero(a)
+        return cls.from_coo(rows, cols, a[rows, cols], a.shape)
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def row_of(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(
+            np.arange(self.shape[0], dtype=np.int32), np.diff(self.indptr)
+        )
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=complex)
+        out[self.row_of(), self.indices] = self.data
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        rows = self.row_of()
+        on = rows == self.indices
+        out = np.zeros(min(self.shape), dtype=complex)
+        out[rows[on]] = self.data[on]
+        return out
+
+    def __matmul__(self, x):
+        """The product with a vector or a matrix, row by row in column order."""
+        x = np.asarray(x)
+        out = np.zeros((self.shape[0], *x.shape[1:]), dtype=complex)
+        filled = np.flatnonzero(np.diff(self.indptr))
+        if filled.size:
+            data = self.data.reshape(-1, *(1,) * (x.ndim - 1))
+            out[filled] = np.add.reduceat(data * x[self.indices], self.indptr[filled])
+        return out
+
+    def _combine(self, other, sign):
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch: {self.shape} and {other.shape}")
+        return _CSR.from_coo(
+            np.concatenate([self.row_of(), other.row_of()]),
+            np.concatenate([self.indices, other.indices]),
+            np.concatenate([self.data, sign * other.data]),
+            self.shape,
+        )
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+
 @dataclass(frozen=True)
 class SuperOperator:
-    """D^2 x D^2 generator on row-major vectorized density matrices."""
+    """D^2 x D^2 generator on row-major vectorized density matrices.
 
-    matrix: sp.csr_matrix
+    matrix is a _CSR; a dense array is converted to one.
+    """
+
+    matrix: _CSR
     space: SpaceSignature
 
     def __post_init__(self):
+        if not isinstance(self.matrix, _CSR):
+            object.__setattr__(self, "matrix", _CSR.from_dense(self.matrix))
         d2 = self.space.dim**2
         if self.matrix.shape != (d2, d2):
             raise ValueError(
                 f"superoperator shape {self.matrix.shape} does not match D^2={d2}"
             )
-        object.__setattr__(self, "matrix", sp.csr_matrix(self.matrix))
 
     def __add__(self, other):
         if self.space != other.space:
@@ -219,7 +314,7 @@ def _gksl(space: SpaceSignature, ops, gamma, h, H=None) -> SuperOperator:
     form is kron(A, B.T): the jumps 2 gamma_ij o_i rho o_j^dag, and -K rho
     and -rho K^dag with the dense K = sum_ij (gamma_ij + i h_ji) o_j^dag o_i
     + iH.  Each sandwich becomes COO triplets by index arithmetic on the
-    nonzeros of its dense factors; one CSR conversion sums the duplicates,
+    nonzeros of its dense factors; one _CSR.from_coo sums the duplicates,
     and entries that cancel exactly are dropped.
     """
     D = space.dim
@@ -240,9 +335,7 @@ def _gksl(space: SpaceSignature, ops, gamma, h, H=None) -> SuperOperator:
     terms.append(_sandwich_coo(-1, eye, K.conj().T, D))
     rows, cols, vals = (np.concatenate(parts) for parts in zip(*terms))
     del terms  # the CSR conversion copies the triplets; hold one set, not two
-    L = sp.csr_matrix((vals, (rows, cols)), shape=(D * D, D * D))
-    L.eliminate_zeros()
-    return SuperOperator(L, space)
+    return SuperOperator(_CSR.from_coo(rows, cols, vals, (D * D, D * D)), space)
 
 
 def _general(params: DecayParameters, space: SpaceSignature, H=None) -> SuperOperator:
@@ -293,9 +386,8 @@ def build_general_liouvillian(
     Without H the generator is reused by value: equal (params, space) give
     the same object, whose CSR data, indices and indptr are read-only, and
     the two most recently used generators are kept.  That object is shared
-    with every later caller and must not be modified, not even by storing
-    a new entry (which would replace its arrays); work on L.matrix.copy()
-    instead.  A build with H is fresh and writable.
+    with every later caller and must not be modified; work on a copy, such
+    as L.matrix.toarray(), instead.  A build with H is fresh and writable.
     """
     if len(space.dims) < 2:
         raise ValueError("space must contain the two field modes")

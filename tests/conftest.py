@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from crosscav.tensor import DensityMatrix, make_space
 
@@ -26,3 +27,8 @@ def random_hermitian(d, rng, scale=1.0):
 @pytest.fixture
 def two_mode_nmax1():
     return make_space([2, 2])
+
+
+def to_scipy(m):
+    """A generator's CSR record as a scipy CSR matrix, for scipy oracles."""
+    return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)

@@ -2,11 +2,12 @@ from math import cos, exp, pi, sin, sqrt
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 import crosscav.integrator
-from conftest import random_density
+from conftest import random_density, to_scipy
 from crosscav.analytic import (
     PreparedStateParams,
     prob_e_two_cavity,
@@ -21,6 +22,7 @@ from crosscav.integrator import (
 )
 from crosscav.liouvillian import (
     DecayParameters,
+    SuperOperator,
     SymmetricDecayParameters,
     build_general_liouvillian,
     build_symmetric_liouvillian,
@@ -141,7 +143,7 @@ def test_expm_matches_expm_multiply_at_nmax8():
     )
     rho0 = density_from_ket(psi)
     out = evolve_master(rho0, L, EvolutionSpec(T)).matrix.reshape(-1)
-    ref = expm_multiply(L.matrix * T, rho0.matrix.reshape(-1))
+    ref = expm_multiply(to_scipy(L.matrix) * T, rho0.matrix.reshape(-1))
     assert np.abs(out - ref).max() <= 1e-12
 
 
@@ -244,6 +246,77 @@ def test_sparse_action_runs_the_nmax8_coherent_state(monkeypatch):
     )
     rho_T = evolve_master(density_from_ket(psi), L, EvolutionSpec(1e-3))
     assert 1.0 - rho_T.fidelity_with_ket(psi) <= 1e-12
+
+
+def test_action_rejects_a_window_whose_step_count_overflows(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the window must be rejected before any product")
+
+    monkeypatch.setattr(crosscav.integrator, "_shifted_product", no_work)
+    psi = robust_coherent_state(0.3, 0.3, n_max=8)
+    L = build_symmetric_liouvillian(
+        SymmetricDecayParameters(K_EXACT, K_EXACT, 0.3), psi.space, "rotating"
+    )
+    with pytest.raises(ValueError, match=r"t = 1e\+308 s times the generator norm \S+ 1/s") as exc:
+        evolve_master(density_from_ket(psi), L, EvolutionSpec(1e308))
+    assert "\n" not in str(exc.value)
+
+
+def _shift(A):
+    return A.diagonal().sum() / A.shape[0]
+
+
+def _assert_product_matches_scipy(A, mu, rng, label):
+    n = A.shape[0]
+    ref = to_scipy(A) - mu * sp.identity(n, format="csr")
+    for x in (rng.normal(size=n) + 1j * rng.normal(size=n), rng.normal(size=n) + 0j):
+        out = crosscav.integrator._shifted_product(A, mu)(x)
+        # rounding of a row sum is bounded by its absolute terms
+        assert (np.abs(out - ref @ x) <= 1e-15 * (abs(ref) @ np.abs(x))).all(), label
+
+
+@pytest.mark.parametrize("dims", [[3, 3, 2], [9, 9]], ids=str)
+def test_diagonal_product_matches_scipy(dims, rng):
+    space = make_space(dims)
+    pulses = [None]
+    if len(dims) == 3:
+        pulses += [jc_hamiltonian(space, w, 1e5, 2e5, 2e5) for w in ("mode1", "both_with_phase")]
+    for case, (params, frame) in BLOCK_GENERATORS.items():
+        for H in pulses:
+            if frame is None:
+                L = build_general_liouvillian(params, space, H)
+            else:
+                L = build_symmetric_liouvillian(params, space, frame, H)
+            A = L.matrix
+            # the diagonals of every generator the package builds
+            assert len(np.unique(A.indices - A.row_of())) <= 17, case
+            for mu in (_shift(A), 0.0):
+                _assert_product_matches_scipy(A, mu, rng, (case, H is None, mu))
+
+
+def test_scattered_generator_takes_the_csr_product(rng):
+    # relabelling the basis of [3, 3] scatters the generator over many
+    # diagonals; the action must then use the CSR product, and stay exact
+    space = make_space([3, 3])
+    D = space.dim
+    perm = rng.permutation(D)
+    vec_perm = (perm[:, None] * D + perm).ravel()
+    L = build_symmetric_liouvillian(SymmetricDecayParameters(K_EXACT, 600.0, 0.4), space)
+    dense = L.matrix.toarray()[np.ix_(vec_perm, vec_perm)]
+    scattered = SuperOperator(dense, space)
+    A = scattered.matrix
+    n_diagonals = len(np.unique(A.indices - A.row_of()))
+    assert n_diagonals * A.shape[0] > crosscav.integrator._DIAGONAL_FILL_LIMIT * A.nnz
+    # no diagonal storage is built: the product is a CSR record's own
+    product = crosscav.integrator._shifted_product(A, _shift(A))
+    assert type(getattr(product, "__self__", None)) is type(A)
+    _assert_product_matches_scipy(A, _shift(A), rng, "scattered")
+    rho0 = random_density(space, rng)
+    for T in (1e-4, 1e-3):
+        out = evolve_master(rho0, scattered, EvolutionSpec(T))
+        ref = expm(dense * T) @ rho0.matrix.reshape(-1)
+        v = out.matrix.reshape(-1)
+        assert np.abs(v - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("T", [1e-3, 1.0, 1e308])

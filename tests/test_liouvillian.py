@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import random_density, random_hermitian
+from conftest import random_density, random_hermitian, to_scipy
 from crosscav import liouvillian
 from crosscav.analytic import robust_entangled_state
 from crosscav.integrator import EvolutionSpec, evolve_master, jc_hamiltonian
@@ -362,8 +362,9 @@ def _generator_cases(space):
 def test_coo_assembly_matches_kron_reference(dims):
     space = make_space(dims)
     for label, L, ref, exact_pattern in _generator_cases(space):
-        m = L.matrix
-        assert m.indices.dtype == np.int32 and m.indptr.dtype == np.int32, label
+        # the dtypes are checked on the record: the conversion may recast
+        assert L.matrix.indices.dtype == np.int32 and L.matrix.indptr.dtype == np.int32, label
+        m = to_scipy(L.matrix)
         assert m.has_canonical_format, label
         assert np.count_nonzero(m.data) == m.nnz, f"{label}: stored explicit zeros"
         scale = np.abs(ref.data).max() if ref.nnz else 1.0
@@ -390,7 +391,8 @@ def test_hamiltonian_only_channel_is_exactly_anti_hermitian(dims):
     p = SymmetricDecayParameters(1000.0, 1000.0, 2.3, omega=3e4)
     L1, _ = decompose_symmetric(p, space, "lab")
     assert L1.matrix.nnz > 0
-    assert abs(L1.matrix + L1.matrix.conj().T).max() == 0.0
+    m = to_scipy(L1.matrix)
+    assert abs(m + m.conj().T).max() == 0.0
 
 
 # --- reuse by value ---
@@ -425,7 +427,7 @@ def test_equal_inputs_share_one_read_only_generator(reuse_cache):
 def test_working_on_a_copy_leaves_the_shared_generator_unchanged(reuse_cache):
     L = _build()[2]
     before = L.matrix.toarray()
-    work = L.matrix.copy()
+    work = to_scipy(L.matrix).copy()
     with pytest.warns(sp.SparseEfficiencyWarning):
         work[0, L.space.dim**2 - 1] = 1.0  # an unstored position: new arrays
     work.data *= 2
@@ -486,3 +488,128 @@ def test_never_holds_two_nmax8_generators_at_once(reuse_cache, monkeypatch):
     for space, k in ((big, 1000.0), (small, 1000.0), (big, 900.0)):
         build_symmetric_liouvillian(SymmetricDecayParameters(k, k, 2.0), space)
     assert len(built) == 3 and live_big() == 1
+
+
+# --- the numpy CSR record against scipy ---
+
+
+def _record_cases(space, rng):
+    """(label, builder) for every assembly path, plus the edge cases.
+
+    "lab-k0" has empty rows (-i[omega N, .] leaves the populations still);
+    "channel-rate0" is the slow channel at r = k in the rotating frame (as
+    decompose_symmetric builds it), whose triplet list is empty.
+    """
+    k, omega, gamma = 1000.0, 3e4, 2.3
+    for frame in ("rotating", "lab"):
+        for r in (0.0, k / 2, k):
+            p = SymmetricDecayParameters(k, r, gamma, omega)
+            yield f"symmetric-{frame}-r{r:g}", lambda p=p, f=frame: liouvillian._general(
+                p.to_general(f), space)
+    general = DecayParameters(
+        k11=900.0, k22=1100.0, k12=300.0, k21=280.0,
+        d11=15.0, d22=-10.0, d12=120.0, d21=-90.0, omega1=2e4, omega2=2.1e4,
+    )
+    yield "general", lambda: liouvillian._general(general, space)
+    H = random_hermitian(space.dim, rng, scale=1e4)
+    yield "general-with-H", lambda: liouvillian._general(general, space, H)
+    yield "lab-k0", lambda: liouvillian._general(
+        SymmetricDecayParameters(0.0, 0.0, 0.0, omega).to_general("lab"), space)
+    A1, A2 = (A.matrix for A in normal_mode_ops(space, gamma))
+    yield "channel-lab", lambda: liouvillian._gksl(
+        space, [A2], np.array([[2 * k]]), np.array([[omega]]))
+    yield "channel-rate0", lambda: liouvillian._gksl(
+        space, [A1], np.array([[0.0]]), np.array([[0.0]]))
+
+
+def _built_with_triplets(build, monkeypatch):
+    """The generator build() returns, with the triplets it was summed from."""
+    seen = []
+    from_coo = liouvillian._CSR.from_coo
+
+    def capture(rows, cols, vals, shape):
+        seen.append((np.array(rows), np.array(cols), np.array(vals), shape))
+        return from_coo(rows, cols, vals, shape)
+
+    monkeypatch.setattr(liouvillian._CSR, "from_coo", capture)
+    L = build()
+    monkeypatch.undo()
+    assert len(seen) == 1
+    return L, seen[0]
+
+
+def _assert_matches_scipy(m, ref, label):
+    """Same pattern, int32 indices, no stored zeros, values within 1e-15."""
+    assert m.indices.dtype == np.int32 and m.indptr.dtype == np.int32, label
+    assert np.count_nonzero(m.data) == m.nnz, f"{label}: stored explicit zeros"
+    assert m.shape == ref.shape and m.nnz == ref.nnz, label
+    np.testing.assert_array_equal(m.indptr, ref.indptr, err_msg=label)
+    np.testing.assert_array_equal(m.indices, ref.indices, err_msg=label)
+    scale = np.abs(ref.data).max(initial=0.0)
+    assert np.abs(m.data - ref.data).max(initial=0.0) <= 1e-15 * scale, label
+
+
+# toarray of the [9, 9] generator would take 690 MB; dense checks stop here
+DENSE_MAX_ROWS = 324
+KERNEL_SPACES = pytest.mark.parametrize(
+    "dims", [[2, 2], [3, 3, 2], [9, 9]], ids=lambda d: "x".join(map(str, d))
+)
+
+
+@KERNEL_SPACES
+def test_csr_assembly_matches_scipy(dims, rng, monkeypatch):
+    space = make_space(dims)
+    for label, build in _record_cases(space, rng):
+        L, (rows, cols, vals, shape) = _built_with_triplets(build, monkeypatch)
+        ref = sp.csr_matrix((vals, (rows, cols)), shape=shape)
+        ref.eliminate_zeros()
+        _assert_matches_scipy(L.matrix, ref, label)
+        if label == "channel-rate0":
+            assert rows.size == 0 and L.matrix.nnz == 0
+        if label == "lab-k0":
+            assert (np.diff(L.matrix.indptr) == 0).any()
+        if space.dim**2 <= DENSE_MAX_ROWS:
+            # a dense generator converts to the same record
+            again = liouvillian.SuperOperator(L.matrix.toarray(), space).matrix
+            np.testing.assert_array_equal(again.indptr, L.matrix.indptr, err_msg=label)
+            np.testing.assert_array_equal(again.indices, L.matrix.indices, err_msg=label)
+            np.testing.assert_array_equal(again.data, L.matrix.data, err_msg=label)
+
+
+@KERNEL_SPACES
+def test_csr_record_operations_match_scipy(dims, rng):
+    space = make_space(dims)
+    n = space.dim**2
+    cases = {label: build() for label, build in _record_cases(space, rng)}
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
+    X = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    for label, L in cases.items():
+        m, ref = L.matrix, to_scipy(L.matrix)
+        if n <= DENSE_MAX_ROWS:
+            np.testing.assert_array_equal(m.toarray(), ref.toarray(), err_msg=label)
+        np.testing.assert_array_equal(m.diagonal(), ref.diagonal(), err_msg=label)
+        for v in (x, X, x.real):
+            # rounding of a row sum is bounded by its absolute terms
+            bound = 1e-15 * (abs(ref) @ np.abs(v))
+            assert (np.abs(m @ v - ref @ v) <= bound).all(), label
+            assert (m @ v).shape == (ref @ v).shape, label
+    pairs = [("symmetric-lab-r500", "general"), ("general-with-H", "lab-k0"),
+             ("channel-rate0", "symmetric-rotating-r1000")]
+    for a, b in pairs:
+        ma, mb = cases[a].matrix, cases[b].matrix
+        for op in ("__add__", "__sub__"):
+            ref = getattr(to_scipy(ma), op)(to_scipy(mb))
+            ref.eliminate_zeros()
+            _assert_matches_scipy(getattr(ma, op)(mb), ref, f"{a} {op} {b}")
+    m = cases["general"].matrix
+    assert (m - m).nnz == 0
+
+
+def test_superoperator_takes_a_record_or_a_dense_matrix(two_mode_nmax1):
+    L = build_general_liouvillian(DecayParameters(1000.0, 700.0), two_mode_nmax1)
+    dense = liouvillian.SuperOperator(L.matrix.toarray(), two_mode_nmax1)
+    np.testing.assert_array_equal(dense.matrix.toarray(), L.matrix.toarray())
+    with pytest.raises(ValueError, match="2-D"):
+        liouvillian.SuperOperator(to_scipy(L.matrix), two_mode_nmax1)
+    with pytest.raises(ValueError, match="does not match"):
+        liouvillian.SuperOperator(np.eye(4), two_mode_nmax1)

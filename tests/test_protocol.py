@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import to_scipy
 from crosscav.analytic import (
     PreparedStateParams,
     prob_e_single_cavity_detuned,
@@ -290,9 +291,11 @@ def test_leaky_pulse_generator_matches_kron_commutator(frame):
     for seg, H in pulses:
         Hs = sp.csr_matrix(H.matrix)
         comm = -1j * (sp.kron(Hs, eye, format="csr") - sp.kron(eye, Hs.T, format="csr"))
-        ref = comm + build_symmetric_liouvillian(decay, space, frame).matrix
-        L = build_symmetric_liouvillian(decay, space, frame, H).matrix
+        ref = comm + to_scipy(build_symmetric_liouvillian(decay, space, frame).matrix)
+        L = to_scipy(build_symmetric_liouvillian(decay, space, frame, H).matrix)
         assert abs(L - ref).max() <= 1e-12 * abs(ref).max(), seg.kind
         leaky = compose_segments(rho0, [seg], dissipate_during_pulses=True)
-        expected = evolve_master(rho0, SuperOperator(ref, space), EvolutionSpec(seg.duration))
+        expected = evolve_master(
+            rho0, SuperOperator(ref.toarray(), space), EvolutionSpec(seg.duration)
+        )
         np.testing.assert_allclose(leaky.matrix, expected.matrix, rtol=0, atol=1e-12)
