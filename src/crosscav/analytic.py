@@ -28,7 +28,7 @@ class PreparedStateParams:
     phi: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.theta) and np.isfinite(self.phi)):
+        if not (isfinite(self.theta) and isfinite(self.phi)):
             raise ValueError("angles must be finite")
         object.__setattr__(self, "theta", float(self.theta) % _TWO_PI)
         object.__setattr__(self, "phi", float(self.phi) % _TWO_PI)

@@ -5,7 +5,12 @@ stdout (or --out), diagnostics to stderr.  Output is deterministic:
 fixed 15-significant-digit scientific notation, LF endings, stable row
 order (engines, then the r list as given, then the swept value ascending).
 Sweeps evaluate their points one after another in the calling thread;
---jobs is accepted for compatibility and has no effect.
+--jobs is accepted for compatibility and has no effect.  A sweep works on
+one (engine, r) block at a time and formats each distinct value once: the
+swept values once per command, r and the engine once per block, so a row
+costs one `%` over its values.  Nothing is written until every block is
+done, so an error in any block leaves stdout empty and creates no --out
+file.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 validation failure.
 """
@@ -131,22 +136,37 @@ def _sweep_range(args, cfg, default_start, default_stop):
     sec = _section(cfg, "sweep")
     start = _number(sec.get("start", default_start), "sweep.start")
     stop = _number(sec.get("stop", default_stop), "sweep.stop")
-    count = args.points
-    if count is None:
+    if args.points is not None:
+        count = args.points
+        if count < 2:
+            raise UsageError(f"--points must be at least 2, got {count}")
+    else:
         count = _number(sec.get("count", 201), "sweep.count", int)
-    _require(count >= 2, "sweep.count", "must be at least 2")
+        _require(count >= 2, "sweep.count", "must be at least 2")
     _require(isfinite(stop - start), "sweep.start", "the range must be finite")
     _require(start < stop, "sweep.start", "must be below sweep.stop")
     return np.linspace(start, stop, count)
 
 
-def _sweep_rows(engine, points, r_list, grid, row):
-    """CSV rows: engine (in the order of `points`), then the r list as given,
-    then the grid ascending; `points` maps each engine to f(r, x)."""
+def _sweep_blocks(engine, points, r_list, grid, columns):
+    """CSV data, one string per (engine, r) block: engine (in the order of
+    `points`), then the r list as given, then the grid ascending.
+
+    `points` maps each engine to f(r, x), called once per grid value;
+    `columns` turns a block's f values into its value columns.  The grid
+    column is formatted once, in one `%` pass; r and the engine go into
+    the block's row template, so each row costs one `%` over its values.
+    """
     engines = list(points) if engine == "both" else [engine]
-    return [
-        row(x, r, points[e](r, x), e) for e in engines for r in r_list for x in grid
-    ]
+    xs = grid.tolist()
+    x_column = ("\n".join([_FMT] * len(xs)) % tuple(xs)).split("\n")
+    blocks = []
+    for e in engines:
+        for r in r_list:
+            cols = columns([points[e](r, x) for x in xs])
+            row = f"%s,{_FMT % r},{','.join([_FMT] * len(cols))},{e}"
+            blocks.append("\n".join(map(row.__mod__, zip(x_column, *cols))))
+    return blocks
 
 
 def _write(args, lines):
@@ -156,7 +176,9 @@ def _write(args, lines):
     else:
         target = nullcontext(sys.stdout)
     with target as out:
-        out.writelines(line + "\n" for line in lines)
+        for line in lines:  # no line + "\n" copy of a ~1 MB sweep block
+            out.write(line)
+            out.write("\n")
 
 
 def _meta_line(command, params):
@@ -180,8 +202,8 @@ def cmd_sweep_phi(args):
         c = replace(proto, decay=replace(base_decay, r=r), phi=phi)
         return run_two_cavity(c, readout="overlap", frame=args.frame).p_e
 
-    def row(phi, r, p_e, engine):
-        return f"{_fmt(phi)},{_fmt(r)},{_fmt(p_e)},{engine}"
+    def columns(p_e):
+        return [p_e]
 
     meta = _meta_line(
         "sweep-phi",
@@ -194,8 +216,8 @@ def cmd_sweep_phi(args):
         },
     )
     points = {"analytic": analytic_point, "simulated": simulated_point}
-    rows = _sweep_rows(args.engine, points, r_list, phis, row)
-    _write(args, [meta, "phi_rad,r_per_s,p_e,engine", *rows])
+    blocks = _sweep_blocks(args.engine, points, r_list, phis, columns)
+    _write(args, [meta, "phi_rad,r_per_s,p_e,engine", *blocks])
     return 0
 
 
@@ -220,12 +242,9 @@ def cmd_sweep_time(args):
             run_single_cavity(c, variant="detuned", frame=args.frame).p_e,
         )
 
-    def row(T, r, p, engine):
-        p_r, p_nr = p
-        return (
-            f"{_fmt(T)},{_fmt(r)},{_fmt(p_r)},{_fmt(p_nr)},"
-            f"{_fmt(p_r - p_nr)},{engine}"
-        )
+    def columns(pairs):
+        p_r, p_nr = zip(*pairs)
+        return p_r, p_nr, [a - b for a, b in pairs]
 
     meta = _meta_line(
         "sweep-time",
@@ -238,8 +257,8 @@ def cmd_sweep_time(args):
         },
     )
     points = {"analytic": analytic_point, "simulated": simulated_point}
-    rows = _sweep_rows(args.engine, points, r_list, times, row)
-    _write(args, [meta, "T_s,r_per_s,p_e_r,p_e_nr,D,engine", *rows])
+    blocks = _sweep_blocks(args.engine, points, r_list, times, columns)
+    _write(args, [meta, "T_s,r_per_s,p_e_r,p_e_nr,D,engine", *blocks])
     return 0
 
 
@@ -367,10 +386,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, RuntimeError) as exc:
+    except (UsageError, ValueError, RuntimeError, OSError) as exc:
+        # OSError: e.g. an --out path that cannot be opened for writing
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:  # e.g. a closed form overflowing a float

@@ -104,6 +104,14 @@ def test_analytic_rejects_non_finite(call, name):
         call()
 
 
+@pytest.mark.parametrize("bad", [_NAN, _INF, -_INF])
+@pytest.mark.parametrize("angle", ["theta", "phi"])
+def test_prepared_state_params_rejects_non_finite(angle, bad):
+    angles = {"theta": 0.3, "phi": 1.2, angle: bad}
+    with pytest.raises(ValueError, match="^angles must be finite"):
+        PreparedStateParams(**angles)
+
+
 def test_amplitude_pair_evolution_population():
     u0 = AmplitudePair(1j / sqrt(2), 1 / sqrt(2))
     u = evolve_amplitudes(u0, 1000.0, 1000.0, pi / 2, 1e-3)

@@ -5,11 +5,19 @@ import sys
 from math import inf, nan, pi, sin
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import crosscav
+from crosscav.analytic import (
+    PreparedStateParams,
+    prob_e_single_cavity_detuned,
+    prob_e_single_cavity_resonant,
+    prob_e_two_cavity,
+)
 from crosscav.cli import main
 from crosscav.liouvillian import SymmetricDecayParameters
+from crosscav.protocol import ProtocolConfig, run_single_cavity, run_two_cavity
 from crosscav.validate import check_dfs_preservation
 
 
@@ -106,6 +114,113 @@ def test_sweep_row_order(capsys):
     for start in range(0, len(rows), 3):
         phis = [float(row[0]) for row in rows[start:start + 3]]
         assert phis == sorted(phis) and phis[0] < phis[-1]
+
+
+ROW_CFG = {
+    "decay": {"k": 1000.0, "gamma": 0.7},
+    "protocol": {"G": 2 * pi * 25e3, "theta": 0.4, "phi": 1.1, "T": 3e-4},
+}
+GRID = {"sweep-phi": (0.0, 2 * pi), "sweep-time": (0.0, 2e-3)}
+
+
+def row_reference(command, engine, frame, points, r_list):
+    """Data rows of a sweep, built one row at a time with one `%` per row."""
+    k, gamma = ROW_CFG["decay"]["k"], ROW_CFG["decay"]["gamma"]
+    proto = ROW_CFG["protocol"]
+    theta, T = proto["theta"], proto["T"]
+    engines = ["analytic", "simulated"] if engine == "both" else [engine]
+    rows = []
+    for e in engines:
+        for r in r_list:
+            decay = SymmetricDecayParameters(k, r, gamma)
+            for x in np.linspace(*GRID[command], points):
+                if command == "sweep-phi":
+                    if e == "analytic":
+                        p = prob_e_two_cavity(PreparedStateParams(theta, x), k, r, gamma, T)
+                    else:
+                        c = ProtocolConfig(**{**proto, "decay": decay, "phi": x})
+                        p = run_two_cavity(c, readout="overlap", frame=frame).p_e
+                    rows.append("%.14e,%.14e,%.14e,%s" % (x, r, p, e))
+                    continue
+                if e == "analytic":
+                    p_r = prob_e_single_cavity_resonant(k, r, gamma, x)
+                    p_nr = prob_e_single_cavity_detuned(k, x)
+                else:
+                    c = ProtocolConfig(**{**proto, "decay": decay, "T": x})
+                    p_r = run_single_cavity(c, variant="resonant", frame=frame).p_e
+                    p_nr = run_single_cavity(c, variant="detuned", frame=frame).p_e
+                rows.append(
+                    "%.14e,%.14e,%.14e,%.14e,%.14e,%s" % (x, r, p_r, p_nr, p_r - p_nr, e)
+                )
+    return rows
+
+
+@pytest.mark.parametrize("points", [2, 4])
+@pytest.mark.parametrize("frame", ["rotating", "lab"])
+@pytest.mark.parametrize("engine", ["analytic", "both"])
+@pytest.mark.parametrize("command", ["sweep-phi", "sweep-time"])
+def test_sweep_csv_matches_row_reference(tmp_path, capsys, command, engine, frame,
+                                          points):
+    # the sweeps format by column; the bytes are those of row-at-a-time
+    # formatting, for an r list that is unsorted and holds 0 and k
+    r_list = [1000.0, 0.0, 450.0]
+    args = [command, "--config", write_config(tmp_path, ROW_CFG), "--engine", engine,
+            "--frame", frame, "--points", str(points),
+            "--r-list", ",".join(map(str, r_list))]
+    assert run_cli(args) == 0
+    header, data = capsys.readouterr().out.split("\n", 2)[1:]
+    assert header == {"sweep-phi": "phi_rad,r_per_s,p_e,engine",
+                      "sweep-time": "T_s,r_per_s,p_e_r,p_e_nr,D,engine"}[command]
+    rows = row_reference(command, engine, frame, points, r_list)
+    assert data == "".join(row + "\n" for row in rows)
+
+
+def test_sweep_overflow_leaves_no_partial_output(tmp_path, capsys):
+    # the r = 500 block is computed before cosh(r T) overflows in the
+    # r = 1000 block; nothing is written unless every block is done
+    path = write_config(tmp_path, {"decay": {"k": 1000.0}, "sweep": {"stop": 1.0}})
+    out = tmp_path / "out.csv"
+    args = ["sweep-time", "--config", path, "--engine", "analytic",
+            "--r-list", "500,1000"]
+    assert run_cli(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert run_cli(args + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep-phi", "simulate", "validate"])
+def test_unwritable_out_exit_1_one_line(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out.txt"
+    args = {
+        "sweep-phi": ["sweep-phi", "--points", "3"],
+        "simulate": ["simulate", "--config",
+                     write_config(tmp_path, {"protocol": {"T": 1e-4}})],
+        "validate": ["validate", "--profile", "zero-dissipation"],
+    }[command]
+    assert run_cli(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert str(out) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["option", "config"])
+def test_points_below_two_names_its_source(tmp_path, capsys, source):
+    if source == "option":
+        args, named, unnamed = ["--points", "-5"], "--points", "sweep.count"
+    else:
+        cfg = write_config(tmp_path, {"sweep": {"count": 1}})
+        args, named, unnamed = ["--config", cfg], "sweep.count", "--points"
+    assert run_cli(["sweep-phi", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert named in captured.err and unnamed not in captured.err
 
 
 @pytest.mark.parametrize("command", ["sweep-time", "simulate"])
