@@ -10,7 +10,7 @@ one (engine, r) block at a time and formats each distinct value once: the
 swept values once per command, r and the engine once per block, so a row
 costs one `%` over its values.  Nothing is written until every block is
 done, so an error in any block leaves stdout empty and creates no --out
-file.
+file.  An --out path whose directory is missing fails before any work.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 validation failure.
 """
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from contextlib import nullcontext
@@ -116,19 +117,26 @@ def _protocol_from_config(cfg, decay):
 
 
 def _r_list(args, cfg, default, k):
-    """Cross rates from --r-list or sweep.r_list, each within [0, k]."""
+    """Cross rates from --r-list or sweep.r_list, each within [0, k].
+
+    An error names the source the rates came from.
+    """
     if args.r_list:
         try:
             r_list = [float(v) for v in args.r_list.split(",") if v.strip() != ""]
         except ValueError as exc:
             raise UsageError(f"bad --r-list: {exc}") from exc
+        source = "--r-list"
     else:
         r_list = _section(cfg, "sweep").get("r_list", default)
         _require(isinstance(r_list, list), "sweep.r_list", "must be a list of numbers")
         r_list = [_number(r, "sweep.r_list") for r in r_list]
-    _require(r_list, "sweep.r_list", "must hold at least one cross rate")
+        source = "config field 'sweep.r_list'"
+    if not r_list:
+        raise UsageError(f"{source}: must hold at least one cross rate")
     for r in r_list:
-        _require(0 <= r <= k, "sweep.r_list", f"must satisfy 0 <= r <= k (k={k})")
+        if not 0 <= r <= k:
+            raise UsageError(f"{source}: must satisfy 0 <= r <= k (k={k})")
     return r_list
 
 
@@ -167,6 +175,15 @@ def _sweep_blocks(engine, points, r_list, grid, columns):
             row = f"%s,{_FMT % r},{','.join([_FMT] * len(cols))},{e}"
             blocks.append("\n".join(map(row.__mod__, zip(x_column, *cols))))
     return blocks
+
+
+def _check_out(path):
+    """Fail before any work when --out names a directory or one that is missing."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise UsageError(f"cannot write --out {path}: no directory {directory}")
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write --out {path}: it is a directory")
 
 
 def _write(args, lines):
@@ -385,6 +402,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except (UsageError, ValueError, RuntimeError, OSError) as exc:
         # OSError: e.g. an --out path that cannot be opened for writing

@@ -26,6 +26,13 @@ diagonalizes, so both stay exact where the generator is defective, as at
 the decoherence-free point r = k.  Both run on numpy alone.
 Fixed-step RK4 runs only when a caller asks for it, as an independent
 oracle on the full generator.
+
+A sweep repeats the same pulses and windows many times, so two pure
+pieces are reused by value: unitary_propagator by the bytes of H and t,
+and the dense branch's exp(B t) by the bytes of the block B, its size and
+t.  Both are read-only and held in least-recently-used caches bounded by
+the bytes they hold (_memo.ByteLRU).  A miss runs every check; a hit
+returns a value that passed them.  The sparse action is not cached.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from math import ceil, isfinite, ldexp, log2
 
 import numpy as np
 
+from . import _memo
 from .liouvillian import _CSR, SuperOperator
 from .tensor import (
     DensityMatrix,
@@ -63,6 +71,19 @@ _DENSE_MAX_DIM = 64
 _DIAGONAL_FILL_LIMIT = 4
 # distinct pulse Hamiltonians a process keeps; a sweep needs a few
 _HAMILTONIAN_CACHE_SIZE = 16
+# bytes the two exponential caches may hold (_memo.ByteLRU); with the
+# protocol's state caches they stay under 2 MiB, about 4 % of a
+# simulated sweep's peak RSS.  A pulse propagator on the protocol's
+# [2, 2, 2] space takes 2.5 KiB (H, U and the entry's objects), and a
+# benchmark sweep pass needs about 28.  A protocol window's reachable
+# block is 5 x 5, 1.3 KiB an entry: a sweep-time pass over n values of T
+# makes 2n per r, and 1 MiB keeps the n detuned windows, which repeat
+# for every r, up to the default n = 201.  A full 64-row block takes
+# 128.5 KiB, so at most 7 of those are kept.
+_UNITARY_CACHE_BYTES = 256 * 1024
+_BLOCK_CACHE_BYTES = 1024 * 1024
+_unitaries = _memo.register(_memo.ByteLRU(_UNITARY_CACHE_BYTES))
+_block_exponentials = _memo.register(_memo.ByteLRU(_BLOCK_CACHE_BYTES))
 
 
 @dataclass(frozen=True)
@@ -307,7 +328,14 @@ def _propagate(A: _CSR, v: np.ndarray, t: float) -> np.ndarray:
         return _expm_action(A, v, t, *_shift_and_norm(rows, cols, vals, n))
     B = np.zeros((n, n), dtype=complex)
     np.add.at(B, (rows, cols), vals)
-    w = _expm_dense(B, t, norm) @ (v if R is None else v[R])
+    # B's entries are stored in row-major order, so B and t fix norm too
+    key = (B.tobytes(), n, float(t).hex())
+    E = _block_exponentials.get(key)
+    if E is None:
+        E = _expm_dense(B, t, norm)
+        E.setflags(write=False)
+        _block_exponentials.put(key, E, 2 * E.nbytes)
+    w = E @ (v if R is None else v[R])
     if R is None:
         return w
     out = np.zeros_like(v)
@@ -338,13 +366,25 @@ def evolve_master(rho0: DensityMatrix, L: SuperOperator, spec: EvolutionSpec) ->
 
 
 def unitary_propagator(H: Operator, duration: float) -> np.ndarray:
-    """exp(-i H t) through the eigendecomposition of a Hermitian H."""
+    """exp(-i H t) through the eigendecomposition of a Hermitian H.
+
+    Memoized by the bytes of H's matrix and of t: the result is read-only
+    and shared with every later caller that passes equal values.  Only a
+    miss checks Hermiticity, so a non-Hermitian H is never stored and
+    always raises.
+    """
     Hm = H.matrix
+    key = (Hm.tobytes(), float(duration).hex())
+    U = _unitaries.get(key)
+    if U is not None:
+        return U
     herm_dev = float(np.abs(Hm - Hm.conj().T).max())
     if herm_dev > 1e-10 * max(float(np.abs(Hm).max()), 1.0):
         raise ValueError(f"Hamiltonian is not Hermitian (deviation {herm_dev:.3e})")
     w, V = np.linalg.eigh(Hm)
-    return (V * np.exp(-1j * w * duration)) @ V.conj().T
+    U = (V * np.exp(-1j * w * duration)) @ V.conj().T
+    U.setflags(write=False)
+    return _unitaries.put(key, U, 2 * U.nbytes)
 
 
 def evolve_unitary(psi0: Ket, H: Operator, duration: float) -> Ket:

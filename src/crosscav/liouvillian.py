@@ -12,16 +12,19 @@ and the package runs without scipy.
 
 Generators without an extra Hamiltonian are reused by value: equal
 (parameters, space) return the same SuperOperator, whose CSR arrays are
-read-only, from a private cache of the two most recently used.
+read-only, from a private cache of the two most recently used, and
+SymmetricDecayParameters.to_general is memoized by (params, frame).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from . import _memo
 from .tensor import (
     DensityMatrix,
     Operator,
@@ -34,6 +37,9 @@ _PSD_TOL = 1e-12
 # generators kept for reuse: a sweep's window generator plus one other
 _REUSE_SIZE = 2
 _generators = OrderedDict()  # (DecayParameters, SpaceSignature) -> SuperOperator
+# (SymmetricDecayParameters, frame) pairs whose general form is kept; a
+# sweep needs two per cross rate (a window's and a detuned window's)
+_GENERAL_CACHE_SIZE = 32
 
 
 def _require_finite(params):
@@ -114,17 +120,28 @@ class SymmetricDecayParameters:
             )
 
     def to_general(self, frame: str = "lab") -> DecayParameters:
-        omega = _frame_omega(self.omega, frame)
-        return DecayParameters(
-            k11=self.k,
-            k22=self.k,
-            k12=self.r * np.cos(self.gamma),
-            k21=self.r * np.cos(self.gamma),
-            d12=self.r * np.sin(self.gamma),
-            d21=-self.r * np.sin(self.gamma),
-            omega1=omega,
-            omega2=omega,
-        )
+        """The general parameters in the given frame.
+
+        Memoized by (self, frame): equal calls share one DecayParameters,
+        so its positivity check runs once per distinct pair.
+        """
+        return _general_parameters(self, frame)
+
+
+@_memo.register
+@lru_cache(maxsize=_GENERAL_CACHE_SIZE)
+def _general_parameters(p: SymmetricDecayParameters, frame: str) -> DecayParameters:
+    omega = _frame_omega(p.omega, frame)
+    return DecayParameters(
+        k11=p.k,
+        k22=p.k,
+        k12=p.r * np.cos(p.gamma),
+        k21=p.r * np.cos(p.gamma),
+        d12=p.r * np.sin(p.gamma),
+        d21=-p.r * np.sin(p.gamma),
+        omega1=omega,
+        omega2=omega,
+    )
 
 
 def _frame_omega(omega: float, frame: str) -> float:

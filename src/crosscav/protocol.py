@@ -5,15 +5,27 @@ dissipative window, on the single-excitation space (two modes truncated
 at one photon plus the atom).  Dissipation during the pulses is off by
 default, matching the assumption that pulse times are short against 1/k;
 a flag turns it on for sensitivity checks.
+
+What a run repeats is reused by value.  The prepared state depends only
+on the space, the preparation pulses and whether they dissipate, so equal
+preparations share one read-only DensityMatrix, from a cache bounded by
+the bytes it holds; a pulse's decay and frame enter its key only when the
+pulse dissipates.  The |0,0,e> start state and the target kets are kept
+per space and per (theta, phi) or variant.  Pulse propagators and window
+exponentials are reused inside the integrator.  Every cached value passed
+its checks when it was built, and every state a run builds anew still
+runs the full DensityMatrix checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isfinite, pi, sqrt
 
 import numpy as np
 
+from . import _memo
 from .analytic import PreparedStateParams, prepared_state
 from .integrator import (
     EvolutionSpec,
@@ -35,6 +47,19 @@ from .tensor import (
 )
 
 _PREP_FIDELITY_MIN = 1.0 - 1e-9
+# bytes of prepared states kept (_memo.ByteLRU): a [2, 2, 2] state takes
+# 1.5 KiB with its entry, so 512 KiB keeps 341, more than the distinct
+# preparations of a sweep over the default 201 values of phi; a sweep
+# with more values revisits each phi once per r and misses
+_PREPARED_CACHE_BYTES = 512 * 1024
+_prepared_states = _memo.register(_memo.ByteLRU(_PREPARED_CACHE_BYTES))
+# two-cavity target kets kept: one per (theta, phi) of a sweep, 128 bytes
+# each on the [2, 2, 2] space
+_TARGET_CACHE_SIZE = 256
+# single-cavity target kets kept: one per variant, resonant and detuned
+_VARIANT_CACHE_SIZE = 2
+# start states kept, one per space; every run uses the [2, 2, 2] space
+_START_CACHE_SIZE = 2
 
 UNITARY_KINDS = ("resonant-mode1", "resonant-mode2", "dispersive", "both-modes-phase")
 
@@ -200,6 +225,55 @@ def _attach_atom_ground(field_ket: Ket) -> Ket:
     return Ket(amps, make_space(field_ket.space.dims + (2,)))
 
 
+@_memo.register
+@lru_cache(maxsize=_TARGET_CACHE_SIZE)
+def _two_cavity_target(theta: float, phi: float) -> Ket:
+    """cos(theta)|0,1,g> + e^{i phi} sin(theta)|1,0,g>, kept per angle pair."""
+    return _attach_atom_ground(prepared_state(PreparedStateParams(theta, phi)))
+
+
+@_memo.register
+@lru_cache(maxsize=_VARIANT_CACHE_SIZE)
+def _single_cavity_target(variant: str) -> Ket:
+    """The single-cavity experiment's prepared field state, atom in |g>."""
+    space = make_space([2, 2, 2])
+    if variant == "detuned":
+        return basis_ket(space, (0, 1, ATOM_G))
+    return Ket(
+        (
+            basis_ket(space, (0, 1, ATOM_G)).amplitudes
+            + 1j * basis_ket(space, (1, 0, ATOM_G)).amplitudes
+        )
+        / sqrt(2.0),
+        space,
+    )
+
+
+@_memo.register
+@lru_cache(maxsize=_START_CACHE_SIZE)
+def _excited_vacuum(space) -> DensityMatrix:
+    """|0,0,e><0,0,e|, the state every run starts from, kept per space."""
+    return density_from_ket(basis_ket(space, (0, 0, ATOM_E)))
+
+
+def _prepared(space, prep, dissipate: bool) -> DensityMatrix:
+    """compose_segments from |0,0,e> over prep, reused by value.
+
+    Without dissipation a pulse's decay and frame do not act on the state,
+    so they enter the key only when the pulses dissipate.
+    """
+    key = (space, dissipate, tuple(
+        (s.kind, s.duration, s.G, s.Omega, s.Omega_a)
+        + ((s.decay, s.frame) if dissipate else ())
+        for s in prep
+    ))
+    rho = _prepared_states.get(key)
+    if rho is None:
+        rho = compose_segments(_excited_vacuum(space), prep, dissipate)
+        _prepared_states.put(key, rho, rho.matrix.nbytes)
+    return rho
+
+
 def _atom_population(rho: DensityMatrix, level: int) -> float:
     """Population of one atom level in the atom marginal (atom is last)."""
     atom = partial_trace(rho, [len(rho.space.dims) - 1])
@@ -213,8 +287,7 @@ def _run(cfg, frame, dissipate, label, prep, target, window_decay, readout):
     readout=None projects the post-window state onto `target`; a segment
     list replays those pulses and reads the atom's excited population.
     """
-    rho0 = density_from_ket(basis_ket(target.space, (0, 0, ATOM_E)))
-    rho_prep = compose_segments(rho0, prep, dissipate)
+    rho_prep = _prepared(target.space, prep, dissipate)
     fid = rho_prep.fidelity_with_ket(target)
     if not dissipate and fid < _PREP_FIDELITY_MIN:
         raise RuntimeError(f"preparation fidelity {fid} below contract")
@@ -270,9 +343,7 @@ def run_two_cavity(
             Segment("resonant-mode2", t_2, cfg.G, om_r, oma_r, cfg.decay, frame),
         ]
 
-    target = _attach_atom_ground(
-        prepared_state(PreparedStateParams(cfg.theta, cfg.phi))
-    )
+    target = _two_cavity_target(cfg.theta, cfg.phi)
     ro = pulses(cfg.t_1p, cfg.t_0p, cfg.t_2p) if readout == "explicit" else None
     return _run(
         cfg, frame, dissipate_during_pulses, f"two-cavity/{readout}",
@@ -293,27 +364,18 @@ def run_single_cavity(
     cavity leaves a single resonant mode; pi/(2G) pulses and plain
     single-mode decay.
     """
-    space = make_space([2, 2, 2])
     om_r, oma_r = _frame_freqs(cfg, frame, resonant=True)
     dec = cfg.decay
 
     if variant == "resonant":
         pulse_kind, pulse_t, window_decay = "both-modes-phase", cfg.t_12a, dec
-        target = Ket(
-            (
-                basis_ket(space, (0, 1, ATOM_G)).amplitudes
-                + 1j * basis_ket(space, (1, 0, ATOM_G)).amplitudes
-            )
-            / sqrt(2.0),
-            space,
-        )
     elif variant == "detuned":
         pulse_kind, pulse_t = "resonant-mode2", pi / (2 * cfg.G)
         # no cross decay between a resonant and a far-detuned mode
         window_decay = SymmetricDecayParameters(dec.k, 0.0, 0.0, dec.omega)
-        target = basis_ket(space, (0, 1, ATOM_G))
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    target = _single_cavity_target(variant)
 
     pulse = [Segment(pulse_kind, pulse_t, cfg.G, om_r, oma_r, window_decay, frame)]
     return _run(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from crosscav import _memo
 from crosscav.tensor import DensityMatrix, make_space
 
 
@@ -22,6 +23,13 @@ def random_density(space, rng):
 def random_hermitian(d, rng, scale=1.0):
     A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return scale * (A + A.conj().T) / 2
+
+
+@pytest.fixture
+def cold():
+    """Empty every value cache of a protocol run, now and when called again."""
+    _memo.clear_all()
+    return _memo.clear_all
 
 
 @pytest.fixture

@@ -123,8 +123,11 @@ ROW_CFG = {
 GRID = {"sweep-phi": (0.0, 2 * pi), "sweep-time": (0.0, 2e-3)}
 
 
-def row_reference(command, engine, frame, points, r_list):
-    """Data rows of a sweep, built one row at a time with one `%` per row."""
+def row_reference(command, engine, frame, points, r_list, clear=None):
+    """Data rows of a sweep, built one row at a time with one `%` per row.
+
+    clear, when given, is called before each simulated point.
+    """
     k, gamma = ROW_CFG["decay"]["k"], ROW_CFG["decay"]["gamma"]
     proto = ROW_CFG["protocol"]
     theta, T = proto["theta"], proto["T"]
@@ -134,6 +137,8 @@ def row_reference(command, engine, frame, points, r_list):
         for r in r_list:
             decay = SymmetricDecayParameters(k, r, gamma)
             for x in np.linspace(*GRID[command], points):
+                if clear and e == "simulated":
+                    clear()
                 if command == "sweep-phi":
                     if e == "analytic":
                         p = prob_e_two_cavity(PreparedStateParams(theta, x), k, r, gamma, T)
@@ -207,6 +212,54 @@ def test_unwritable_out_exit_1_one_line(tmp_path, capsys, command):
     assert_one_error_line(err)
     assert str(out) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep-phi", "sweep-time", "simulate", "validate"])
+def test_missing_out_directory_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                      command):
+    import crosscav.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the --out directory is checked before any work")
+
+    for name in ("run_validation", "run_two_cavity", "run_single_cavity",
+                 "prob_e_two_cavity", "prob_e_single_cavity_resonant",
+                 "prob_e_single_cavity_detuned"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path / "missing" / "out.txt"
+    args = {
+        "sweep-phi": ["sweep-phi", "--engine", "both", "--points", "3"],
+        "sweep-time": ["sweep-time", "--engine", "both", "--points", "3"],
+        "simulate": ["simulate", "--config",
+                     write_config(tmp_path, {"protocol": {"T": 1e-4}})],
+        "validate": ["validate"],
+    }[command]
+    assert run_cli(args + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert str(out) in captured.err
+    assert not out.parent.exists()
+    # a directory given as --out is refused before any work too
+    assert run_cli(args + ["--out", str(tmp_path)]) == 1
+    assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("frame", ["rotating", "lab"])
+@pytest.mark.parametrize("command", ["sweep-phi", "sweep-time"])
+def test_repeated_r_block_is_served_warm_and_matches_cold_points(tmp_path, capsys, cold,
+                                                                 command, frame):
+    # the third block repeats the first r, so its runs hit the caches the
+    # first block filled; every block equals runs made from cold caches
+    r_list, points = [1000.0, 500.0, 1000.0], 5
+    args = [command, "--config", write_config(tmp_path, ROW_CFG), "--engine",
+            "simulated", "--frame", frame, "--points", str(points),
+            "--r-list", ",".join(map(str, r_list))]
+    assert run_cli(args) == 0
+    data = capsys.readouterr().out.split("\n")[2:-1]
+    blocks = [data[i * points:(i + 1) * points] for i in range(len(r_list))]
+    assert blocks[0] == blocks[2]
+    assert data == row_reference(command, "simulated", frame, points, r_list, clear=cold)
 
 
 @pytest.mark.parametrize("source", ["option", "config"])
@@ -322,15 +375,17 @@ def assert_one_error_line(err):
 def test_sweep_r_out_of_range_exit_1(tmp_path, capsys, command, engine, source):
     # a negative r would be folded into the phase gamma + pi and the rows
     # mislabelled, so it is rejected before any engine runs
+    # the message names where the rates came from
     if source == "option":
-        args = ["--r-list=-500"]
+        args, named, unnamed = ["--r-list=-500"], "--r-list", "sweep.r_list"
     else:
         args = ["--config", write_config(tmp_path, {"sweep": {"r_list": [-500]}})]
+        named, unnamed = "sweep.r_list", "--r-list"
     assert run_cli([command, "--engine", engine, "--points", "3", *args]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert_one_error_line(captured.err)
-    assert "sweep.r_list" in captured.err
+    assert named in captured.err and unnamed not in captured.err
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from scipy.sparse.linalg import expm_multiply
 
 import crosscav.integrator
 from conftest import random_density, to_scipy
+from crosscav import _memo
 from crosscav.analytic import (
     PreparedStateParams,
     prob_e_two_cavity,
@@ -19,6 +20,7 @@ from crosscav.integrator import (
     evolve_master,
     evolve_unitary,
     jc_hamiltonian,
+    unitary_propagator,
 )
 from crosscav.liouvillian import (
     DecayParameters,
@@ -456,3 +458,128 @@ def test_both_modes_pulse_creates_entangled_state():
 def test_jc_requires_atom():
     with pytest.raises(ValueError, match="atom"):
         jc_hamiltonian(make_space([3, 3]), "mode1", 1e5)
+
+
+# --- value caches: pulse propagators and window block exponentials ---
+
+
+def test_byte_lru_evicts_the_least_recent_entry_by_bytes():
+    size = 100 + _memo.ENTRY_OVERHEAD
+    cache = _memo.ByteLRU(3 * size)
+    for key in "abc":
+        cache.put(key, key.upper(), 100)
+    assert cache.get("a") == "A"  # now the most recent
+    assert cache.put("d", "D", 100) == "D"
+    assert cache.get("b") is None
+    assert [cache.get(key) for key in "acd"] == ["A", "C", "D"]
+    assert len(cache) == 3 and cache.nbytes == 3 * size
+    assert cache.put("big", "X", cache.max_bytes) == "X"
+    assert cache.get("big") is None and len(cache) == 3
+    cache.cache_clear()
+    assert len(cache) == 0 and cache.nbytes == 0
+
+
+def test_byte_lru_keeps_its_byte_count_under_threads():
+    import sys
+    import threading
+
+    cache = _memo.ByteLRU(20 * (8 + _memo.ENTRY_OVERHEAD))
+    errors = []
+
+    def work(seed):
+        try:
+            for i in range(20000):
+                key = (seed * 7 + i) % 50
+                if cache.get(key) is None:
+                    cache.put(key, key, 8)
+        except Exception as exc:  # a lost update can empty the map mid-eviction
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert cache.nbytes == len(cache) * (8 + _memo.ENTRY_OVERHEAD) <= cache.max_bytes
+
+
+def test_unitary_cache_hits_by_value_and_misses_on_t_or_h(cold):
+    space = make_space([2, 2, 2])
+    H = jc_hamiltonian(space, "mode1", 1e5)
+    cache = crosscav.integrator._unitaries
+    U = unitary_propagator(H, 2e-6)
+    assert not U.flags.writeable
+    with pytest.raises(ValueError):
+        U[0, 0] = 0
+    # an equal Hamiltonian built apart is served the same array
+    assert unitary_propagator(Operator(H.matrix.copy(), space), 2e-6) is U
+    assert len(cache) == 1
+    other_t = unitary_propagator(H, 3e-6)
+    other_h = unitary_propagator(jc_hamiltonian(space, "mode2", 1e5), 2e-6)
+    assert len(cache) == 3
+    assert not np.array_equal(other_t, U) and not np.array_equal(other_h, U)
+    cold()
+    fresh = unitary_propagator(H, 2e-6)
+    assert fresh is not U and fresh.tobytes() == U.tobytes()
+
+
+def test_non_hermitian_hamiltonian_is_never_cached(cold):
+    space = make_space([2])
+    H = Operator(np.array([[0.0, 1.0], [0.0, 0.0]]), space)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="Hermitian"):
+            unitary_propagator(H, 1.0)
+    assert len(crosscav.integrator._unitaries) == 0
+
+
+def _one_excitation_state(space, weights):
+    e10 = basis_ket(space, (1, 0, ATOM_G)).amplitudes
+    e01 = basis_ket(space, (0, 1, ATOM_G)).amplitudes
+    v = weights[0] * e10 + weights[1] * e01
+    return density_from_ket(Ket(v / np.linalg.norm(v), space))
+
+
+def test_block_cache_hits_by_value_and_misses_on_t_or_block(cold):
+    space = make_space([2, 2, 2])
+    cache = crosscav.integrator._block_exponentials
+
+    def window(r, T, weights=(1.0, 1.0)):
+        L = build_symmetric_liouvillian(SymmetricDecayParameters(K_EXACT, r, 0.9), space)
+        return evolve_master(_one_excitation_state(space, weights), L, EvolutionSpec(T))
+
+    first = window(500.0, 1e-3)
+    assert len(cache) == 1
+    for E, _ in cache._entries.values():
+        assert not E.flags.writeable
+    assert window(500.0, 1e-3).matrix.tobytes() == first.matrix.tobytes()
+    # another state on the same block is served the same exponential
+    window(500.0, 1e-3, weights=(0.3, 1.0))
+    assert len(cache) == 1
+    window(500.0, 2e-3)
+    window(K_EXACT, 1e-3)
+    assert len(cache) == 3
+    cold()
+    assert window(500.0, 1e-3).matrix.tobytes() == first.matrix.tobytes()
+
+
+def test_block_cache_stays_under_its_bound_for_full_blocks(cold, rng):
+    space = make_space([2, 2, 2])
+    cache = crosscav.integrator._block_exponentials
+    bound = crosscav.integrator._BLOCK_CACHE_BYTES
+    L = build_symmetric_liouvillian(SymmetricDecayParameters(K_EXACT, 700.0, 0.4), space)
+    rho0 = random_density(space, rng)  # full rank: the block is all 64 rows
+    entry = 2 * 64 * 64 * 16 + _memo.ENTRY_OVERHEAD
+    windows = np.linspace(1e-4, 3e-3, 12)
+    warm = [evolve_master(rho0, L, EvolutionSpec(T)) for T in windows]
+    assert cache.nbytes <= bound
+    assert 0 < len(cache) == bound // entry < len(windows)
+    for T, rho in zip(windows, warm):
+        cold()
+        assert evolve_master(rho0, L, EvolutionSpec(T)).matrix.tobytes() == rho.matrix.tobytes()

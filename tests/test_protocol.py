@@ -299,3 +299,50 @@ def test_leaky_pulse_generator_matches_kron_commutator(frame):
             rho0, SuperOperator(ref.toarray(), space), EvolutionSpec(seg.duration)
         )
         np.testing.assert_allclose(leaky.matrix, expected.matrix, rtol=0, atol=1e-12)
+
+
+# --- value caches: a warm run is bit-identical to a cold one ---
+
+RUNS = {
+    "two/overlap": lambda c, f, d: run_two_cavity(c, "overlap", f, d),
+    "two/explicit": lambda c, f, d: run_two_cavity(c, "explicit", f, d),
+    "single/resonant": lambda c, f, d: run_single_cavity(c, "resonant", f, d),
+    "single/detuned": lambda c, f, d: run_single_cavity(c, "detuned", f, d),
+}
+
+
+def _fingerprint(rec):
+    return (rec.p_e.hex(), rec.prep_fidelity.hex(), rec.after_preparation.matrix.tobytes(),
+            rec.after_window.matrix.tobytes())
+
+
+@pytest.mark.parametrize("dissipate", [False, True])
+@pytest.mark.parametrize("frame", ["rotating", "lab"])
+@pytest.mark.parametrize("run", RUNS)
+def test_warm_runs_match_cold_runs_bit_for_bit(cold, run, frame, dissipate):
+    cfgs = [make_cfg(theta=2.0, phi=phi, r=r, T=T, Omega=2e4)
+            for r in (0.0, 500.0, 1000.0) for phi in (0.4, 1.0) for T in (0.0, 3e-4)]
+    cold_prints = []
+    for c in cfgs:
+        cold()
+        cold_prints.append(_fingerprint(RUNS[run](c, frame, dissipate)))
+    warm = [RUNS[run](c, frame, dissipate) for c in cfgs]
+    warm_again = [RUNS[run](c, frame, dissipate) for c in cfgs]
+    assert [_fingerprint(rec) for rec in warm] == cold_prints
+    assert [_fingerprint(rec) for rec in warm_again] == cold_prints
+    for rec in warm:
+        for rho in (rec.after_preparation, rec.after_window):
+            assert not rho.matrix.flags.writeable
+
+
+def test_prepared_state_keys_on_decay_only_when_pulses_dissipate(cold):
+    a, b = make_cfg(r=200.0), make_cfg(r=900.0)
+    # without dissipation the pulses ignore the decay: one shared state
+    assert run_two_cavity(a).after_preparation is run_two_cavity(b).after_preparation
+    leaky_a = run_two_cavity(a, dissipate_during_pulses=True).after_preparation
+    leaky_b = run_two_cavity(b, dissipate_during_pulses=True).after_preparation
+    assert leaky_a is not leaky_b
+    assert leaky_a.matrix.tobytes() != leaky_b.matrix.tobytes()
+    # another phi is another dispersive wait, so another prepared state
+    other = run_two_cavity(make_cfg(r=200.0, phi=2.0)).after_preparation
+    assert other is not run_two_cavity(a).after_preparation
