@@ -20,10 +20,18 @@ One function, _propagate, runs L_RR on one of two branches:
   zero, and its step plan comes from L_RR alone.
 
 Blocks of at most _DENSE_MAX_DIM rows, one full [2,2,2] protocol space,
-run densely; larger ones take the action, which caps the dense block's
-memory and keeps full-support n_max = 8 states sparse.  Neither branch
-diagonalizes, so both stay exact where the generator is defective, as at
-the decoherence-free point r = k.  Both run on numpy alone.
+run densely.  A larger block is split along the connected components of
+L's stored pattern, labelled once per generator (_CSR.components): no
+stored entry joins two components, so each is closed under L and
+propagates on its own.  The weak U(1) symmetry of these generators
+(Buca & Prosen, New J. Phys. 14:073007, 2012) makes them small, at most
+19 of the 324 rows of [3,3,2], so a full-rank state there still runs
+densely, one component at a time.  Only a block that meets a component
+of more than _DENSE_MAX_DIM rows takes the action, as the n_max = 8
+states do (components of up to 489 of 6561 rows); that caps the dense
+block's memory.  Neither branch diagonalizes, so both stay exact where
+the generator is defective, as at the decoherence-free point r = k.
+Both run on numpy alone.
 Fixed-step RK4 runs only when a caller asks for it, as an independent
 oracle on the full generator.
 
@@ -63,8 +71,10 @@ _TAYLOR_THETA = {
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
 _UNIT_ROUNDOFF = 2.0**-53
-# reachable blocks with more rows take the sparse action; 64 is the
-# largest block the protocol and validate runs propagate densely
+# the most rows a dense block may have: a reachable block or, past it,
+# each connected component it meets; a block that meets a larger
+# component takes the sparse action.  64 is one full [2,2,2] protocol
+# space, and the largest component of a [3,3,2] generator has 19 rows
 _DENSE_MAX_DIM = 64
 # the action stores a generator by diagonals unless that takes more than
 # this many times its stored entries (the package's generators take < 3.5)
@@ -169,7 +179,11 @@ def _shifted_product(A: _CSR, mu: complex):
     n = A.shape[0]
     rows = A.row_of()
     offset = A.indices - rows
-    ks = np.union1d(offset, [0])
+    # the diagonals present, ascending, from the 2n - 1 possible offsets
+    present = np.zeros(2 * n - 1, dtype=bool)
+    present[offset + (n - 1)] = True
+    present[n - 1] = True
+    ks = np.flatnonzero(present) - (n - 1)
     if len(ks) * n > _DIAGONAL_FILL_LIMIT * max(A.nnz, n):
         diagonal = np.arange(n)
         return (A - _CSR.from_coo(diagonal, diagonal, np.full(n, mu), A.shape)).__matmul__
@@ -229,28 +243,34 @@ def _expm_action(A: _CSR, v: np.ndarray, t: float, mu: complex, norm: float) -> 
     return F
 
 
-def _reachable_block(A: _CSR, v: np.ndarray):
-    """Indices R reachable from supp(v) along A's stored entries, and A_RR.
+def _reachable(A: _CSR, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Mask of the indices R reachable from supp(v) along A's stored entries.
 
     (A v)_i involves v_j wherever A[i, j] is stored, so R grows by the rows
-    of the stored entries in its columns until it stops growing.  Returns
-    R (None when it is every index) and A_RR as COO triplets in block
-    indices; every stored entry of a column in R has its row in R.
+    (rows[k] is the row of stored entry k) of the stored entries in its
+    columns until it stops growing; R is then closed under A.
     """
-    row_of = A.row_of()
     mask = v != 0
     while True:
         grown = mask.copy()
-        grown[row_of[mask[A.indices]]] = True
+        grown[rows[mask[A.indices]]] = True
         if np.array_equal(grown, mask):
-            break
+            return mask
         mask = grown
-    if mask.all():
-        return None, row_of, A.indices, A.data
+
+
+def _block(A: _CSR, rows: np.ndarray, mask: np.ndarray):
+    """The indices R of a mask closed under A, and A_RR.
+
+    Returns R and A_RR as COO triplets in block indices; every stored
+    entry of a column in R has its row in R.
+    """
+    R = np.flatnonzero(mask)
+    if len(R) == len(mask):
+        return R, rows, A.indices, A.data
     keep = mask[A.indices]
     pos = np.cumsum(mask) - 1
-    return (np.flatnonzero(mask), pos[row_of[keep]], pos[A.indices[keep]],
-            A.data[keep])
+    return R, pos[rows[keep]], pos[A.indices[keep]], A.data[keep]
 
 
 def _expm_dense(B: np.ndarray, t: float, norm: float) -> np.ndarray:
@@ -313,19 +333,12 @@ def _shift_and_norm(rows, cols, vals, n):
     return mu, float(col_sums.max())
 
 
-def _propagate(A: _CSR, v: np.ndarray, t: float) -> np.ndarray:
-    """exp(A t) v on the block of v's reachable indices; zero elsewhere.
-
-    Blocks of at most _DENSE_MAX_DIM rows run densely, larger ones by the
-    sparse action on the whole of A.
-    """
-    R, rows, cols, vals = _reachable_block(A, v)
-    n = A.shape[0] if R is None else len(R)
+def _dense_on_block(rows, cols, vals, v: np.ndarray, t: float) -> np.ndarray:
+    """exp(B t) v for the block B in triplets, with exp(B t) reused by value."""
+    n = len(v)
     norm = float(np.bincount(cols, weights=np.abs(vals), minlength=n).max())
     if norm == 0:
         return v
-    if n > _DENSE_MAX_DIM:
-        return _expm_action(A, v, t, *_shift_and_norm(rows, cols, vals, n))
     B = np.zeros((n, n), dtype=complex)
     np.add.at(B, (rows, cols), vals)
     # B's entries are stored in row-major order, so B and t fix norm too
@@ -335,11 +348,33 @@ def _propagate(A: _CSR, v: np.ndarray, t: float) -> np.ndarray:
         E = _expm_dense(B, t, norm)
         E.setflags(write=False)
         _block_exponentials.put(key, E, 2 * E.nbytes)
-    w = E @ (v if R is None else v[R])
-    if R is None:
-        return w
+    return E @ v
+
+
+def _propagate(A: _CSR, v: np.ndarray, t: float) -> np.ndarray:
+    """exp(A t) v on the block of v's reachable indices; zero elsewhere.
+
+    A block of at most _DENSE_MAX_DIM rows runs densely.  A larger one
+    runs densely one connected component of A at a time when no component
+    that supp(v) touches has more rows, and by the sparse action on the
+    whole of A otherwise.
+    """
+    rows = A.row_of()
+    mask = _reachable(A, rows, v)
+    parts = [mask]
+    if np.count_nonzero(mask) > _DENSE_MAX_DIM:
+        labels = A.components
+        touched = np.zeros(len(v), dtype=bool)
+        touched[labels[v != 0]] = True
+        if np.bincount(labels, minlength=len(v))[touched].max() > _DENSE_MAX_DIM:
+            R, rows, cols, vals = _block(A, rows, mask)
+            return _expm_action(A, v, t, *_shift_and_norm(rows, cols, vals, len(R)))
+        # no stored entry joins two components, so each is closed under A
+        parts = [mask & (labels == c) for c in np.flatnonzero(touched)]
     out = np.zeros_like(v)
-    out[R] = w
+    for part in parts:
+        R, *block = _block(A, rows, part)
+        out[R] = _dense_on_block(*block, v[R], t)
     return out
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -158,7 +158,8 @@ class _CSR:
 
     Row i stores the columns indices[indptr[i]:indptr[i + 1]], ascending,
     with the values data[indptr[i]:indptr[i + 1]]: no duplicates and no
-    stored zeros.  indices and indptr are int32.
+    stored zeros.  indices and indptr are int32.  A square record labels
+    its pattern's connected components on first use and keeps the labels.
     """
 
     data: np.ndarray
@@ -203,6 +204,30 @@ class _CSR:
         return np.repeat(
             np.arange(self.shape[0], dtype=np.int32), np.diff(self.indptr)
         )
+
+    @cached_property
+    def components(self) -> np.ndarray:
+        """Connected components of the stored pattern, read-only.
+
+        Entry i is the smallest index of the component that row and column
+        i belong to, where a stored entry (i, j) joins i and j whatever its
+        direction; no stored entry joins two labels, so a component is
+        closed under the matrix and its transpose.  Every label is lowered
+        to the labels of the indices a stored entry joins it to, then to
+        its own label's label, until nothing changes.
+        """
+        rows, cols = self.row_of(), self.indices
+        labels = np.arange(self.shape[0])
+        while True:
+            lowered = labels.copy()
+            np.minimum.at(lowered, rows, labels[cols])
+            np.minimum.at(lowered, cols, labels[rows])
+            lowered = lowered[lowered]
+            if np.array_equal(lowered, labels):
+                break
+            labels = lowered
+        labels.setflags(write=False)
+        return labels
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=complex)

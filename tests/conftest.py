@@ -5,6 +5,31 @@ import scipy.sparse as sp
 from crosscav import _memo
 from crosscav.tensor import DensityMatrix, make_space
 
+# a test whose call phase takes longer than this fails the session.  The
+# slowest test takes about 3 s on 2 vCPUs; a propagation branch whose cost
+# grows linearly with the window once made four cases take 16-37 s each
+# (tier-1 went from ~5 s to 121 s) while every test still passed
+TEST_CALL_LIMIT_S = 15.0
+_slow_calls = []
+
+
+def pytest_runtest_logreport(report):
+    if report.when == "call" and report.duration > TEST_CALL_LIMIT_S:
+        _slow_calls.append((report.nodeid, report.duration))
+
+
+def pytest_terminal_summary(terminalreporter):
+    for nodeid, duration in _slow_calls:
+        terminalreporter.write_line(
+            f"SLOW {nodeid}: call took {duration:.1f} s, limit {TEST_CALL_LIMIT_S:g} s",
+            red=True,
+        )
+
+
+def pytest_sessionfinish(session, exitstatus):
+    if _slow_calls and exitstatus == pytest.ExitCode.OK:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
 
 @pytest.fixture
 def rng():

@@ -34,7 +34,9 @@ def test_version(capsys):
 def test_cli_runs_load_no_scipy():
     # scipy.sparse alone costs ~0.27 s of import time and ~22 MB of resident
     # memory; the package stores and propagates its generators with numpy
-    # only, on import and on the run path of validate and a simulated sweep
+    # only, on import and on the run path of validate and a simulated sweep.
+    # numpy.ma (loaded by np.unique) and numpy.random cost ~15 ms each, so
+    # neither is loaded on that path either
     src = str(Path(crosscav.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -48,13 +50,14 @@ def test_cli_runs_load_no_scipy():
         "contextlib.redirect_stderr(io.StringIO()):\n"
         "    codes = [cli.main(['validate']), cli.main(\n"
         "        ['sweep-time', '--engine', 'simulated', '--points', '3'])]\n"
-        "print(codes, on_import, scipy_modules())\n"
+        "lazy = [m for m in ('numpy.ma', 'numpy.random') if m in sys.modules]\n"
+        "print(codes, on_import, scipy_modules(), lazy)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True,
     )
-    assert proc.stdout.strip() == "[0, 0] [] []"
+    assert proc.stdout.strip() == "[0, 0] [] [] []"
 
 
 def test_unknown_command_exit_1(capsys):

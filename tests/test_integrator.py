@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 
 import crosscav.integrator
@@ -237,6 +238,51 @@ def test_block_propagation_matches_dense_exponential(dims, case, rng):
                 assert outside.any()
 
 
+# --- connected components of a generator's stored pattern ---
+
+
+def _assert_components_match_scipy(A, label):
+    labels = A.components
+    pattern = sp.csr_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
+    n_ref, ref = connected_components(pattern, directed=True, connection="weak")
+    # the same partition: each label pairs with exactly one scipy label
+    pairs = np.unique(np.stack([labels, ref]), axis=1)
+    assert pairs.shape[1] == n_ref == len(np.unique(labels)), label
+    # no stored entry joins two labels
+    assert (labels[A.row_of()] == labels[A.indices]).all(), label
+
+
+@pytest.mark.parametrize("dims", [[2, 2], [2, 2, 2], [3, 3, 2], [9, 9]], ids=str)
+def test_components_match_scipy(dims):
+    space = make_space(dims)
+    for case in BLOCK_GENERATORS:
+        _assert_components_match_scipy(_generator(case, space).matrix, case)
+    if len(dims) == 3:
+        params, frame = BLOCK_GENERATORS["r=k-lab"]
+        H = jc_hamiltonian(space, "both_with_phase", 1e5, 2e5, 2e5)
+        L = build_symmetric_liouvillian(params, space, frame, H)
+        _assert_components_match_scipy(L.matrix, "pulse")
+
+
+def test_components_of_a_scattered_generator_match_scipy(rng):
+    _assert_components_match_scipy(_scattered_generator(rng).matrix, "scattered")
+
+
+def test_components_are_labelled_once_and_only_for_large_blocks():
+    params = SymmetricDecayParameters(K_EXACT, K_EXACT, 0.9)
+    space = make_space([2, 2, 2])
+    L = build_symmetric_liouvillian(params, space)
+    rho0 = density_from_ket(basis_ket(space, (1, 0, ATOM_G)))
+    evolve_master(rho0, L, EvolutionSpec(1.0))
+    # a block of at most 64 rows never labels the generator
+    assert "components" not in vars(L.matrix)
+    labels = L.matrix.components
+    assert not labels.flags.writeable
+    assert L.matrix.components is labels
+    # a generator reused by value keeps its labels
+    assert build_symmetric_liouvillian(params, space).matrix.components is labels
+
+
 def test_sparse_action_runs_the_nmax8_coherent_state(monkeypatch):
     def no_dense(*args, **kwargs):
         raise AssertionError("the n_max = 8 coherent state must take the sparse action")
@@ -296,17 +342,23 @@ def test_diagonal_product_matches_scipy(dims, rng):
                 _assert_product_matches_scipy(A, mu, rng, (case, H is None, mu))
 
 
-def test_scattered_generator_takes_the_csr_product(rng):
-    # relabelling the basis of [3, 3] scatters the generator over many
-    # diagonals; the action must then use the CSR product, and stay exact
+def _scattered_generator(rng):
+    """A [3, 3] generator in a randomly relabelled basis."""
     space = make_space([3, 3])
     D = space.dim
     perm = rng.permutation(D)
     vec_perm = (perm[:, None] * D + perm).ravel()
     L = build_symmetric_liouvillian(SymmetricDecayParameters(K_EXACT, 600.0, 0.4), space)
-    dense = L.matrix.toarray()[np.ix_(vec_perm, vec_perm)]
-    scattered = SuperOperator(dense, space)
+    return SuperOperator(L.matrix.toarray()[np.ix_(vec_perm, vec_perm)], space)
+
+
+def test_scattered_generator_takes_the_csr_product(rng):
+    # relabelling the basis of [3, 3] scatters the generator over many
+    # diagonals; the action must then use the CSR product, and stay exact
+    scattered = _scattered_generator(rng)
+    space = scattered.space
     A = scattered.matrix
+    dense = A.toarray()
     n_diagonals = len(np.unique(A.indices - A.row_of()))
     assert n_diagonals * A.shape[0] > crosscav.integrator._DIAGONAL_FILL_LIMIT * A.nnz
     # no diagonal storage is built: the product is a CSR record's own
@@ -321,12 +373,26 @@ def test_scattered_generator_takes_the_csr_product(rng):
         assert np.abs(v - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
+# full-rank [3, 3, 2] windows: no component has more than 19 of its 324
+# rows, so they square densely too (the lab frame is left out at 1e308 s:
+# its result fails the density-matrix Hermiticity check)
+FULL_RANK_FRAMES = {1e-3: (), 1.0: ("rotating", "lab"), 1e308: ("rotating",)}
+
+
 @pytest.mark.parametrize("T", [1e-3, 1.0, 1e308])
-def test_dense_squaring_runs_a_protocol_state(monkeypatch, T):
+def test_dense_squaring_runs_a_protocol_state(monkeypatch, T, rng, cold):
     def no_action(*args, **kwargs):
         raise AssertionError("a protocol state must take the dense branch")
 
     monkeypatch.setattr(crosscav.integrator, "_expm_action", no_action)
+    sizes = []
+    expm_dense = crosscav.integrator._expm_dense
+
+    def recording(B, *args):
+        sizes.append(len(B))
+        return expm_dense(B, *args)
+
+    monkeypatch.setattr(crosscav.integrator, "_expm_dense", recording)
     space = make_space([2, 2, 2])
     gamma = 0.9
     L = build_symmetric_liouvillian(
@@ -342,6 +408,23 @@ def test_dense_squaring_runs_a_protocol_state(monkeypatch, T):
     assert 0.01 < share < 0.99
     assert np.vdot(slow, rho_T @ slow).real == pytest.approx(share, abs=1e-12)
     assert abs(np.trace(rho_T) - 1) <= 1e-12
+
+    big = make_space([3, 3, 2])
+    for frame in FULL_RANK_FRAMES[T]:
+        L = build_symmetric_liouvillian(
+            SymmetricDecayParameters(K_EXACT, K_EXACT, gamma, 2 * pi * 5e3), big, frame
+        )
+        rho0 = random_density(big, rng)
+        v = evolve_master(rho0, L, EvolutionSpec(T)).matrix.reshape(-1)
+        assert abs(v.reshape(big.dim, big.dim).trace() - 1) <= 1e-12, frame
+        if T == 1e308:
+            # every decaying mode is gone: the state is stationary
+            scale = np.abs(L.matrix.toarray()).sum(axis=0).max() * np.abs(v).max()
+            assert np.abs(L.matrix @ v).max() <= 1e-15 * scale
+        else:
+            ref = expm(L.matrix.toarray() * T) @ rho0.matrix.reshape(-1)
+            assert np.abs(v - ref).max() <= 1e-10 * np.abs(ref).max(), frame
+    assert max(sizes) <= crosscav.integrator._DENSE_MAX_DIM
 
 
 def test_long_windows_keep_closed_form_accuracy(rng):
