@@ -405,8 +405,9 @@ def main(argv=None) -> int:
         if args.out:
             _check_out(args.out)
         return args.func(args)
-    except (UsageError, ValueError, RuntimeError, OSError) as exc:
-        # OSError: e.g. an --out path that cannot be opened for writing
+    except (UsageError, ValueError, RuntimeError, OSError, MemoryError) as exc:
+        # OSError: e.g. an --out path that cannot be opened for writing;
+        # MemoryError: e.g. a sweep grid too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:  # e.g. a closed form overflowing a float

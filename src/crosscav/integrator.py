@@ -340,7 +340,7 @@ def _dense_on_block(rows, cols, vals, v: np.ndarray, t: float) -> np.ndarray:
     if norm == 0:
         return v
     B = np.zeros((n, n), dtype=complex)
-    np.add.at(B, (rows, cols), vals)
+    B[rows, cols] = vals  # a _CSR row stores each column once
     # B's entries are stored in row-major order, so B and t fix norm too
     key = (B.tobytes(), n, float(t).hex())
     E = _block_exponentials.get(key)

@@ -11,20 +11,21 @@ so the n_max = 8 coherent-state space (D = 81, D^2 = 6561) stays cheap
 and the package runs without scipy.
 
 Generators without an extra Hamiltonian are reused by value: equal
-(parameters, space) return the same SuperOperator, whose CSR arrays are
-read-only, from a private cache of the two most recently used, and
-SymmetricDecayParameters.to_general is memoized by (params, frame).
+builder arguments, (parameters, space) for the general builder and
+(parameters, frame, space) for the symmetric one, return the same
+SuperOperator, whose CSR arrays are read-only, from a private cache of
+the two most recently used.  SymmetricDecayParameters.to_general, and so
+its positivity check, runs only when a generator is assembled.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from . import _memo
 from .tensor import (
     DensityMatrix,
     Operator,
@@ -36,10 +37,9 @@ _TWO_PI = 2.0 * np.pi
 _PSD_TOL = 1e-12
 # generators kept for reuse: a sweep's window generator plus one other
 _REUSE_SIZE = 2
-_generators = OrderedDict()  # (DecayParameters, SpaceSignature) -> SuperOperator
-# (SymmetricDecayParameters, frame) pairs whose general form is kept; a
-# sweep needs two per cross rate (a window's and a detuned window's)
-_GENERAL_CACHE_SIZE = 32
+# (DecayParameters, space) or (SymmetricDecayParameters, frame, space)
+# -> SuperOperator
+_generators = OrderedDict()
 
 
 def _require_finite(params):
@@ -120,28 +120,18 @@ class SymmetricDecayParameters:
             )
 
     def to_general(self, frame: str = "lab") -> DecayParameters:
-        """The general parameters in the given frame.
-
-        Memoized by (self, frame): equal calls share one DecayParameters,
-        so its positivity check runs once per distinct pair.
-        """
-        return _general_parameters(self, frame)
-
-
-@_memo.register
-@lru_cache(maxsize=_GENERAL_CACHE_SIZE)
-def _general_parameters(p: SymmetricDecayParameters, frame: str) -> DecayParameters:
-    omega = _frame_omega(p.omega, frame)
-    return DecayParameters(
-        k11=p.k,
-        k22=p.k,
-        k12=p.r * np.cos(p.gamma),
-        k21=p.r * np.cos(p.gamma),
-        d12=p.r * np.sin(p.gamma),
-        d21=-p.r * np.sin(p.gamma),
-        omega1=omega,
-        omega2=omega,
-    )
+        """The general parameters in the given frame."""
+        omega = _frame_omega(self.omega, frame)
+        return DecayParameters(
+            k11=self.k,
+            k22=self.k,
+            k12=self.r * np.cos(self.gamma),
+            k21=self.r * np.cos(self.gamma),
+            d12=self.r * np.sin(self.gamma),
+            d21=-self.r * np.sin(self.gamma),
+            omega1=omega,
+            omega2=omega,
+        )
 
 
 def _frame_omega(omega: float, frame: str) -> float:
@@ -382,6 +372,8 @@ def _gksl(space: SpaceSignature, ops, gamma, h, H=None) -> SuperOperator:
 
 def _general(params: DecayParameters, space: SpaceSignature, H=None) -> SuperOperator:
     """A fresh build_general_liouvillian generator; H is a matrix or None."""
+    if len(space.dims) < 2:
+        raise ValueError("space must contain the two field modes")
     p = params
     c = 0.5 * (p.d12 + p.d21) + 0.5j * (p.k12 - p.k21)
     h = np.array([[p.omega1 - p.d11, -c], [-np.conj(c), p.omega2 - p.d22]])
@@ -389,20 +381,19 @@ def _general(params: DecayParameters, space: SpaceSignature, H=None) -> SuperOpe
     return _gksl(space, ops, p.damping_matrix(), h, H)
 
 
-def _reused(params: DecayParameters, space: SpaceSignature) -> SuperOperator:
-    """The cached generator for (params, space), built on a miss.
+def _reused(key, build) -> SuperOperator:
+    """The cached generator under key, assembled by build() on a miss.
 
     The least recently used entry is evicted before a build, so no more
     than _REUSE_SIZE generators are held even while a new one is built.
     """
-    key = (params, space)
     L = _generators.get(key)
     if L is not None:
         _generators.move_to_end(key)
         return L
     while len(_generators) >= _REUSE_SIZE:
         _generators.popitem(last=False)
-    L = _general(params, space)
+    L = build()
     for a in (L.matrix.data, L.matrix.indices, L.matrix.indptr):
         a.setflags(write=False)
     _generators[key] = L
@@ -431,10 +422,8 @@ def build_general_liouvillian(
     with every later caller and must not be modified; work on a copy, such
     as L.matrix.toarray(), instead.  A build with H is fresh and writable.
     """
-    if len(space.dims) < 2:
-        raise ValueError("space must contain the two field modes")
     if H is None:
-        return _reused(params, space)
+        return _reused((params, space), lambda: _general(params, space))
     if H.space != space:
         raise ValueError(f"Hamiltonian space {H.space.dims} does not match {space.dims}")
     return _general(params, space, H.matrix)
@@ -450,9 +439,15 @@ def build_symmetric_liouvillian(
 
     In the rotating frame the -i*Omega number commutators are dropped;
     measured probabilities are frame-independent.  H is an optional extra
-    full-space Hamiltonian, as in build_general_liouvillian, which also
-    reuses the result by value when H is None.
+    full-space Hamiltonian, as in build_general_liouvillian.  Without H the
+    result is reused by value under (params, frame, space), so to_general
+    runs only when a generator is assembled; it is not shared with a
+    general build of the same generator.
     """
+    if H is None:
+        return _reused(
+            (params, frame, space), lambda: _general(params.to_general(frame), space)
+        )
     return build_general_liouvillian(params.to_general(frame), space, H)
 
 

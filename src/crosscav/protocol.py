@@ -6,21 +6,21 @@ at one photon plus the atom).  Dissipation during the pulses is off by
 default, matching the assumption that pulse times are short against 1/k;
 a flag turns it on for sensitivity checks.
 
-What a run repeats is reused by value.  The prepared state depends only
-on the space, the preparation pulses and whether they dissipate, so equal
-preparations share one read-only DensityMatrix, from a cache bounded by
+What a run repeats is reused by value.  A preparation depends only on
+its target, the preparation pulses and whether they dissipate, so equal
+preparations share one record of the read-only prepared DensityMatrix,
+the target ket and the fidelity between them, from a cache bounded by
 the bytes it holds; a pulse's decay and frame enter its key only when the
-pulse dissipates.  The |0,0,e> start state and the target kets are kept
-per space and per (theta, phi) or variant.  Pulse propagators and window
-exponentials are reused inside the integrator.  Every cached value passed
-its checks when it was built, and every state a run builds anew still
-runs the full DensityMatrix checks.
+pulse dissipates.  The |0,0,e> start state, the target and the fidelity
+are built only when a preparation is missed.  Pulse propagators and
+window exponentials are reused inside the integrator.  Every cached value
+passed its checks when it was built, and every state a run builds anew
+still runs the full DensityMatrix checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isfinite, pi, sqrt
 
 import numpy as np
@@ -34,7 +34,11 @@ from .integrator import (
     jc_hamiltonian,
     unitary_propagator,
 )
-from .liouvillian import SymmetricDecayParameters, build_symmetric_liouvillian
+from .liouvillian import (
+    SymmetricDecayParameters,
+    _frame_omega,
+    build_symmetric_liouvillian,
+)
 from .tensor import (
     ATOM_E,
     ATOM_G,
@@ -47,19 +51,13 @@ from .tensor import (
 )
 
 _PREP_FIDELITY_MIN = 1.0 - 1e-9
-# bytes of prepared states kept (_memo.ByteLRU): a [2, 2, 2] state takes
-# 1.5 KiB with its entry, so 512 KiB keeps 341, more than the distinct
-# preparations of a sweep over the default 201 values of phi; a sweep
-# with more values revisits each phi once per r and misses
-_PREPARED_CACHE_BYTES = 512 * 1024
+# bytes of preparations kept (_memo.ByteLRU): a [2, 2, 2] state and its
+# 128-byte target ket take 1.6 KiB with their entry, so 576 KiB keeps 354,
+# more than the distinct preparations of a sweep over the default 201
+# values of phi; a sweep with more values revisits each phi once per r
+# and misses
+_PREPARED_CACHE_BYTES = 576 * 1024
 _prepared_states = _memo.register(_memo.ByteLRU(_PREPARED_CACHE_BYTES))
-# two-cavity target kets kept: one per (theta, phi) of a sweep, 128 bytes
-# each on the [2, 2, 2] space
-_TARGET_CACHE_SIZE = 256
-# single-cavity target kets kept: one per variant, resonant and detuned
-_VARIANT_CACHE_SIZE = 2
-# start states kept, one per space; every run uses the [2, 2, 2] space
-_START_CACHE_SIZE = 2
 
 UNITARY_KINDS = ("resonant-mode1", "resonant-mode2", "dispersive", "both-modes-phase")
 
@@ -212,12 +210,8 @@ def compose_segments(
 
 def _frame_freqs(cfg: ProtocolConfig, frame: str, resonant: bool):
     """(Omega, Omega_a) pair for a segment in the chosen frame."""
-    if frame == "lab":
-        om = cfg.Omega
-        return om, om if resonant else om + cfg.delta
-    if frame == "rotating":
-        return 0.0, 0.0 if resonant else cfg.delta
-    raise ValueError(f"frame must be 'lab' or 'rotating', got {frame!r}")
+    om = _frame_omega(cfg.Omega, frame)
+    return om, om if resonant else om + cfg.delta
 
 
 def _attach_atom_ground(field_ket: Ket) -> Ket:
@@ -225,19 +219,16 @@ def _attach_atom_ground(field_ket: Ket) -> Ket:
     return Ket(amps, make_space(field_ket.space.dims + (2,)))
 
 
-@_memo.register
-@lru_cache(maxsize=_TARGET_CACHE_SIZE)
-def _two_cavity_target(theta: float, phi: float) -> Ket:
-    """cos(theta)|0,1,g> + e^{i phi} sin(theta)|1,0,g>, kept per angle pair."""
-    return _attach_atom_ground(prepared_state(PreparedStateParams(theta, phi)))
+def _target(key) -> Ket:
+    """The state a preparation aims at, atom in |g>, from its key.
 
-
-@_memo.register
-@lru_cache(maxsize=_VARIANT_CACHE_SIZE)
-def _single_cavity_target(variant: str) -> Ket:
-    """The single-cavity experiment's prepared field state, atom in |g>."""
+    ("two-cavity", theta, phi) is cos(theta)|0,1,g> + e^{i phi} sin(theta)|1,0,g>;
+    ("single-cavity", variant) is the single-cavity experiment's field state.
+    """
+    if key[0] == "two-cavity":
+        return _attach_atom_ground(prepared_state(PreparedStateParams(*key[1:])))
     space = make_space([2, 2, 2])
-    if variant == "detuned":
+    if key[1] == "detuned":
         return basis_ket(space, (0, 1, ATOM_G))
     return Ket(
         (
@@ -249,29 +240,27 @@ def _single_cavity_target(variant: str) -> Ket:
     )
 
 
-@_memo.register
-@lru_cache(maxsize=_START_CACHE_SIZE)
-def _excited_vacuum(space) -> DensityMatrix:
-    """|0,0,e><0,0,e|, the state every run starts from, kept per space."""
-    return density_from_ket(basis_ket(space, (0, 0, ATOM_E)))
-
-
-def _prepared(space, prep, dissipate: bool) -> DensityMatrix:
-    """compose_segments from |0,0,e> over prep, reused by value.
+def _prepared(target_key, prep, dissipate: bool):
+    """(state, target, fidelity): compose_segments from |0,0,e> over prep,
+    the target ket of target_key and the state's fidelity with it, reused
+    by value.
 
     Without dissipation a pulse's decay and frame do not act on the state,
     so they enter the key only when the pulses dissipate.
     """
-    key = (space, dissipate, tuple(
+    key = (target_key, dissipate, tuple(
         (s.kind, s.duration, s.G, s.Omega, s.Omega_a)
         + ((s.decay, s.frame) if dissipate else ())
         for s in prep
     ))
-    rho = _prepared_states.get(key)
-    if rho is None:
-        rho = compose_segments(_excited_vacuum(space), prep, dissipate)
-        _prepared_states.put(key, rho, rho.matrix.nbytes)
-    return rho
+    entry = _prepared_states.get(key)
+    if entry is None:
+        target = _target(target_key)
+        start = density_from_ket(basis_ket(target.space, (0, 0, ATOM_E)))
+        rho = compose_segments(start, prep, dissipate)
+        entry = (rho, target, rho.fidelity_with_ket(target))
+        _prepared_states.put(key, entry, rho.matrix.nbytes + target.amplitudes.nbytes)
+    return entry
 
 
 def _atom_population(rho: DensityMatrix, level: int) -> float:
@@ -280,15 +269,14 @@ def _atom_population(rho: DensityMatrix, level: int) -> float:
     return float(np.real(atom.matrix[level, level]))
 
 
-def _run(cfg, frame, dissipate, label, prep, target, window_decay, readout):
-    """Prepare from |0,0,e>, check the prepared state against `target`,
-    open the dissipative window, then read out.
+def _run(cfg, frame, dissipate, label, prep, target_key, window_decay, readout):
+    """Prepare from |0,0,e>, check the prepared state against the target
+    named by target_key, open the dissipative window, then read out.
 
-    readout=None projects the post-window state onto `target`; a segment
+    readout=None projects the post-window state onto the target; a segment
     list replays those pulses and reads the atom's excited population.
     """
-    rho_prep = _prepared(target.space, prep, dissipate)
-    fid = rho_prep.fidelity_with_ket(target)
+    rho_prep, target, fid = _prepared(target_key, prep, dissipate)
     if not dissipate and fid < _PREP_FIDELITY_MIN:
         raise RuntimeError(f"preparation fidelity {fid} below contract")
 
@@ -343,11 +331,11 @@ def run_two_cavity(
             Segment("resonant-mode2", t_2, cfg.G, om_r, oma_r, cfg.decay, frame),
         ]
 
-    target = _two_cavity_target(cfg.theta, cfg.phi)
     ro = pulses(cfg.t_1p, cfg.t_0p, cfg.t_2p) if readout == "explicit" else None
     return _run(
         cfg, frame, dissipate_during_pulses, f"two-cavity/{readout}",
-        pulses(cfg.t_1s, cfg.t_0s, cfg.t_2s), target, cfg.decay, ro,
+        pulses(cfg.t_1s, cfg.t_0s, cfg.t_2s), ("two-cavity", cfg.theta, cfg.phi),
+        cfg.decay, ro,
     )
 
 
@@ -375,12 +363,11 @@ def run_single_cavity(
         window_decay = SymmetricDecayParameters(dec.k, 0.0, 0.0, dec.omega)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    target = _single_cavity_target(variant)
 
     pulse = [Segment(pulse_kind, pulse_t, cfg.G, om_r, oma_r, window_decay, frame)]
     return _run(
         cfg, frame, dissipate_during_pulses, f"single-cavity/{variant}",
-        pulse, target, window_decay, pulse,
+        pulse, ("single-cavity", variant), window_decay, pulse,
     )
 
 

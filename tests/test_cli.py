@@ -279,6 +279,14 @@ def test_points_below_two_names_its_source(tmp_path, capsys, source):
     assert named in captured.err and unnamed not in captured.err
 
 
+def test_sweep_too_large_to_allocate_exit_1_one_line(capsys):
+    # the 7.3 TiB grid is refused at once, so nothing is allocated
+    assert run_cli(["sweep-phi", "--points", "1000000000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+
+
 @pytest.mark.parametrize("command", ["sweep-time", "simulate"])
 def test_out_matches_stdout(tmp_path, capsys, command):
     cfg = {

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from conftest import random_density, random_hermitian, to_scipy
 from crosscav import liouvillian
 from crosscav.analytic import robust_entangled_state
+from crosscav.cli import main
 from crosscav.integrator import EvolutionSpec, evolve_master, jc_hamiltonian
 from crosscav.liouvillian import (
     DecayParameters,
@@ -417,7 +418,8 @@ def _build(frame="lab", dims=(2, 2, 2), **changes):
 def test_equal_inputs_share_one_read_only_generator(reuse_cache):
     params, space, L = _build()
     assert _build()[2] is L
-    assert build_general_liouvillian(params.to_general("lab"), space) is L
+    general = build_general_liouvillian(params.to_general("lab"), space)
+    assert build_general_liouvillian(params.to_general("lab"), space) is general
     for name in ("data", "indices", "indptr"):
         array = getattr(L.matrix, name)
         with pytest.raises(ValueError, match="read-only"):
@@ -457,6 +459,39 @@ def test_builds_with_a_hamiltonian_are_never_cached(reuse_cache):
     second = build_symmetric_liouvillian(params, space, "rotating", H)
     assert first is not second
     assert first.matrix.data.flags.writeable
+    assert not reuse_cache
+
+
+def test_to_general_runs_once_per_assembled_generator(reuse_cache, cold, capsys,
+                                                      monkeypatch):
+    calls = {"to_general": 0, "_general": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(SymmetricDecayParameters, "to_general",
+                        counted("to_general", SymmetricDecayParameters.to_general))
+    monkeypatch.setattr(liouvillian, "_general", counted("_general", liouvillian._general))
+    for command in ("sweep-phi", "sweep-time"):
+        assert main([command, "--engine", "simulated", "--points", "4"]) == 0
+    capsys.readouterr()
+    assert calls["_general"] > 0
+    assert calls["to_general"] == calls["_general"]
+
+
+@pytest.mark.parametrize("frame", ["rotating", "lab"])
+@pytest.mark.parametrize("with_h", [False, True], ids=["no-H", "H"])
+def test_one_subsystem_space_is_rejected_by_both_builders(reuse_cache, frame, with_h):
+    space = make_space([2])
+    params = SymmetricDecayParameters(**REUSE_BASE)
+    H = identity_op(space) if with_h else None
+    with pytest.raises(ValueError, match="two field modes"):
+        build_symmetric_liouvillian(params, space, frame, H)
+    with pytest.raises(ValueError, match="two field modes"):
+        build_general_liouvillian(params.to_general(frame), space, H)
     assert not reuse_cache
 
 

@@ -26,7 +26,14 @@ from crosscav.protocol import (
     run_single_cavity,
     run_two_cavity,
 )
-from crosscav.tensor import ATOM_E, ATOM_G, basis_ket, density_from_ket, make_space
+from crosscav.tensor import (
+    ATOM_E,
+    ATOM_G,
+    DensityMatrix,
+    basis_ket,
+    density_from_ket,
+    make_space,
+)
 
 G_DEFAULT = 2 * pi * 47e3
 
@@ -346,3 +353,20 @@ def test_prepared_state_keys_on_decay_only_when_pulses_dissipate(cold):
     # another phi is another dispersive wait, so another prepared state
     other = run_two_cavity(make_cfg(r=200.0, phi=2.0)).after_preparation
     assert other is not run_two_cavity(a).after_preparation
+
+
+def test_warm_overlap_run_reuses_the_target_and_its_fidelity(cold, monkeypatch):
+    kets = []
+    fidelity = DensityMatrix.fidelity_with_ket
+
+    def spy(rho, psi):
+        kets.append(psi)
+        return fidelity(rho, psi)
+
+    monkeypatch.setattr(DensityMatrix, "fidelity_with_ket", spy)
+    run_two_cavity(make_cfg(r=200.0))
+    assert len(kets) == 2  # the preparation check, then the readout
+    target = kets[0]
+    kets.clear()
+    run_two_cavity(make_cfg(r=900.0))
+    assert len(kets) == 1 and kets[0] is target
