@@ -5,7 +5,8 @@ dataclass) that passed every check when it was built, so a hit returns a
 value that was already validated.  ByteLRU bounds what it holds by bytes
 rather than by entries, so its memory does not depend on the sizes of
 the matrices a caller happens to pass.  clear_all empties every cache
-registered here, which gives a cold start without a new process.
+registered here, the reused generators and the integrator's window plans
+among them, which gives a cold start without a new process.
 """
 
 from __future__ import annotations
@@ -21,15 +22,15 @@ _registered = []
 
 
 def register(cache):
-    """Add cache (a ByteLRU or an lru_cache-wrapped function) to clear_all."""
-    _registered.append(cache)
+    """Add cache (a ByteLRU, an lru_cache-wrapped function or a dict) to clear_all."""
+    _registered.append(cache.cache_clear if hasattr(cache, "cache_clear") else cache.clear)
     return cache
 
 
 def clear_all():
     """Empty every registered cache."""
-    for cache in _registered:
-        cache.cache_clear()
+    for clear in _registered:
+        clear()
 
 
 class ByteLRU:

@@ -19,19 +19,19 @@ from .tensor import Ket, SpaceSignature, basis_ket, make_space
 _TWO_PI = 2.0 * pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PreparedStateParams:
     """Preparation angles: theta from the first Rabi pulse, phi from the
-    dispersive wait."""
+    dispersive wait, each stored once, reduced mod 2 pi."""
 
     theta: float
     phi: float
 
-    def __post_init__(self):
-        if not (isfinite(self.theta) and isfinite(self.phi)):
+    def __init__(self, theta: float, phi: float):
+        if not (isfinite(theta) and isfinite(phi)):
             raise ValueError("angles must be finite")
-        object.__setattr__(self, "theta", float(self.theta) % _TWO_PI)
-        object.__setattr__(self, "phi", float(self.phi) % _TWO_PI)
+        object.__setattr__(self, "theta", float(theta) % _TWO_PI)
+        object.__setattr__(self, "phi", float(phi) % _TWO_PI)
 
 
 @dataclass(frozen=True)

@@ -160,8 +160,9 @@ def _sweep_blocks(engine, points, r_list, grid, columns):
     """CSV data, one string per (engine, r) block: engine (in the order of
     `points`), then the r list as given, then the grid ascending.
 
-    `points` maps each engine to f(r, x), called once per grid value;
-    `columns` turns a block's f values into its value columns.  The grid
+    `points` maps each engine to a function of r, called once per block,
+    that returns f(x), called once per grid value; `columns` turns a
+    block's f values into its value columns.  The grid
     column is formatted once, in one `%` pass; r and the engine go into
     the block's row template, so each row costs one `%` over its values.
     """
@@ -171,7 +172,8 @@ def _sweep_blocks(engine, points, r_list, grid, columns):
     blocks = []
     for e in engines:
         for r in r_list:
-            cols = columns([points[e](r, x) for x in xs])
+            point = points[e](r)
+            cols = columns([point(x) for x in xs])
             row = f"%s,{_FMT % r},{','.join([_FMT] * len(cols))},{e}"
             blocks.append("\n".join(map(row.__mod__, zip(x_column, *cols))))
     return blocks
@@ -212,12 +214,18 @@ def cmd_sweep_phi(args):
     theta, T = proto.theta, proto.T
     r_list = _r_list(args, cfg, [500.0, 750.0, 1000.0], k)
 
-    def analytic_point(r, phi):
-        return prob_e_two_cavity(PreparedStateParams(theta, phi), k, r, gamma, T)
+    def analytic_points(r):
+        def point(phi):
+            return prob_e_two_cavity(PreparedStateParams(theta, phi), k, r, gamma, T)
+        return point
 
-    def simulated_point(r, phi):
-        c = replace(proto, decay=replace(base_decay, r=r), phi=phi)
-        return run_two_cavity(c, readout="overlap", frame=args.frame).p_e
+    def simulated_points(r):
+        at_r = replace(proto, decay=replace(base_decay, r=r))
+
+        def point(phi):
+            c = replace(at_r, phi=phi)
+            return run_two_cavity(c, readout="overlap", frame=args.frame).p_e
+        return point
 
     def columns(p_e):
         return [p_e]
@@ -232,7 +240,7 @@ def cmd_sweep_phi(args):
             "frame": args.frame,
         },
     )
-    points = {"analytic": analytic_point, "simulated": simulated_point}
+    points = {"analytic": analytic_points, "simulated": simulated_points}
     blocks = _sweep_blocks(args.engine, points, r_list, phis, columns)
     _write(args, [meta, "phi_rad,r_per_s,p_e,engine", *blocks])
     return 0
@@ -246,18 +254,24 @@ def cmd_sweep_time(args):
     k, gamma = base_decay.k, base_decay.gamma
     r_list = _r_list(args, cfg, [500.0, 900.0, 1000.0], k)
 
-    def analytic_point(r, T):
-        return (
-            prob_e_single_cavity_resonant(k, r, gamma, T),
-            prob_e_single_cavity_detuned(k, T),
-        )
+    def analytic_points(r):
+        def point(T):
+            return (
+                prob_e_single_cavity_resonant(k, r, gamma, T),
+                prob_e_single_cavity_detuned(k, T),
+            )
+        return point
 
-    def simulated_point(r, T):
-        c = replace(proto, decay=replace(base_decay, r=r), T=T)
-        return (
-            run_single_cavity(c, variant="resonant", frame=args.frame).p_e,
-            run_single_cavity(c, variant="detuned", frame=args.frame).p_e,
-        )
+    def simulated_points(r):
+        at_r = replace(proto, decay=replace(base_decay, r=r))
+
+        def point(T):
+            c = replace(at_r, T=T)
+            return (
+                run_single_cavity(c, variant="resonant", frame=args.frame).p_e,
+                run_single_cavity(c, variant="detuned", frame=args.frame).p_e,
+            )
+        return point
 
     def columns(pairs):
         p_r, p_nr = zip(*pairs)
@@ -273,7 +287,7 @@ def cmd_sweep_time(args):
             "frame": args.frame,
         },
     )
-    points = {"analytic": analytic_point, "simulated": simulated_point}
+    points = {"analytic": analytic_points, "simulated": simulated_points}
     blocks = _sweep_blocks(args.engine, points, r_list, times, columns)
     _write(args, [meta, "T_s,r_per_s,p_e_r,p_e_nr,D,engine", *blocks])
     return 0

@@ -38,13 +38,23 @@ oracle on the full generator.
 A sweep repeats the same pulses and windows many times, so two pure
 pieces are reused by value: unitary_propagator by the bytes of H and t,
 and the dense branch's exp(B t) by the bytes of the block B, its size and
-t.  Both are read-only and held in least-recently-used caches bounded by
-the bytes they hold (_memo.ByteLRU).  A miss runs every check; a hit
-returns a value that passed them.  The sparse action is not cached.
+t, so equal blocks of different generators share one exponential.  Both
+are read-only and held in least-recently-used caches bounded by the bytes
+they hold (_memo.ByteLRU).  A miss runs every check; a hit returns a
+value that passed them.  The sparse action is not cached.  What a window
+does before any exponential, the reachable-block search, the component
+split and the assembly of each dense block or the action's shift and
+norm, is its plan (_plan); it depends on the generator and supp(v) alone.
+Each generator record keeps its last plan, with that support, in a weak
+map (_plans), so a window that repeats both skips that work, and the plan
+goes when the record does.  The map is keyed by the record, not by its
+values: a record must not be written after a window has run on it, and
+the package never writes one.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, isfinite, ldexp, log2
@@ -89,11 +99,16 @@ _HAMILTONIAN_CACHE_SIZE = 16
 # block is 5 x 5, 1.3 KiB an entry: a sweep-time pass over n values of T
 # makes 2n per r, and 1 MiB keeps the n detuned windows, which repeat
 # for every r, up to the default n = 201.  A full 64-row block takes
-# 128.5 KiB, so at most 7 of those are kept.
+# 128.5 KiB, so at most 7 of those are kept.  The window plans (_plans)
+# are not counted here: a plan holds the bytes of B per dense part,
+# 64 KiB for a full 64-row block and under 1 KiB for a protocol window,
+# and lives as long as its generator, of which the builders keep two.
 _UNITARY_CACHE_BYTES = 256 * 1024
 _BLOCK_CACHE_BYTES = 1024 * 1024
 _unitaries = _memo.register(_memo.ByteLRU(_UNITARY_CACHE_BYTES))
 _block_exponentials = _memo.register(_memo.ByteLRU(_BLOCK_CACHE_BYTES))
+# _CSR -> (supp(v) bytes, _plan(A, supp(v))) of the last window on it
+_plans = _memo.register(weakref.WeakKeyDictionary())
 
 
 @dataclass(frozen=True)
@@ -243,14 +258,14 @@ def _expm_action(A: _CSR, v: np.ndarray, t: float, mu: complex, norm: float) -> 
     return F
 
 
-def _reachable(A: _CSR, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Mask of the indices R reachable from supp(v) along A's stored entries.
+def _reachable(A: _CSR, rows: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Mask of the indices R reachable from a support mask along A's stored entries.
 
     (A v)_i involves v_j wherever A[i, j] is stored, so R grows by the rows
     (rows[k] is the row of stored entry k) of the stored entries in its
     columns until it stops growing; R is then closed under A.
     """
-    mask = v != 0
+    mask = support
     while True:
         grown = mask.copy()
         grown[rows[mask[A.indices]]] = True
@@ -333,48 +348,72 @@ def _shift_and_norm(rows, cols, vals, n):
     return mu, float(col_sums.max())
 
 
-def _dense_on_block(rows, cols, vals, v: np.ndarray, t: float) -> np.ndarray:
-    """exp(B t) v for the block B in triplets, with exp(B t) reused by value."""
-    n = len(v)
-    norm = float(np.bincount(cols, weights=np.abs(vals), minlength=n).max())
-    if norm == 0:
-        return v
-    B = np.zeros((n, n), dtype=complex)
-    B[rows, cols] = vals  # a _CSR row stores each column once
-    # B's entries are stored in row-major order, so B and t fix norm too
-    key = (B.tobytes(), n, float(t).hex())
-    E = _block_exponentials.get(key)
-    if E is None:
-        E = _expm_dense(B, t, norm)
-        E.setflags(write=False)
-        _block_exponentials.put(key, E, 2 * E.nbytes)
-    return E @ v
+def _plan(A: _CSR, support: np.ndarray):
+    """How exp(A t) v runs for every v whose nonzeros are the support mask.
+
+    Returns (parts, action).  A block of at most _DENSE_MAX_DIM rows, or
+    each connected component of A that the support touches when none has
+    more rows, is a dense part (R, norm, data): its indices R, the norm
+    ||B||_1 of B = A_RR and B's bytes; action is then None.  Otherwise
+    parts is empty and action holds the sparse action's shift and norm
+    (mu, ||A_RR - mu I||_1) for the whole reachable block.
+    """
+    rows = A.row_of()
+    mask = _reachable(A, rows, support)
+    masks = [mask]
+    if np.count_nonzero(mask) > _DENSE_MAX_DIM:
+        labels = A.components
+        touched = np.zeros(len(support), dtype=bool)
+        touched[labels[support]] = True
+        if np.bincount(labels, minlength=len(support))[touched].max() > _DENSE_MAX_DIM:
+            R, rows, cols, vals = _block(A, rows, mask)
+            return (), _shift_and_norm(rows, cols, vals, len(R))
+        # no stored entry joins two components, so each is closed under A
+        masks = [mask & (labels == c) for c in np.flatnonzero(touched)]
+    parts = []
+    for part in masks:
+        R, rows_R, cols, vals = _block(A, rows, part)
+        n = len(R)
+        norm = float(np.bincount(cols, weights=np.abs(vals), minlength=n).max())
+        B = np.zeros((n, n), dtype=complex)
+        B[rows_R, cols] = vals  # a _CSR row stores each column once
+        parts.append((R, norm, B.tobytes()))
+    return parts, None
 
 
 def _propagate(A: _CSR, v: np.ndarray, t: float) -> np.ndarray:
     """exp(A t) v on the block of v's reachable indices; zero elsewhere.
 
-    A block of at most _DENSE_MAX_DIM rows runs densely.  A larger one
-    runs densely one connected component of A at a time when no component
-    that supp(v) touches has more rows, and by the sparse action on the
-    whole of A otherwise.
+    The plan (_plan) depends on A and supp(v) alone, so the last one made
+    for A is kept, with its support, until A is freed or a window with
+    another support replaces it.  A dense part's exp(B t) is reused by the
+    bytes of B, its size and t, so equal blocks of different generators
+    share one exponential, and B is read back from its bytes only on a
+    miss; B's entries are stored in row-major order, so B and t fix its
+    norm too.
     """
-    rows = A.row_of()
-    mask = _reachable(A, rows, v)
-    parts = [mask]
-    if np.count_nonzero(mask) > _DENSE_MAX_DIM:
-        labels = A.components
-        touched = np.zeros(len(v), dtype=bool)
-        touched[labels[v != 0]] = True
-        if np.bincount(labels, minlength=len(v))[touched].max() > _DENSE_MAX_DIM:
-            R, rows, cols, vals = _block(A, rows, mask)
-            return _expm_action(A, v, t, *_shift_and_norm(rows, cols, vals, len(R)))
-        # no stored entry joins two components, so each is closed under A
-        parts = [mask & (labels == c) for c in np.flatnonzero(touched)]
+    support = v != 0
+    pattern = support.tobytes()
+    last = _plans.get(A)
+    if last is None or last[0] != pattern:
+        last = _plans[A] = (pattern, _plan(A, support))
+    parts, action = last[1]
+    if action is not None:
+        return _expm_action(A, v, t, *action)
     out = np.zeros_like(v)
-    for part in parts:
-        R, *block = _block(A, rows, part)
-        out[R] = _dense_on_block(*block, v[R], t)
+    t_hex = float(t).hex()
+    for R, norm, data in parts:
+        if norm == 0:
+            out[R] = v[R]
+            continue
+        n = len(R)
+        key = (data, n, t_hex)
+        E = _block_exponentials.get(key)
+        if E is None:
+            E = _expm_dense(np.frombuffer(data, dtype=complex).reshape(n, n), t, norm)
+            E.setflags(write=False)
+            _block_exponentials.put(key, E, 2 * E.nbytes)
+        out[R] = E @ v[R]
     return out
 
 

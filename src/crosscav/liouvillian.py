@@ -14,8 +14,9 @@ Generators without an extra Hamiltonian are reused by value: equal
 builder arguments, (parameters, space) for the general builder and
 (parameters, frame, space) for the symmetric one, return the same
 SuperOperator, whose CSR arrays are read-only, from a private cache of
-the two most recently used.  SymmetricDecayParameters.to_general, and so
-its positivity check, runs only when a generator is assembled.
+the two most recently used, which _memo.clear_all empties.
+SymmetricDecayParameters.to_general, and so its positivity check, runs
+only when a generator is assembled.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _memo
 from .tensor import (
     DensityMatrix,
     Operator,
@@ -39,7 +41,7 @@ _PSD_TOL = 1e-12
 _REUSE_SIZE = 2
 # (DecayParameters, space) or (SymmetricDecayParameters, frame, space)
 # -> SuperOperator
-_generators = OrderedDict()
+_generators = _memo.register(OrderedDict())
 
 
 def _require_finite(params):

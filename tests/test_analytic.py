@@ -1,3 +1,4 @@
+import dataclasses
 from math import cos, exp, pi, sin, sqrt
 
 import numpy as np
@@ -110,6 +111,28 @@ def test_prepared_state_params_rejects_non_finite(angle, bad):
     angles = {"theta": 0.3, "phi": 1.2, angle: bad}
     with pytest.raises(ValueError, match="^angles must be finite"):
         PreparedStateParams(**angles)
+
+
+@pytest.mark.parametrize("bad", [_NAN, _INF, -_INF])
+@pytest.mark.parametrize("angle", ["theta", "phi"])
+def test_prepared_state_params_keeps_its_dataclass_behaviour(angle, bad):
+    p = PreparedStateParams(theta=1, phi=-pi / 2)
+    assert (p.theta, p.phi) == (1.0, 2 * pi - pi / 2)
+    assert type(p.theta) is float
+    same = PreparedStateParams(1.0, 3 * pi / 2)
+    assert same == p and hash(same) == hash(p)
+    assert p != PreparedStateParams(1.0, 0.5)
+    assert repr(p) == f"PreparedStateParams(theta=1.0, phi={2 * pi - pi / 2!r})"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.theta = 0.5
+    # replace reduces the changed angle and keeps the other as stored
+    moved = dataclasses.replace(p, **{angle: 2 * pi + 0.25})
+    assert getattr(moved, angle) == pytest.approx(0.25, abs=1e-15)
+    other = "phi" if angle == "theta" else "theta"
+    assert getattr(moved, other) == getattr(p, other)
+    assert dataclasses.replace(p) == p
+    with pytest.raises(ValueError, match="^angles must be finite"):
+        dataclasses.replace(p, **{angle: bad})
 
 
 def test_amplitude_pair_evolution_population():

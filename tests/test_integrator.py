@@ -1,3 +1,5 @@
+import gc
+import weakref
 from math import cos, exp, pi, sin, sqrt
 
 import numpy as np
@@ -8,6 +10,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 
 import crosscav.integrator
+import crosscav.liouvillian
 from conftest import random_density, to_scipy
 from crosscav import _memo
 from crosscav.analytic import (
@@ -629,7 +632,21 @@ def _one_excitation_state(space, weights):
     return density_from_ket(Ket(v / np.linalg.norm(v), space))
 
 
-def test_block_cache_hits_by_value_and_misses_on_t_or_block(cold):
+@pytest.fixture
+def reachable_calls(monkeypatch):
+    """The arguments of every reachable-block search, in order."""
+    calls = []
+    reachable = crosscav.integrator._reachable
+
+    def counted(*args):
+        calls.append(args)
+        return reachable(*args)
+
+    monkeypatch.setattr(crosscav.integrator, "_reachable", counted)
+    return calls
+
+
+def test_block_cache_hits_by_value_and_misses_on_t_or_block(cold, reachable_calls):
     space = make_space([2, 2, 2])
     cache = crosscav.integrator._block_exponentials
 
@@ -639,17 +656,116 @@ def test_block_cache_hits_by_value_and_misses_on_t_or_block(cold):
 
     first = window(500.0, 1e-3)
     assert len(cache) == 1
+    assert len(reachable_calls) == 1
     for E, _ in cache._entries.values():
         assert not E.flags.writeable
+    # the same generator and support reuse the window's plan
     assert window(500.0, 1e-3).matrix.tobytes() == first.matrix.tobytes()
     # another state on the same block is served the same exponential
     window(500.0, 1e-3, weights=(0.3, 1.0))
     assert len(cache) == 1
     window(500.0, 2e-3)
+    assert len(reachable_calls) == 1
     window(K_EXACT, 1e-3)
     assert len(cache) == 3
+    assert len(reachable_calls) == 2
     cold()
     assert window(500.0, 1e-3).matrix.tobytes() == first.matrix.tobytes()
+    assert len(reachable_calls) == 3
+
+
+def test_a_window_plan_is_remade_when_the_support_changes(cold, reachable_calls, rng):
+    space = make_space([2, 2, 2])
+    L = build_symmetric_liouvillian(SymmetricDecayParameters(K_EXACT, 500.0, 0.9), space)
+    spec = EvolutionSpec(1e-3)
+    # a 5-row block, the whole space, and a one-row support inside the first
+    states = [_one_excitation_state(space, (1.0, 1.0)), random_density(space, rng),
+              _one_excitation_state(space, (1.0, 0.0))]
+    cold_bytes = []
+    for rho0 in states:
+        cold()
+        cold_bytes.append(evolve_master(rho0, L, spec).matrix.tobytes())
+    cold()
+    reachable_calls.clear()
+    for i in (0, 1, 0, 2, 2, 1):
+        assert evolve_master(states[i], L, spec).matrix.tobytes() == cold_bytes[i], i
+    # only the last plan is kept: every change of support searches again
+    assert len(reachable_calls) == 5
+
+
+def _large_block_case(case, rng):
+    """A generator and a state whose reachable block has more than 64 rows."""
+    if case == "action":
+        psi = robust_coherent_state(2.0, 0.3, n_max=8)
+        L = build_symmetric_liouvillian(
+            SymmetricDecayParameters(K_EXACT, K_EXACT, 2.0), psi.space, "rotating"
+        )
+        return L, density_from_ket(psi)
+    space = make_space([3, 3, 2])
+    L = build_symmetric_liouvillian(
+        SymmetricDecayParameters(K_EXACT, 700.0, 0.9, 2 * pi * 5e3), space, case
+    )
+    return L, random_density(space, rng)
+
+
+@pytest.mark.parametrize("case", ["rotating", "lab", "action"])
+def test_large_blocks_reuse_their_window_plan(case, cold, reachable_calls, monkeypatch, rng):
+    L, rho0 = _large_block_case(case, rng)
+    branches = []
+
+    def recording(name):
+        fn = getattr(crosscav.integrator, name)
+
+        def recorded(*args):
+            branches.append(name)
+            return fn(*args)
+        return recorded
+
+    for name in ("_expm_dense", "_expm_action"):
+        monkeypatch.setattr(crosscav.integrator, name, recording(name))
+    # the [3, 3, 2] states split into components; the n_max = 8 one takes the action
+    expected = "_expm_action" if case == "action" else "_expm_dense"
+    cold_bytes = {}
+    for T in (2e-4, 5e-4):
+        cold()
+        cold_bytes[T] = evolve_master(rho0, L, EvolutionSpec(T)).matrix.tobytes()
+    assert set(branches) == {expected}
+    if expected == "_expm_dense":
+        assert branches.count(expected) > 2
+    cold()
+    reachable_calls.clear()
+    for T in (2e-4, 5e-4, 2e-4):
+        assert evolve_master(rho0, L, EvolutionSpec(T)).matrix.tobytes() == cold_bytes[T], T
+    assert len(reachable_calls) == 1
+
+
+def test_a_window_plan_lives_only_as_long_as_its_generator(cold):
+    space = make_space([2, 2, 2])
+    plans = crosscav.integrator._plans
+    # a generator with a Hamiltonian is never kept for reuse
+    H = jc_hamiltonian(space, "mode1", 1e5)
+    L = build_symmetric_liouvillian(SymmetricDecayParameters(K_EXACT, 500.0, 0.9), space,
+                                    "rotating", H)
+    evolve_master(_one_excitation_state(space, (1.0, 1.0)), L, EvolutionSpec(1e-6))
+    assert L.matrix in plans and len(plans) == 1
+    ref = weakref.ref(L.matrix)
+    del L
+    gc.collect()
+    assert ref() is None
+    assert len(plans) == 0
+
+
+def test_clear_all_empties_the_generators_and_the_window_plans(cold):
+    space = make_space([2, 2, 2])
+    params = SymmetricDecayParameters(K_EXACT, 500.0, 0.9)
+    L = build_symmetric_liouvillian(params, space)
+    evolve_master(_one_excitation_state(space, (1.0, 1.0)), L, EvolutionSpec(1e-3))
+    assert len(crosscav.liouvillian._generators) == 1
+    assert len(crosscav.integrator._plans) == 1
+    _memo.clear_all()
+    assert len(crosscav.liouvillian._generators) == 0
+    assert len(crosscav.integrator._plans) == 0
+    assert build_symmetric_liouvillian(params, space) is not L
 
 
 def test_block_cache_stays_under_its_bound_for_full_blocks(cold, rng):
