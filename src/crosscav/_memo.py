@@ -22,7 +22,8 @@ _registered = []
 
 
 def register(cache):
-    """Add cache (a ByteLRU, an lru_cache-wrapped function or a dict) to clear_all."""
+    """Add cache to clear_all: a ByteLRU, an lru_cache-wrapped function or
+    a map with clear(), such as a dict or a weakref.WeakKeyDictionary."""
     _registered.append(cache.cache_clear if hasattr(cache, "cache_clear") else cache.clear)
     return cache
 

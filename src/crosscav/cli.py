@@ -162,9 +162,9 @@ def _sweep_blocks(engine, points, r_list, grid, columns):
 
     `points` maps each engine to a function of r, called once per block,
     that returns f(x), called once per grid value; `columns` turns a
-    block's f values into its value columns.  The grid
-    column is formatted once, in one `%` pass; r and the engine go into
-    the block's row template, so each row costs one `%` over its values.
+    block's f values into its value columns.  The grid column is
+    formatted once, in one `%` pass; r and the engine go into the block's
+    row template, so each row costs one `%` over its values.
     """
     engines = list(points) if engine == "both" else [engine]
     xs = grid.tolist()

@@ -678,7 +678,7 @@ def test_a_window_plan_is_remade_when_the_support_changes(cold, reachable_calls,
     space = make_space([2, 2, 2])
     L = build_symmetric_liouvillian(SymmetricDecayParameters(K_EXACT, 500.0, 0.9), space)
     spec = EvolutionSpec(1e-3)
-    # a 5-row block, the whole space, and a one-row support inside the first
+    # a 5-row block, the whole space, and a one-entry support inside the first
     states = [_one_excitation_state(space, (1.0, 1.0)), random_density(space, rng),
               _one_excitation_state(space, (1.0, 0.0))]
     cold_bytes = []
