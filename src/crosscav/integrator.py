@@ -17,7 +17,11 @@ One function, _propagate, runs L_RR on one of two branches:
   (SIAM J. Sci. Comput. 33:488, 2011), whose cost grows with T but needs
   no dense matrix.  It multiplies by the whole generator, stored along
   its few diagonals; since L[R^c, R] = 0, entries outside R stay exactly
-  zero, and its step plan comes from L_RR alone.
+  zero, and its step plan comes from ||L_RR||_1 alone.  L is not shifted
+  by its mean eigenvalue: GKSL blocks have eigenvalue 0, and unshifted,
+  the Taylor sum's early stop makes the cost follow the vector.
+
+Both branches sum their Taylor series in one loop, _taylor.
 
 Blocks of at most _DENSE_MAX_DIM rows, one full [2,2,2] protocol space,
 run densely.  A larger block is split along the connected components of
@@ -43,8 +47,8 @@ are read-only and held in least-recently-used caches bounded by the bytes
 they hold (_memo.ByteLRU).  A miss runs every check; a hit returns a
 value that passed them.  The sparse action is not cached.  What a window
 does before any exponential, the reachable-block search, the component
-split and the assembly of each dense block or the action's shift and
-norm, is its plan (_plan); it depends on the generator and supp(v) alone.
+split and the assembly of each dense block or the action's norm, is its
+plan (_plan); it depends on the generator and supp(v) alone.
 Each generator record keeps its last plan, with that support, in a weak
 map (_plans), so a window that repeats both skips that work, and the plan
 goes when the record does.  The map is keyed by the record, not by its
@@ -179,8 +183,25 @@ def _rk4(Lmat, v: np.ndarray, duration: float, step: float, check_step: bool) ->
     return y
 
 
-def _shifted_product(A: _CSR, mu: complex):
-    """The map x -> (A - mu I) x, applied along A's diagonals.
+def _taylor(step, F, term, first: int, m: int) -> np.ndarray:
+    """F plus the Taylor terms term <- step(term, j) for j = first..m.
+
+    The sum stops early once two successive terms fall below 2^-53 of it,
+    as in Al-Mohy & Higham's Algorithm 3.2.
+    """
+    c1 = np.abs(term).max()
+    for j in range(first, m + 1):
+        term = step(term, j)
+        c2 = np.abs(term).max()
+        F = F + term
+        if c1 + c2 <= _UNIT_ROUNDOFF * np.abs(F).max():
+            break
+        c1 = c2
+    return F
+
+
+def _product(A: _CSR):
+    """The map x -> A x, applied along A's diagonals.
 
     Diagonal k holds A[i, i + k], and y_i = sum_k A[i, i + k] x_{i+k} is
     summed in ascending k, so each row adds its entries in column order,
@@ -189,7 +210,7 @@ def _shifted_product(A: _CSR, mu: complex):
     a product is a few whole-vector multiply-adds over shifted views of one
     zero-padded copy of x, faster than gathering x[indices].  A matrix
     whose diagonals would store more than _DIAGONAL_FILL_LIMIT times its
-    entries takes the CSR product instead.
+    entries takes its own CSR product instead.
     """
     n = A.shape[0]
     rows = A.row_of()
@@ -197,14 +218,11 @@ def _shifted_product(A: _CSR, mu: complex):
     # the diagonals present, ascending, from the 2n - 1 possible offsets
     present = np.zeros(2 * n - 1, dtype=bool)
     present[offset + (n - 1)] = True
-    present[n - 1] = True
     ks = np.flatnonzero(present) - (n - 1)
     if len(ks) * n > _DIAGONAL_FILL_LIMIT * max(A.nnz, n):
-        diagonal = np.arange(n)
-        return (A - _CSR.from_coo(diagonal, diagonal, np.full(n, mu), A.shape)).__matmul__
+        return A.__matmul__
     diags = np.zeros((len(ks), n), dtype=complex)
     diags[np.searchsorted(ks, offset), rows] = A.data
-    diags[np.searchsorted(ks, 0)] -= mu
     lo = -int(ks[0])
     padded = np.zeros(lo + n + int(ks[-1]), dtype=complex)
     views = [padded[lo + k:lo + k + n] for k in ks]
@@ -221,15 +239,23 @@ def _shifted_product(A: _CSR, mu: complex):
     return product
 
 
-def _expm_action(A: _CSR, v: np.ndarray, t: float, mu: complex, norm: float) -> np.ndarray:
+def _expm_action(A: _CSR, v: np.ndarray, t: float, norm: float) -> np.ndarray:
     """exp(A t) v by s truncated Taylor substeps of degree <= m.
 
-    v is supported on a block R of indices closed under A, and mu and norm
-    are trace(A_RR)/|R| and ||A_RR - mu I||_1: the shift that shrinks the
-    block's norm, and that norm.  (m, s) minimise the matrix-vector
-    products m*s subject to t*norm / s <= theta_m, and each substep stops
-    once two successive terms fall below 2^-53 relative to the partial
-    sum.  Since A[R^c, R] = 0, every entry outside R stays exactly zero.
+    v is supported on a block R of indices closed under A, and norm is
+    ||A_RR||_1.  (m, s) minimise the matrix-vector products m*s subject to
+    t*norm / s <= theta_m, and each substep stops once two successive
+    terms fall below 2^-53 relative to the partial sum.  Since
+    A[R^c, R] = 0, every entry outside R stays exactly zero.
+
+    A is not first shifted by mu = trace(A_RR)/|R|, the preprocessing
+    step of Al-Mohy & Higham.  Every GKSL block has eigenvalue 0, and the
+    states that survive a long window sit there; the shift would move
+    them to -mu (+1.6e4 and +1.44e4 /s on validate's n_max = 8 blocks), a
+    growing mode that runs every substep to its full degree.  Unshifted,
+    the early stop makes a substep's cost follow the vector: validate's
+    two robust-state windows take 126 and 118 products, 220 and 198
+    shifted.
     """
     if not isfinite(t * norm):
         raise ValueError(
@@ -240,21 +266,11 @@ def _expm_action(A: _CSR, v: np.ndarray, t: float, mu: complex, norm: float) -> 
         ((m, max(1, ceil(t * norm / theta))) for m, theta in _TAYLOR_THETA.items()),
         key=lambda ms: ms[0] * ms[1],
     )
-    product = _shifted_product(A, mu)
+    product = _product(A)
     h = t / s
-    eta = np.exp(mu * h)
     F = v
     for _ in range(s):
-        term = F
-        c1 = np.abs(term).max()
-        for j in range(1, m + 1):
-            term = (h / j) * product(term)
-            c2 = np.abs(term).max()
-            F = F + term
-            if c1 + c2 <= _UNIT_ROUNDOFF * np.abs(F).max():
-                break
-            c1 = c2
-        F = eta * F
+        F = _taylor(lambda term, j: (h / j) * product(term), F, F, 1, m)
     return F
 
 
@@ -298,14 +314,13 @@ def _expm_dense(B: np.ndarray, t: float, norm: float) -> np.ndarray:
 
     F = exp(B h) - I is summed and squared, F <- 2F + F^2, without the
     identity, so its rounding stays relative to F while F is small (as in
-    expm1); the Taylor sum stops early like _expm_action's.  The rounding
-    of I + F, about n u ||I + F||_1, doubles with every squaring, and
-    squaring stops once one more squaring would change I + F by less than
-    the rounding it already carries: every mode has then either decayed or
-    moves slower than the computation can resolve, and the remaining
-    squarings would only amplify rounding (at r = k they would turn the
-    conserved slow-mode population into 0 or inf for windows near the
-    float range).
+    expm1).  The rounding of I + F, about n u ||I + F||_1, doubles with
+    every squaring, and squaring stops once one more squaring would change
+    I + F by less than the rounding it already carries: every mode has
+    then either decayed or moves slower than the computation can resolve,
+    and the remaining squarings would only amplify rounding (at r = k they
+    would turn the conserved slow-mode population into 0 or inf for
+    windows near the float range).
     """
     n = B.shape[0]
     log_norm = log2(t) + log2(norm)
@@ -314,15 +329,7 @@ def _expm_dense(B: np.ndarray, t: float, norm: float) -> np.ndarray:
         key=sum,
     )
     X = B * ldexp(t, -s)
-    F = term = X
-    c1 = np.abs(X).max()
-    for j in range(2, m + 1):
-        term = (X @ term) / j
-        c2 = np.abs(term).max()
-        F = F + term
-        if c1 + c2 <= _UNIT_ROUNDOFF * np.abs(F).max():
-            break
-        c1 = c2
+    F = _taylor(lambda term, j: (X @ term) / j, X, X, 2, m)
     eye = np.eye(n)
     tol = n * _UNIT_ROUNDOFF * np.abs(eye + F).sum(axis=0).max()
     for _ in range(s):
@@ -335,19 +342,6 @@ def _expm_dense(B: np.ndarray, t: float, norm: float) -> np.ndarray:
     return eye + F
 
 
-def _shift_and_norm(rows, cols, vals, n):
-    """mu = trace(B)/n and ||B - mu I||_1 of the n x n block B in triplets."""
-    on = rows == cols
-    diag = np.zeros(n, dtype=complex)
-    diag[rows[on]] = vals[on]
-    mu = diag.sum() / n
-    col_sums = np.bincount(cols, weights=np.abs(np.where(on, vals - mu, vals)), minlength=n)
-    no_diag = np.ones(n, dtype=bool)
-    no_diag[rows[on]] = False
-    col_sums[no_diag] += abs(mu)
-    return mu, float(col_sums.max())
-
-
 def _plan(A: _CSR, support: np.ndarray):
     """How exp(A t) v runs for every v whose nonzeros are the support mask.
 
@@ -355,8 +349,8 @@ def _plan(A: _CSR, support: np.ndarray):
     each connected component of A that the support touches when none has
     more rows, is a dense part (R, norm, data): its indices R, the norm
     ||B||_1 of B = A_RR and B's bytes; action is then None.  Otherwise
-    parts is empty and action holds the sparse action's shift and norm
-    (mu, ||A_RR - mu I||_1) for the whole reachable block.
+    parts is empty and action is the norm ||A_RR||_1 of the whole
+    reachable block, on which the sparse action runs.
     """
     rows = A.row_of()
     mask = _reachable(A, rows, support)
@@ -365,16 +359,16 @@ def _plan(A: _CSR, support: np.ndarray):
         labels = A.components
         touched = np.zeros(len(support), dtype=bool)
         touched[labels[support]] = True
-        if np.bincount(labels, minlength=len(support))[touched].max() > _DENSE_MAX_DIM:
-            R, rows, cols, vals = _block(A, rows, mask)
-            return (), _shift_and_norm(rows, cols, vals, len(R))
-        # no stored entry joins two components, so each is closed under A
-        masks = [mask & (labels == c) for c in np.flatnonzero(touched)]
+        if np.bincount(labels, minlength=len(support))[touched].max() <= _DENSE_MAX_DIM:
+            # no stored entry joins two components, so each is closed under A
+            masks = [mask & (labels == c) for c in np.flatnonzero(touched)]
     parts = []
     for part in masks:
         R, rows_R, cols, vals = _block(A, rows, part)
         n = len(R)
         norm = float(np.bincount(cols, weights=np.abs(vals), minlength=n).max())
+        if n > _DENSE_MAX_DIM:  # the unsplit block: too large to run densely
+            return (), norm
         B = np.zeros((n, n), dtype=complex)
         B[rows_R, cols] = vals  # a _CSR row stores each column once
         parts.append((R, norm, B.tobytes()))
@@ -399,7 +393,7 @@ def _propagate(A: _CSR, v: np.ndarray, t: float) -> np.ndarray:
         last = _plans[A] = (pattern, _plan(A, support))
     parts, action = last[1]
     if action is not None:
-        return _expm_action(A, v, t, *action)
+        return _expm_action(A, v, t, action)
     out = np.zeros_like(v)
     t_hex = float(t).hex()
     for R, norm, data in parts:

@@ -43,7 +43,7 @@ from crosscav.tensor import (
     make_space,
     number_op,
 )
-from crosscav.validate import integrated_prob_two_cavity
+from crosscav.validate import check_dfs_preservation, integrated_prob_two_cavity
 
 
 def test_zero_generator_is_identity(two_mode_nmax1, rng):
@@ -303,7 +303,7 @@ def test_action_rejects_a_window_whose_step_count_overflows(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("the window must be rejected before any product")
 
-    monkeypatch.setattr(crosscav.integrator, "_shifted_product", no_work)
+    monkeypatch.setattr(crosscav.integrator, "_product", no_work)
     psi = robust_coherent_state(0.3, 0.3, n_max=8)
     L = build_symmetric_liouvillian(
         SymmetricDecayParameters(K_EXACT, K_EXACT, 0.3), psi.space, "rotating"
@@ -313,15 +313,38 @@ def test_action_rejects_a_window_whose_step_count_overflows(monkeypatch):
     assert "\n" not in str(exc.value)
 
 
-def _shift(A):
-    return A.diagonal().sum() / A.shape[0]
+# validate's two dfs_preservation checks, with their deviations before the
+# action ran unshifted; shifted by trace(A_RR)/|R|, the zero eigenvalue of
+# the robust states moved to a growing mode and the two checks took 220
+# and 198 products
+DFS_CHECKS = [(1000.0, pi / 2, 5.851e-14), (900.0, 2.0, 5.418e-14)]
 
 
-def _assert_product_matches_scipy(A, mu, rng, label):
+@pytest.mark.parametrize("k, gamma, deviation", DFS_CHECKS)
+def test_robust_states_cost_the_action_few_products(k, gamma, deviation, monkeypatch):
+    calls = []
+    product_of = crosscav.integrator._product
+
+    def counted_product(A):
+        product = product_of(A)
+
+        def counted(x):
+            calls.append(len(x))
+            return product(x)
+        return counted
+
+    monkeypatch.setattr(crosscav.integrator, "_product", counted_product)
+    check = check_dfs_preservation(SymmetricDecayParameters(k, k, gamma))
+    assert check["passed"]
+    assert 0 < len(calls) < 150
+    assert check["max_deviation"] <= deviation
+
+
+def _assert_product_matches_scipy(A, rng, label):
     n = A.shape[0]
-    ref = to_scipy(A) - mu * sp.identity(n, format="csr")
+    ref = to_scipy(A)
     for x in (rng.normal(size=n) + 1j * rng.normal(size=n), rng.normal(size=n) + 0j):
-        out = crosscav.integrator._shifted_product(A, mu)(x)
+        out = crosscav.integrator._product(A)(x)
         # rounding of a row sum is bounded by its absolute terms
         assert (np.abs(out - ref @ x) <= 1e-15 * (abs(ref) @ np.abs(x))).all(), label
 
@@ -341,8 +364,7 @@ def test_diagonal_product_matches_scipy(dims, rng):
             A = L.matrix
             # the diagonals of every generator the package builds
             assert len(np.unique(A.indices - A.row_of())) <= 17, case
-            for mu in (_shift(A), 0.0):
-                _assert_product_matches_scipy(A, mu, rng, (case, H is None, mu))
+            _assert_product_matches_scipy(A, rng, (case, H is None))
 
 
 def _scattered_generator(rng):
@@ -364,10 +386,10 @@ def test_scattered_generator_takes_the_csr_product(rng):
     dense = A.toarray()
     n_diagonals = len(np.unique(A.indices - A.row_of()))
     assert n_diagonals * A.shape[0] > crosscav.integrator._DIAGONAL_FILL_LIMIT * A.nnz
-    # no diagonal storage is built: the product is a CSR record's own
-    product = crosscav.integrator._shifted_product(A, _shift(A))
-    assert type(getattr(product, "__self__", None)) is type(A)
-    _assert_product_matches_scipy(A, _shift(A), rng, "scattered")
+    # no diagonal storage is built: the product is the CSR record's own
+    product = crosscav.integrator._product(A)
+    assert product.__self__ is A
+    _assert_product_matches_scipy(A, rng, "scattered")
     rho0 = random_density(space, rng)
     for T in (1e-4, 1e-3):
         out = evolve_master(rho0, scattered, EvolutionSpec(T))
