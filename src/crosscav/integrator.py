@@ -12,7 +12,10 @@ protocol state in the N <= 1 excitation sector touches a handful of the
 One function, _propagate, runs L_RR on one of two branches:
 
 - dense Taylor scaling and squaring of exp(L_RR t), whose cost grows
-  with log T (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005);
+  with log T (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005); its
+  Taylor sum runs over the powers of L_RR that the window plan keeps,
+  so a window computes only its coefficients, one cumulative sum and
+  the squarings;
 - the truncated Taylor action exp(L_RR t) v_R of Al-Mohy & Higham
   (SIAM J. Sci. Comput. 33:488, 2011), whose cost grows with T but needs
   no dense matrix.  It multiplies by the whole generator, stored along
@@ -21,7 +24,9 @@ One function, _propagate, runs L_RR on one of two branches:
   by its mean eigenvalue: GKSL blocks have eigenvalue 0, and unshifted,
   the Taylor sum's early stop makes the cost follow the vector.
 
-Both branches sum their Taylor series in one loop, _taylor.
+The action sums its Taylor series in a loop, _taylor, that stops once
+two successive terms fall below 2^-53 of the sum; the dense branch
+applies the same stop to its cumulative sum over the stored powers.
 
 Blocks of at most _DENSE_MAX_DIM rows, one full [2,2,2] protocol space,
 run densely.  A larger block is split along the connected components of
@@ -51,9 +56,13 @@ split and the assembly of each dense block or the action's norm, is its
 plan (_plan); it depends on the generator and supp(v) alone.
 Each generator record keeps its last plan, with that support, in a weak
 map (_plans), so a window that repeats both skips that work, and the plan
-goes when the record does.  The map is keyed by the record, not by its
-values: a record must not be written after a window has run on it, and
-the package never writes one.
+goes when the record does.  A dense part of a plan also keeps the powers
+(B / ||B||_1)^j of its block B (_Powers), made when a window first misses
+the exponential cache and extended only when a window needs a higher
+degree, so the windows of a sweep over T on one generator compute them
+once.  The map is keyed by the record, not by its values: a record must
+not be written after a window has run on it, and the package never
+writes one.
 """
 
 from __future__ import annotations
@@ -104,9 +113,11 @@ _HAMILTONIAN_CACHE_SIZE = 16
 # makes 2n per r, and 1 MiB keeps the n detuned windows, which repeat
 # for every r, up to the default n = 201.  A full 64-row block takes
 # 128.5 KiB, so at most 7 of those are kept.  The window plans (_plans)
-# are not counted here: a plan holds the bytes of B per dense part,
-# 64 KiB for a full 64-row block and under 1 KiB for a protocol window,
-# and lives as long as its generator, of which the builders keep two.
+# are not counted here: a plan holds, per dense part, the bytes of B
+# (64 KiB for a full 64-row block, under 1 KiB for a protocol window) and
+# at most 25 n^2 16 bytes of its powers (1.6 MB for a 64-row block, at
+# most 40 KB for the 5- and 10-row windows of a protocol sweep), and
+# lives as long as its generator, of which the builders keep two.
 _UNITARY_CACHE_BYTES = 256 * 1024
 _BLOCK_CACHE_BYTES = 1024 * 1024
 _unitaries = _memo.register(_memo.ByteLRU(_UNITARY_CACHE_BYTES))
@@ -183,14 +194,15 @@ def _rk4(Lmat, v: np.ndarray, duration: float, step: float, check_step: bool) ->
     return y
 
 
-def _taylor(step, F, term, first: int, m: int) -> np.ndarray:
-    """F plus the Taylor terms term <- step(term, j) for j = first..m.
+def _taylor(step, F: np.ndarray, m: int) -> np.ndarray:
+    """F plus the Taylor terms term <- step(term, j), j = 1..m, from term = F.
 
     The sum stops early once two successive terms fall below 2^-53 of it,
     as in Al-Mohy & Higham's Algorithm 3.2.
     """
+    term = F
     c1 = np.abs(term).max()
-    for j in range(first, m + 1):
+    for j in range(1, m + 1):
         term = step(term, j)
         c2 = np.abs(term).max()
         F = F + term
@@ -270,7 +282,7 @@ def _expm_action(A: _CSR, v: np.ndarray, t: float, norm: float) -> np.ndarray:
     h = t / s
     F = v
     for _ in range(s):
-        F = _taylor(lambda term, j: (h / j) * product(term), F, F, 1, m)
+        F = _taylor(lambda term, j: (h / j) * product(term), F, m)
     return F
 
 
@@ -304,32 +316,75 @@ def _block(A: _CSR, rows: np.ndarray, mask: np.ndarray):
     return R, pos[rows[keep]], pos[A.indices[keep]], A.data[keep]
 
 
-def _expm_dense(B: np.ndarray, t: float, norm: float) -> np.ndarray:
+class _Powers:
+    """The powers P_j = (B / ||B||_1)^j, j = 1..m, of one dense block.
+
+    They are made in one stack on the first window that needs them and
+    remade, into a new stack that copies the old one, only when a window
+    needs a higher degree; a stack, once stored, is never written.  Each
+    P_j is P_{j-1} P_1 however the stack grew, so a window's result does
+    not depend on the windows before it.
+    """
+
+    __slots__ = ("stack",)
+
+    def __init__(self):
+        self.stack = None
+
+    def upto(self, B: np.ndarray, norm: float, m: int) -> np.ndarray:
+        """P_1..P_m of B, whose norm ||B||_1 is norm."""
+        P = self.stack
+        have = 0 if P is None else len(P)
+        if have < m:
+            grown = np.empty((m,) + B.shape, dtype=complex)
+            if have:
+                grown[:have] = P
+            else:
+                np.divide(B, norm, out=grown[0])
+                have = 1
+            for j in range(have, m):
+                np.matmul(grown[j - 1], grown[0], out=grown[j])
+            self.stack = P = grown
+        return P[:m]
+
+
+def _expm_dense(B: np.ndarray, t: float, norm: float, powers: _Powers) -> np.ndarray:
     """exp(B t) by truncated Taylor scaling and squaring; norm = ||B||_1 > 0.
 
-    Degree-m Taylor on B t / 2^s with t*norm / 2^s <= theta_m, the
-    backward-error bound of _expm_action, and (m, s) minimising the m + s
-    products; s comes from log2 t + log2 norm, so no finite window
-    overflows it.
+    X = B t / 2^s takes the fewest squarings s with ||X||_1 = x <= theta_25
+    = 2.43, then the smallest degree m with x <= theta_m: the backward-error
+    bound of _expm_action.  Every power of B is stored (powers), so a
+    degree costs no product and only the squarings count.  s comes from
+    log2 t + log2 norm and x = 2^-s t * norm is formed without t * norm,
+    so no finite window overflows either.
 
-    F = exp(B h) - I is summed and squared, F <- 2F + F^2, without the
-    identity, so its rounding stays relative to F while F is small (as in
-    expm1).  The rounding of I + F, about n u ||I + F||_1, doubles with
-    every squaring, and squaring stops once one more squaring would change
-    I + F by less than the rounding it already carries: every mode has
-    then either decayed or moves slower than the computation can resolve,
-    and the remaining squarings would only amplify rounding (at r = k they
-    would turn the conserved slow-mode population into 0 or inf for
-    windows near the float range).
+    F = exp(X) - I = sum_j c_j P_j, c_j = x^j / j!, is one cumulative sum
+    over the stack of powers, taken up to the first j at which two
+    successive terms are both below 2^-53 of the partial sum, the early
+    stop of _taylor.  The terms add up to at most e^x - 1 in norm and
+    exp(X) is at least e^-x, so cancellation amplifies rounding by at most
+    e^(2 * 2.43), about 130.
+
+    F is squared, F <- 2F + F^2, without the identity, so its rounding
+    stays relative to F while F is small (as in expm1).  The rounding of
+    I + F, about n u ||I + F||_1, doubles with every squaring, and
+    squaring stops once one more squaring would change I + F by less than
+    the rounding it already carries: every mode has then either decayed
+    or moves slower than the computation can resolve, and the remaining
+    squarings would only amplify rounding (at r = k they would turn the
+    conserved slow-mode population into 0 or inf for windows near the
+    float range).
     """
     n = B.shape[0]
-    log_norm = log2(t) + log2(norm)
-    m, s = min(
-        ((m, max(0, ceil(log_norm - log2(theta)))) for m, theta in _TAYLOR_THETA.items()),
-        key=sum,
-    )
-    X = B * ldexp(t, -s)
-    F = _taylor(lambda term, j: (X @ term) / j, X, X, 2, m)
+    s = max(0, ceil(log2(t) + log2(norm) - log2(_TAYLOR_THETA[25])))
+    x = ldexp(t, -s) * norm
+    m = next((m for m in (10, 15, 20) if x <= _TAYLOR_THETA[m]), 25)
+    c = np.cumprod(x / np.arange(1, m + 1))
+    terms = c[:, None, None] * powers.upto(B, norm, m)
+    sums = np.cumsum(terms, axis=0)
+    size = np.abs(terms).max(axis=(1, 2))
+    stop = size[:-1] + size[1:] <= _UNIT_ROUNDOFF * np.abs(sums[1:]).max(axis=(1, 2))
+    F = sums[np.argmax(stop) + 1 if stop.any() else -1]
     eye = np.eye(n)
     tol = n * _UNIT_ROUNDOFF * np.abs(eye + F).sum(axis=0).max()
     for _ in range(s):
@@ -347,8 +402,9 @@ def _plan(A: _CSR, support: np.ndarray):
 
     Returns (parts, action).  A block of at most _DENSE_MAX_DIM rows, or
     each connected component of A that the support touches when none has
-    more rows, is a dense part (R, norm, data): its indices R, the norm
-    ||B||_1 of B = A_RR and B's bytes; action is then None.  Otherwise
+    more rows, is a dense part (R, norm, data, powers): its indices R, the
+    norm ||B||_1 of B = A_RR, B's bytes and the holder of B's powers,
+    empty until a window needs them; action is then None.  Otherwise
     parts is empty and action is the norm ||A_RR||_1 of the whole
     reachable block, on which the sparse action runs.
     """
@@ -371,7 +427,7 @@ def _plan(A: _CSR, support: np.ndarray):
             return (), norm
         B = np.zeros((n, n), dtype=complex)
         B[rows_R, cols] = vals  # a _CSR row stores each column once
-        parts.append((R, norm, B.tobytes()))
+        parts.append((R, norm, B.tobytes(), _Powers()))
     return parts, None
 
 
@@ -383,8 +439,9 @@ def _propagate(A: _CSR, v: np.ndarray, t: float) -> np.ndarray:
     another support replaces it.  A dense part's exp(B t) is reused by the
     bytes of B, its size and t, so equal blocks of different generators
     share one exponential, and B is read back from its bytes only on a
-    miss; B's entries are stored in row-major order, so B and t fix its
-    norm too.
+    miss, which sums the Taylor series over the part's stored powers;
+    B's entries are stored in row-major order, so B and t fix its norm
+    too.
     """
     support = v != 0
     pattern = support.tobytes()
@@ -396,7 +453,7 @@ def _propagate(A: _CSR, v: np.ndarray, t: float) -> np.ndarray:
         return _expm_action(A, v, t, action)
     out = np.zeros_like(v)
     t_hex = float(t).hex()
-    for R, norm, data in parts:
+    for R, norm, data, powers in parts:
         if norm == 0:
             out[R] = v[R]
             continue
@@ -404,7 +461,8 @@ def _propagate(A: _CSR, v: np.ndarray, t: float) -> np.ndarray:
         key = (data, n, t_hex)
         E = _block_exponentials.get(key)
         if E is None:
-            E = _expm_dense(np.frombuffer(data, dtype=complex).reshape(n, n), t, norm)
+            B = np.frombuffer(data, dtype=complex).reshape(n, n)
+            E = _expm_dense(B, t, norm, powers)
             E.setflags(write=False)
             _block_exponentials.put(key, E, 2 * E.nbytes)
         out[R] = E @ v[R]

@@ -40,6 +40,7 @@ from .liouvillian import (
     build_symmetric_liouvillian,
 )
 from .tensor import (
+    _EIG_TOL,
     ATOM_E,
     ATOM_G,
     DensityMatrix,
@@ -287,6 +288,11 @@ def _run(cfg, frame, dissipate, label, prep, target_key, window_decay, readout):
         p_e, readout = rho_T.fidelity_with_ket(target), []
     else:
         p_e = _atom_population(compose_segments(rho_T, readout, dissipate), ATOM_E)
+    # a decayed state reads rounding residue of either sign; within the
+    # states' eigenvalue tolerance it is a probability of 0
+    if p_e < _EIG_TOL:
+        raise ValueError(f"read-out probability {p_e:.3e} is negative")
+    p_e = max(p_e, 0.0)
 
     segments = prep + [window] + readout
     return RunRecord(

@@ -160,13 +160,16 @@ class DensityMatrix:
             )
         if not np.isfinite(m).all():
             raise ValueError("density matrix has non-finite entries")
-        herm_dev = np.abs(m - m.conj().T).max()
+        mh = m.conj().T
+        herm_dev = np.abs(m - mh).max()
         if herm_dev > _HERM_TOL:
             raise ValueError(f"density matrix not Hermitian (deviation {herm_dev:.3e})")
-        trace_dev = abs(np.trace(m) - 1.0)
+        trace_dev = abs(m.trace() - 1.0)
         if trace_dev > _TRACE_TOL:
             raise ValueError(f"density matrix trace deviates by {trace_dev:.3e}")
-        min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
+        # the smallest eigenvalue of the Hermitian part (m + mh) / 2; eigvalsh
+        # returns them ascending, and halving after it is exact
+        min_eig = float(np.linalg.eigvalsh(m + mh)[0]) / 2
         if min_eig < _EIG_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
         object.__setattr__(self, "matrix", m)

@@ -141,6 +141,22 @@ def test_expm_matches_dense_exponential(dims, case, rng):
     assert np.abs(out - ref).max() <= 1e-10
 
 
+@pytest.mark.parametrize("frame", ["rotating", "lab"])
+@pytest.mark.parametrize("r", [0.0, 500.0, K_EXACT])
+@pytest.mark.parametrize("dims", [[2, 2], [2, 2, 2]], ids=str)
+def test_dense_exponential_matches_scipy_on_whole_generators(dims, r, frame):
+    # the whole generator as one block: 16 rows on [2, 2], 64 on [2, 2, 2]
+    space = make_space(dims)
+    params = SymmetricDecayParameters(K_EXACT, r, 0.9, 2 * pi * 5e3)
+    B = build_symmetric_liouvillian(params, space, frame).matrix.toarray()
+    norm = float(np.abs(B).sum(axis=0).max())
+    powers = crosscav.integrator._Powers()
+    for t in (1e-7, 1e-5, 1e-4, 5e-4, 2e-3, 1e-2):
+        ref = expm(B * t)
+        E = crosscav.integrator._expm_dense(B, t, norm, powers)
+        assert np.abs(E - ref).max() <= 1e-13 * np.abs(ref).max(), t
+
+
 def test_expm_matches_expm_multiply_at_nmax8():
     gamma, T = 2.0, 1e-3
     psi = robust_coherent_state(gamma, 0.3, n_max=8)
@@ -761,6 +777,29 @@ def test_large_blocks_reuse_their_window_plan(case, cold, reachable_calls, monke
     assert len(reachable_calls) == 1
 
 
+def test_block_powers_are_reused_and_grown_only_for_a_higher_degree(cold, rng):
+    space = make_space([2, 2, 2])
+    L = build_symmetric_liouvillian(SymmetricDecayParameters(K_EXACT, 700.0, 0.4), space)
+    rho0 = random_density(space, rng)  # full rank: one 64-row block
+    windows = (1e-7, 2e-3, 1e-4, 2e-3)
+    cold_bytes = {}
+    for T in windows:
+        cold()
+        cold_bytes[T] = evolve_master(rho0, L, EvolutionSpec(T)).matrix.tobytes()
+    cold()
+    stacks = []
+    for T in windows:
+        # every window misses the result cache and sums the plan's powers
+        crosscav.integrator._block_exponentials.cache_clear()
+        assert evolve_master(rho0, L, EvolutionSpec(T)).matrix.tobytes() == cold_bytes[T], T
+        (part,), _ = crosscav.integrator._plans[L.matrix][1]
+        stacks.append(part[-1].stack)
+    # 1e-7 s needs degree 10; 2e-3 s a higher one, so the stack is remade
+    assert len(stacks[0]) == 10 < len(stacks[1])
+    # 1e-4 s needs no higher degree than 2e-3 s: no power is computed
+    assert stacks[3] is stacks[2] is stacks[1]
+
+
 def test_a_window_plan_lives_only_as_long_as_its_generator(cold):
     space = make_space([2, 2, 2])
     plans = crosscav.integrator._plans
@@ -771,10 +810,13 @@ def test_a_window_plan_lives_only_as_long_as_its_generator(cold):
     evolve_master(_one_excitation_state(space, (1.0, 1.0)), L, EvolutionSpec(1e-6))
     assert L.matrix in plans and len(plans) == 1
     ref = weakref.ref(L.matrix)
-    del L
+    (part,), _ = plans[L.matrix][1]
+    powers_ref = weakref.ref(part[-1].stack)
+    del L, part
     gc.collect()
     assert ref() is None
     assert len(plans) == 0
+    assert powers_ref() is None
 
 
 def test_clear_all_empties_the_generators_and_the_window_plans(cold):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import crosscav.protocol
 from conftest import to_scipy
 from crosscav.analytic import (
     PreparedStateParams,
@@ -228,6 +229,18 @@ def test_run_record_summary_is_json_friendly():
     assert s["label"] == "single-cavity/resonant"
     assert s["total_time"] == pytest.approx(rec.total_time)
     assert [d["kind"] for d in s["segments"]].count("dissipative") == 1
+
+
+@pytest.mark.parametrize("residue, reported", [(-1e-12, 0.0), (-1e-9, 0.0), (-2e-9, None)])
+def test_read_out_clamps_rounding_residue_and_rejects_a_negative_probability(
+    monkeypatch, residue, reported
+):
+    monkeypatch.setattr(crosscav.protocol, "_atom_population", lambda rho, level: residue)
+    if reported is None:
+        with pytest.raises(ValueError, match="read-out probability .* is negative"):
+            run_single_cavity(make_cfg(), "resonant")
+    else:
+        assert run_single_cavity(make_cfg(), "resonant").p_e == reported
 
 
 def test_runs_are_physical_over_the_whole_range():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,19 @@ def test_density_rejects_non_finite(value):
         DensityMatrix(np.full((2, 2), value), space)
     with pytest.raises(ValueError, match="non-finite"):
         DensityMatrix(np.diag([1.0, value]), space)
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([[np.nan, np.inf], [0.0, 1.0]], "non-finite entries"),
+    ([[0.5, 1e-9], [0.0, 0.5]], "not Hermitian"),
+    ([[0.5, 0.0], [0.0, 0.5 + 1e-9]], "trace deviates"),
+    ([[1.0 + 1e-8, 0.0], [0.0, -1e-8]], "negative eigenvalue"),
+])
+def test_density_names_the_first_check_it_fails_without_a_warning(matrix, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(np.array(matrix), make_space([2]))
 
 
 def test_density_properties_random(rng):
