@@ -381,12 +381,15 @@ def _expm_dense(B: np.ndarray, t: float, norm: float, powers: _Powers) -> np.nda
     m = next((m for m in (10, 15, 20) if x <= _TAYLOR_THETA[m]), 25)
     c = np.cumprod(x / np.arange(1, m + 1))
     terms = c[:, None, None] * powers.upto(B, norm, m)
-    sums = np.cumsum(terms, axis=0)
-    size = np.abs(terms).max(axis=(1, 2))
-    stop = size[:-1] + size[1:] <= _UNIT_ROUNDOFF * np.abs(sums[1:]).max(axis=(1, 2))
-    F = sums[np.argmax(stop) + 1 if stop.any() else -1]
+    sums = terms.cumsum(axis=0)
+    # the largest entry of each term and of each partial sum
+    size = np.abs(terms.reshape(m, -1)).max(axis=1)
+    top = np.abs(sums.reshape(m, -1)).max(axis=1)
+    stop = size[:-1] + size[1:] <= _UNIT_ROUNDOFF * top[1:]
+    j = stop.argmax()  # the first stop, or 0 when there is none
+    F = sums[j + 1 if stop[j] else -1]
     eye = np.eye(n)
-    tol = n * _UNIT_ROUNDOFF * np.abs(eye + F).sum(axis=0).max()
+    tol = n * _UNIT_ROUNDOFF * np.abs(eye + F).sum(axis=0).max() if s else 0.0
     for _ in range(s):
         F2 = 2 * F + F @ F
         done = np.abs(F2 - F).sum(axis=0).max() <= tol
