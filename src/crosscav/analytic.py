@@ -19,7 +19,7 @@ from .tensor import Ket, SpaceSignature, basis_ket, make_space
 _TWO_PI = 2.0 * pi
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class PreparedStateParams:
     """Preparation angles: theta from the first Rabi pulse, phi from the
     dispersive wait, each stored once, reduced mod 2 pi."""
@@ -57,8 +57,10 @@ def _require_finite(**values):
 
 
 def _check_rates(k: float, r: float, t: float, gamma: float):
-    # the sweeps call this once per point, so test cheaply before naming
-    if not (isfinite(k) and isfinite(r) and isfinite(t) and isfinite(gamma)):
+    # the sweeps call this once per point, so screen the sum first: it is
+    # finite unless an argument is not, or finite arguments overflow it,
+    # and only then do the named checks run
+    if not isfinite(k + r + t + gamma):
         _require_finite(k=k, r=r, t=t, gamma=gamma)
     if t < 0:
         raise ValueError("time must be non-negative")

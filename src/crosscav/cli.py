@@ -6,11 +6,18 @@ fixed 15-significant-digit scientific notation, LF endings, stable row
 order (engines, then the r list as given, then the swept value ascending).
 Sweeps evaluate their points one after another in the calling thread;
 --jobs is accepted for compatibility and has no effect.  A sweep works on
-one (engine, r) block at a time and formats each distinct value once: the
-swept values once per command, r and the engine once per block, so a row
-costs one `%` over its values.  Nothing is written until every block is
-done, so an error in any block leaves stdout empty and creates no --out
-file.  An --out path whose directory is missing fails before any work.
+one (engine, r) block at a time: each engine gives a block function
+(r, xs) -> value columns, and work that does not depend on r (the
+analytic sweep-phi's PreparedStateParams) is done once per command.  The
+swept values are formatted once per command, r and the engine once per
+block, and each value column once per block, in one `%` pass per _CHUNK
+values; a column bit-for-bit equal to the same column of the block
+before (p_e_nr of an analytic sweep-time, which does not depend on r)
+reuses that block's strings.  Rows are joined _CHUNK at a time, so no
+block-sized list of row or value strings is held.  Nothing is written
+until every block is done, so an error in any block leaves stdout empty
+and creates no --out file.  An --out path whose directory is missing
+fails before any work.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 validation failure.
 """
@@ -25,7 +32,10 @@ import time
 from contextlib import nullcontext
 from dataclasses import replace
 from functools import partial
+from itertools import repeat, zip_longest
 from math import isfinite, pi
+from operator import sub
+from struct import pack
 
 import numpy as np
 
@@ -41,6 +51,8 @@ from .protocol import ProtocolConfig, run_single_cavity, run_two_cavity
 from .validate import run_validation
 
 _FMT = "%.14e"  # 15 significant digits
+# sweep rows per output string: bounds the value strings split at once
+_CHUNK = 1024
 
 
 class UsageError(Exception):
@@ -156,27 +168,50 @@ def _sweep_range(args, cfg, default_start, default_stop):
     return np.linspace(start, stop, count)
 
 
-def _sweep_blocks(engine, points, r_list, grid, columns):
-    """CSV data, one string per (engine, r) block: engine (in the order of
-    `points`), then the r list as given, then the grid ascending.
+def _format_chunks(values):
+    """`values` as `%.14e` strings joined by "\n", one string per _CHUNK
+    values, each made in one `%` pass."""
+    parts = [values[i:i + _CHUNK] for i in range(0, len(values), _CHUNK)]
+    return ["\n".join([_FMT] * len(part)) % tuple(part) for part in parts]
 
-    `points` maps each engine to a function of r, called once per block,
-    that returns f(x), called once per grid value; `columns` turns a
-    block's f values into its value columns.  The grid column is
-    formatted once, in one `%` pass; r and the engine go into the block's
-    row template, so each row costs one `%` over its values.
+
+def _formatted(values, before):
+    """(bits, formatted chunks) of a value column: those of `before`, the
+    same column of the block before, when its floats are bit-for-bit these
+    (bits, not ==, decide, so -0.0 never takes the strings of 0.0)."""
+    bits = pack(f"{len(values)}d", *values)
+    if before is not None and before[0] == bits:
+        return before
+    return bits, _format_chunks(values)
+
+
+def _sweep_blocks(engine, blocks, r_list, grid):
+    """CSV data rows in order: engine (in the order of `blocks`), then the
+    r list as given, then the grid ascending, as strings of up to _CHUNK
+    rows each.
+
+    `blocks` maps each engine to a function (r, xs) -> value columns,
+    called once per (engine, r) block with the grid as a list of floats.
+    The grid column is formatted once and r once per block; each value
+    column is formatted once per block unless `_formatted` reuses the
+    strings of the block before.  Formatted columns are kept as one string
+    per chunk and split only while that chunk's rows are joined.
     """
-    engines = list(points) if engine == "both" else [engine]
+    engines = list(blocks) if engine == "both" else [engine]
     xs = grid.tolist()
-    x_column = ("\n".join([_FMT] * len(xs)) % tuple(xs)).split("\n")
-    blocks = []
+    x_chunks = _format_chunks(xs)
+    chunks = []
+    previous = []  # (bits, formatted chunks) of each value column of the block before
     for e in engines:
         for r in r_list:
-            point = points[e](r)
-            cols = columns([point(x) for x in xs])
-            row = f"%s,{_FMT % r},{','.join([_FMT] * len(cols))},{e}"
-            blocks.append("\n".join(map(row.__mod__, zip(x_column, *cols))))
-    return blocks
+            previous = [_formatted(values, before)
+                        for values, before in zip_longest(blocks[e](r, xs), previous)]
+            r_text = _FMT % r
+            for x_part, *parts in zip(x_chunks, *(c for _, c in previous)):
+                rows = zip(x_part.split("\n"), repeat(r_text),
+                           *(part.split("\n") for part in parts), repeat(e))
+                chunks.append("\n".join(map(",".join, rows)))
+    return chunks
 
 
 def _check_out(path):
@@ -195,7 +230,7 @@ def _write(args, lines):
     else:
         target = nullcontext(sys.stdout)
     with target as out:
-        for line in lines:  # no line + "\n" copy of a ~1 MB sweep block
+        for line in lines:  # no line + "\n" copy of a run of sweep rows
             out.write(line)
             out.write("\n")
 
@@ -214,21 +249,22 @@ def cmd_sweep_phi(args):
     theta, T = proto.theta, proto.T
     r_list = _r_list(args, cfg, [500.0, 750.0, 1000.0], k)
 
-    def analytic_points(r):
-        def point(phi):
-            return prob_e_two_cavity(PreparedStateParams(theta, phi), k, r, gamma, T)
-        return point
+    # per command, not per r; the simulated engine needs no params
+    params = (
+        [] if args.engine == "simulated"
+        else [PreparedStateParams(theta, phi) for phi in phis.tolist()]
+    )
 
-    def simulated_points(r):
+    def analytic_block(r, xs):
+        return ([prob_e_two_cavity(p, k, r, gamma, T) for p in params],)
+
+    def simulated_block(r, xs):
         at_r = replace(proto, decay=replace(base_decay, r=r))
-
-        def point(phi):
-            c = replace(at_r, phi=phi)
-            return run_two_cavity(c, readout="overlap", frame=args.frame).p_e
-        return point
-
-    def columns(p_e):
-        return [p_e]
+        return ([
+            run_two_cavity(replace(at_r, phi=phi), readout="overlap",
+                           frame=args.frame).p_e
+            for phi in xs
+        ],)
 
     meta = _meta_line(
         "sweep-phi",
@@ -240,9 +276,9 @@ def cmd_sweep_phi(args):
             "frame": args.frame,
         },
     )
-    points = {"analytic": analytic_points, "simulated": simulated_points}
-    blocks = _sweep_blocks(args.engine, points, r_list, phis, columns)
-    _write(args, [meta, "phi_rad,r_per_s,p_e,engine", *blocks])
+    blocks = {"analytic": analytic_block, "simulated": simulated_block}
+    rows = _sweep_blocks(args.engine, blocks, r_list, phis)
+    _write(args, [meta, "phi_rad,r_per_s,p_e,engine", *rows])
     return 0
 
 
@@ -254,28 +290,19 @@ def cmd_sweep_time(args):
     k, gamma = base_decay.k, base_decay.gamma
     r_list = _r_list(args, cfg, [500.0, 900.0, 1000.0], k)
 
-    def analytic_points(r):
-        def point(T):
-            return (
-                prob_e_single_cavity_resonant(k, r, gamma, T),
-                prob_e_single_cavity_detuned(k, T),
-            )
-        return point
+    def analytic_block(r, xs):
+        p_r = [prob_e_single_cavity_resonant(k, r, gamma, T) for T in xs]
+        p_nr = [prob_e_single_cavity_detuned(k, T) for T in xs]
+        return p_r, p_nr, list(map(sub, p_r, p_nr))
 
-    def simulated_points(r):
+    def simulated_block(r, xs):
         at_r = replace(proto, decay=replace(base_decay, r=r))
-
-        def point(T):
+        p_r, p_nr = [], []
+        for T in xs:
             c = replace(at_r, T=T)
-            return (
-                run_single_cavity(c, variant="resonant", frame=args.frame).p_e,
-                run_single_cavity(c, variant="detuned", frame=args.frame).p_e,
-            )
-        return point
-
-    def columns(pairs):
-        p_r, p_nr = zip(*pairs)
-        return p_r, p_nr, [a - b for a, b in pairs]
+            p_r.append(run_single_cavity(c, variant="resonant", frame=args.frame).p_e)
+            p_nr.append(run_single_cavity(c, variant="detuned", frame=args.frame).p_e)
+        return p_r, p_nr, list(map(sub, p_r, p_nr))
 
     meta = _meta_line(
         "sweep-time",
@@ -287,9 +314,9 @@ def cmd_sweep_time(args):
             "frame": args.frame,
         },
     )
-    points = {"analytic": analytic_points, "simulated": simulated_points}
-    blocks = _sweep_blocks(args.engine, points, r_list, times, columns)
-    _write(args, [meta, "T_s,r_per_s,p_e_r,p_e_nr,D,engine", *blocks])
+    blocks = {"analytic": analytic_block, "simulated": simulated_block}
+    rows = _sweep_blocks(args.engine, blocks, r_list, times)
+    _write(args, [meta, "T_s,r_per_s,p_e_r,p_e_nr,D,engine", *rows])
     return 0
 
 

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 from math import cos, exp, pi, sin, sqrt
 
 import numpy as np
@@ -105,6 +107,31 @@ def test_analytic_rejects_non_finite(call, name):
         call()
 
 
+# in the closed forms' argument order (k, r, gamma, T), under their check's names
+_RATES = {"k": 1000.0, "r": 500.0, "gamma": 1.0, "t": 1e-3}
+
+
+@pytest.mark.parametrize("bad", [_NAN, _INF, -_INF])
+@pytest.mark.parametrize("name", list(_RATES))
+@pytest.mark.parametrize("closed_form", [
+    lambda k, r, gamma, t: prob_e_two_cavity(_PREP, k, r, gamma, t),
+    prob_e_single_cavity_resonant,
+], ids=["two_cavity", "single_cavity_resonant"])
+def test_closed_forms_name_each_non_finite_argument(closed_form, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        closed_form(*{**_RATES, name: bad}.values())
+
+
+def test_rate_check_accepts_finite_arguments_whose_sum_overflows():
+    # k + r + t + gamma is inf here; the screen falls back to the named
+    # checks, which pass every finite argument
+    k = r = gamma = 1e308
+    M = single_excitation_propagator(k, r, gamma, 0.0)
+    np.testing.assert_array_equal(M, np.eye(2))
+    prob_e_two_cavity(_PREP, k, r, gamma, 0.0)
+    prob_e_single_cavity_resonant(k, r, gamma, 0.0)
+
+
 @pytest.mark.parametrize("bad", [_NAN, _INF, -_INF])
 @pytest.mark.parametrize("angle", ["theta", "phi"])
 def test_prepared_state_params_rejects_non_finite(angle, bad):
@@ -133,6 +160,11 @@ def test_prepared_state_params_keeps_its_dataclass_behaviour(angle, bad):
     assert dataclasses.replace(p) == p
     with pytest.raises(ValueError, match="^angles must be finite"):
         dataclasses.replace(p, **{angle: bad})
+    # slotted: no per-instance dict, and copies keep the stored angles
+    assert not hasattr(p, "__dict__")
+    for copied in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+        assert type(copied) is PreparedStateParams and copied is not p
+        assert copied == p and (copied.theta, copied.phi) == (p.theta, p.phi)
 
 
 def test_amplitude_pair_evolution_population():

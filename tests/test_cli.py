@@ -183,6 +183,89 @@ def test_sweep_csv_matches_row_reference(tmp_path, capsys, command, engine, fram
     assert data == "".join(row + "\n" for row in rows)
 
 
+@pytest.mark.parametrize("frame", ["rotating", "lab"])
+@pytest.mark.parametrize("engine", ["analytic", "both"])
+@pytest.mark.parametrize("command", ["sweep-phi", "sweep-time"])
+def test_reused_columns_match_single_r_runs(tmp_path, capsys, command, engine, frame):
+    # a column equal to the block before takes that block's strings (p_e_nr
+    # of every analytic sweep-time block, every column of the repeated
+    # r = 1000); each block must still be the rows of a run at its r alone
+    r_list, points = [1000.0, 0.0, 450.0, 1000.0], 4
+    args = [command, "--config", write_config(tmp_path, ROW_CFG), "--engine", engine,
+            "--frame", frame, "--points", str(points)]
+
+    def data_rows(rates):
+        assert run_cli(args + ["--r-list", ",".join(map(str, rates))]) == 0
+        return capsys.readouterr().out.split("\n")[2:-1]
+
+    rows = data_rows(r_list)
+    engines = ["analytic", "simulated"] if engine == "both" else ["analytic"]
+    assert len(rows) == len(engines) * len(r_list) * points
+    single = {r: data_rows([r]) for r in set(r_list)}
+    for b, (e, r) in enumerate((e, r) for e in engines for r in r_list):
+        block = rows[b * points:(b + 1) * points]
+        assert block == [row for row in single[r] if row.endswith("," + e)]
+
+
+@pytest.mark.parametrize("points", [1023, 1024, 1025, 2050])
+@pytest.mark.parametrize("command", ["sweep-phi", "sweep-time"])
+def test_rows_joined_in_chunks_match_row_reference(tmp_path, capsys, command, points):
+    # rows are joined 1024 at a time; full, partial and single-row last
+    # chunks, with a reused column, give the bytes of row-at-a-time output
+    r_list = [1000.0, 0.0, 1000.0]
+    args = [command, "--config", write_config(tmp_path, ROW_CFG), "--engine", "analytic",
+            "--points", str(points), "--r-list", ",".join(map(str, r_list))]
+    assert run_cli(args) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n")
+    # as lists of rows: a failure names the first row that differs
+    assert out.split("\n")[2:-1] == row_reference(command, "analytic", "rotating",
+                                                  points, r_list)
+
+
+def test_column_reuse_tells_negative_zero_from_zero():
+    # 0.0 == -0.0, but they print differently: only equal bits share strings
+    from crosscav.cli import _sweep_blocks
+
+    columns = {1.0: [0.0, 1.0], 2.0: [-0.0, 1.0], 3.0: [-0.0, 1.0]}
+    rows = "\n".join(_sweep_blocks("e", {"e": lambda r, xs: (columns[r],)},
+                                   [1.0, 2.0, 3.0], np.array([0.0, 1.0]))).split("\n")
+    assert [row.split(",")[2] for row in rows[::2]] == [
+        "0.00000000000000e+00", "-0.00000000000000e+00", "-0.00000000000000e+00"]
+
+
+@pytest.mark.parametrize("points", [2, 5])
+def test_analytic_sweeps_make_one_closed_form_call_per_point_and_r(monkeypatch, capsys,
+                                                                   points):
+    # the names in crosscav.cli are the ones a sweep calls; PreparedStateParams
+    # is built once per phi for the whole command, not once per (phi, r)
+    import crosscav.cli as cli
+
+    calls = dict.fromkeys(("PreparedStateParams", "prob_e_two_cavity",
+                           "prob_e_single_cavity_resonant",
+                           "prob_e_single_cavity_detuned"), 0)
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    args = ["--engine", "analytic", "--points", str(points), "--r-list", "500,750,1000"]
+    assert run_cli(["sweep-phi", *args]) == 0
+    assert calls == {"PreparedStateParams": points, "prob_e_two_cavity": 3 * points,
+                     "prob_e_single_cavity_resonant": 0,
+                     "prob_e_single_cavity_detuned": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    assert run_cli(["sweep-time", *args]) == 0
+    assert calls == {"PreparedStateParams": 0, "prob_e_two_cavity": 0,
+                     "prob_e_single_cavity_resonant": 3 * points,
+                     "prob_e_single_cavity_detuned": 3 * points}
+    capsys.readouterr()
+
+
 def test_sweep_overflow_leaves_no_partial_output(tmp_path, capsys):
     # the r = 500 block is computed before cosh(r T) overflows in the
     # r = 1000 block; nothing is written unless every block is done
