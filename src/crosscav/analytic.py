@@ -129,7 +129,7 @@ def prob_e_two_cavity(
     """
     _check_rates(k, r, T, gamma)
     amp = cosh(r * T) - sinh(r * T) * sin(2 * p.theta) * cos(gamma + p.phi)
-    return exp(-2 * k * T) * amp * amp
+    return exp(-2 * (k * T)) * amp * amp
 
 
 def prob_e_single_cavity_resonant(k: float, r: float, gamma: float, T: float) -> float:
@@ -137,7 +137,7 @@ def prob_e_single_cavity_resonant(k: float, r: float, gamma: float, T: float) ->
     probability at theta = pi/4, phi = pi/2."""
     _check_rates(k, r, T, gamma)
     amp = cosh(r * T) + sinh(r * T) * sin(gamma)
-    return exp(-2 * k * T) * amp * amp
+    return exp(-2 * (k * T)) * amp * amp
 
 
 def prob_e_single_cavity_detuned(k: float, T: float) -> float:
@@ -146,7 +146,7 @@ def prob_e_single_cavity_detuned(k: float, T: float) -> float:
         _require_finite(k=k, T=T)
     if T < 0 or k < 0:
         raise ValueError("k and T must be non-negative")
-    return exp(-2 * k * T)
+    return exp(-2 * (k * T))
 
 
 def discriminator_D(k: float, r: float, gamma: float, T: float) -> float:

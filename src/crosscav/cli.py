@@ -10,14 +10,17 @@ one (engine, r) block at a time: each engine gives a block function
 (r, xs) -> value columns, and work that does not depend on r (the
 analytic sweep-phi's PreparedStateParams) is done once per command.  The
 swept values are formatted once per command, r and the engine once per
-block, and each value column once per block, in one `%` pass per _CHUNK
-values; a column bit-for-bit equal to the same column of the block
-before (p_e_nr of an analytic sweep-time, which does not depend on r)
-reuses that block's strings.  Rows are joined _CHUNK at a time, so no
-block-sized list of row or value strings is held.  Nothing is written
-until every block is done, so an error in any block leaves stdout empty
-and creates no --out file.  An --out path whose directory is missing
-fails before any work.
+block, and each value column once per block, into a byte matrix of
+"%22.14e" rows: by an exact numpy kernel for a column of at least
+_KERNEL_MIN values, by one `%` pass for a shorter one (`_column_rows`).
+A column bit-for-bit equal to the same column of the block before (p_e_nr
+of an analytic sweep-time, which does not depend on r) reuses that
+block's rows.  Rows are built _CHUNK at a time as one byte matrix of the
+columns, commas, r and the engine, whose text drops the padding spaces.
+A non-finite value is an error naming its engine, column, r and swept
+value.  Nothing is written until every block is done, so an error in any
+block leaves stdout empty and creates no --out file.  An --out path whose
+directory is missing fails before any work.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 validation failure.
 """
@@ -31,11 +34,10 @@ import sys
 import time
 from contextlib import nullcontext
 from dataclasses import replace
-from functools import partial
-from itertools import repeat, zip_longest
-from math import isfinite, pi
+from functools import cache, partial
+from itertools import zip_longest
+from math import isfinite, ldexp, log10, pi
 from operator import sub
-from struct import pack
 
 import numpy as np
 
@@ -51,8 +53,24 @@ from .protocol import ProtocolConfig, run_single_cavity, run_two_cavity
 from .validate import run_validation
 
 _FMT = "%.14e"  # 15 significant digits
-# sweep rows per output string: bounds the value strings split at once
-_CHUNK = 1024
+_FMT22 = "%22.14e"  # the same, right-aligned in _WIDTH bytes
+_WIDTH = 22
+# sweep rows per output string.  Each chunk passes through three transient
+# buffers of its size (matrix, bytes, text), and larger ones leave larger
+# holes in the heap: sweep-analytic's peak RSS was 0.4 MB higher at 1024
+# rows than at 256, at the same speed
+_CHUNK = 256
+# columns at least this long are formatted by the numpy kernel of
+# _column_rows, shorter ones by `%` (measured crossover, see there)
+_KERNEL_MIN = 128
+# the kernel's tables cover 10^k and exponents e for |k|, |e| <= _E_TABLE
+_E_TABLE = 300
+_LOG10_2 = log10(2)
+_SPLIT = 2.0 ** 27 + 1  # Veltkamp's factor: splits a double into 26-bit halves
+# one kernel output row: padding and sign, "d.dd" and three "dddd", "e+dd"
+_ROW = np.dtype({"names": ["pad", "mantissa", "exponent"],
+                 "formats": ["u2", ("u4", 4), "u4"],
+                 "offsets": [0, 2, 18], "itemsize": _WIDTH})
 
 
 class UsageError(Exception):
@@ -168,49 +186,224 @@ def _sweep_range(args, cfg, default_start, default_stop):
     return np.linspace(start, stop, count)
 
 
-def _format_chunks(values):
-    """`values` as `%.14e` strings joined by "\n", one string per _CHUNK
-    values, each made in one `%` pass."""
-    parts = [values[i:i + _CHUNK] for i in range(0, len(values), _CHUNK)]
-    return ["\n".join([_FMT] * len(part)) % tuple(part) for part in parts]
+def _percent_rows(values):
+    """`"%22.14e"` of each float of a list, as an (n, _WIDTH) uint8 matrix."""
+    text = (_FMT22 * len(values)) % tuple(values)
+    return np.frombuffer(text.encode("ascii"), np.uint8).reshape(len(values), _WIDTH)
 
 
-def _formatted(values, before):
-    """(bits, formatted chunks) of a value column: those of `before`, the
-    same column of the block before, when its floats are bit-for-bit these
-    (bits, not ==, decide, so -0.0 never takes the strings of 0.0)."""
-    bits = pack(f"{len(values)}d", *values)
+@cache
+def _pow10():
+    """Columns (H, H_hi, H_lo, L) for 10^k, k = -_E_TABLE.._E_TABLE at row
+    k + _E_TABLE: H is 10^k rounded, H + L is 10^k within 2^-103 10^k
+    (where L is a normal float, |k| <= 290), and H_hi + H_lo = H split
+    into 26-bit halves for Dekker's product."""
+    table = np.empty((4, 2 * _E_TABLE + 1))
+    for i, k in enumerate(range(-_E_TABLE, _E_TABLE + 1)):
+        big = 10 ** abs(k)
+        if k >= 0:
+            h = float(big)  # int -> float and int / int are correctly rounded
+            lo = float(big - int(h))
+        else:
+            h = 1 / big
+            p, q = h.as_integer_ratio()  # q = 2^s
+            lo = ldexp(float(q - p * big) / float(big), 1 - q.bit_length())
+        c = _SPLIT * h
+        hi = c - (c - h)
+        table[:, i] = h, hi, h - hi, lo
+    return table
+
+
+@cache
+def _digit_tables():
+    """4-byte strings as uint32: "dddd" for 0..9999, "d.dd" for 0..999,
+    and "e+dd"/"e-dd" (the tens and ones of |e|) for e = -_E_TABLE.._E_TABLE
+    at e + _E_TABLE; and there the hundreds digit of |e| as a byte."""
+    d = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    four = np.empty((10, 10, 10, 10, 4), np.uint8)
+    four[..., 0] = d[:, None, None, None]
+    four[..., 1] = d[:, None, None]
+    four[..., 2] = d[:, None]
+    four[..., 3] = d
+    dot = np.empty((10, 10, 10, 4), np.uint8)
+    dot[..., 0] = d[:, None, None]
+    dot[..., 1] = ord(".")
+    dot[..., 2] = d[:, None]
+    dot[..., 3] = d
+    span = range(-_E_TABLE, _E_TABLE + 1)
+    exponents = "".join("e%s%02d" % ("-" if e < 0 else "+", abs(e) % 100) for e in span)
+    return (four.reshape(-1).view(np.uint32), dot.reshape(-1).view(np.uint32),
+            np.frombuffer(exponents.encode("ascii"), np.uint32),
+            np.frombuffer(bytes(ord("0") + abs(e) // 100 for e in span), np.uint8))
+
+
+def _column_rows(v):
+    """`"%22.14e" % x` for each x of a float64 array, as an (n, _WIDTH)
+    uint8 matrix: the string right-aligned, left-padded with spaces.
+
+    A column shorter than _KERNEL_MIN takes one `%` pass.  The numpy kernel
+    below costs about 0.1 ms whatever the length, and `%` about 1 us a
+    value, so the kernel pays from about 100 values on (measured on 2
+    vCPUs).  The choice follows the column's length, a property of the
+    input and not a setting: a simulated sweep's columns of tens of points
+    keep `%`, an analytic sweep's thousands take the kernel.
+
+    The kernel is exact.  For a = |x| it takes the decimal exponent e from
+    frexp, corrected by comparing a with 10^(e+1), and forms
+    y = a 10^(14-e) as a double-double: Dekker's TwoProduct of a and H
+    plus a L, where H + L is 10^(14-e) split exactly with Python ints
+    (`_pow10`).  For a in [1e-280, 1e280] every partial product is a
+    normal float and the computed y is within 2^-50 of the exact one.  So
+    rounding y to an integer N is decided correctly wherever y's fraction
+    is more than 2^-20 from 1/2, and floor(y) can be wrong only within
+    2^-50 of an integer, where either neighbour rounds to the same N.  N,
+    15 digits, is cut into groups of 3, 4, 4 and 4 digits by exact float
+    divisions and printed through 4-byte tables; N = 10^15 carries into
+    the exponent.  A floor(y) outside [10^14, 10^15) means e was misjudged
+    (a lay within rounding of a power of ten).  Every element the kernel
+    cannot certify this way is redone by `%`: a fraction within 2^-20 of
+    1/2 (ties included), floor(y) outside [10^14, 10^15), a outside
+    [1e-280, 1e280], +-0, inf and nan.
+    """
+    n = len(v)
+    if n < _KERNEL_MIN:
+        return _percent_rows(v.tolist())
+    H, H_hi, H_lo, L = _pow10()
+    four, dot, exponents, hundreds = _digit_tables()
+    a = np.abs(v)
+    ok = a >= 1e-280
+    ok &= a < 1e280
+    a[~ok] = 1.0  # +-0, subnormals, the far ends, inf and nan: `%` redoes them
+    e = np.frexp(a)[1] * _LOG10_2
+    e -= _LOG10_2
+    e = np.floor(e)
+    e += a >= H[(e + (_E_TABLE + 1)).astype(np.intp)]
+    k = ((_E_TABLE + 14) - e).astype(np.intp)
+    y = a * H[k]
+    c = a * _SPLIT
+    a_hi = c - (c - a)
+    a_lo = np.subtract(a, a_hi, out=c)
+    t = a_hi * H_hi[k]  # TwoProduct: y + t is a H exactly
+    t -= y
+    t += a_hi * H_lo[k]
+    t += a_lo * H_hi[k]
+    t += a_lo * H_lo[k]
+    t += a * L[k]
+    del a, a_hi, a_lo, c, k  # fewer live arrays: a sweep's peak memory is here
+    f = np.floor(y)
+    t += y - f
+    del y
+    c = np.floor(t)
+    f += c  # floor(y)
+    t -= c  # fraction of y
+    ok &= f >= 1e14
+    ok &= f < 1e15
+    t -= 0.5
+    f += t > 0
+    ok &= np.abs(t) > 2.0 ** -20
+    del c, t
+    carry = np.flatnonzero(f == 1e15)
+    f[carry] = 1e14
+    e[carry] += 1
+    rows = np.empty(n, _ROW)
+    rows["pad"] = 0x2020
+    mantissa = rows["mantissa"]
+    g = np.floor(f / 1e12)  # d0 d1 d2
+    f -= g * 1e12
+    mantissa[:, 0] = dot.take(g.astype(np.intp), mode="clip")
+    g = np.floor(f / 1e8)  # d3..d6
+    f -= g * 1e8
+    mantissa[:, 1] = four.take(g.astype(np.intp), mode="clip")
+    g = np.floor(f / 1e4)  # d7..d10
+    f -= g * 1e4
+    mantissa[:, 2] = four.take(g.astype(np.intp), mode="clip")
+    mantissa[:, 3] = four.take(f.astype(np.intp), mode="clip")  # d11..d14
+    x = (e + _E_TABLE).astype(np.intp)
+    rows["exponent"] = exponents[x]
+    out = rows.view(np.uint8).reshape(n, _WIDTH)
+    out[np.flatnonzero(v < 0), 1] = ord("-")
+    wide = np.flatnonzero(np.abs(e) >= 100)  # three exponent digits
+    out[wide, :19] = out[wide, 1:20]
+    out[wide, 19] = hundreds[x[wide]]
+    redo = np.flatnonzero(~ok)
+    if redo.size:
+        out[redo] = _percent_rows(v[redo].tolist())
+    return out
+
+
+def _formatted(column, before):
+    """(bytes, rows) of a float64 value column: its bytes and its
+    `_column_rows` matrix; those of `before`, the same column of the block
+    before, when its floats are bit-for-bit these (bits, not ==, decide,
+    so -0.0 never takes the strings of 0.0)."""
+    bits = column.tobytes()
     if before is not None and before[0] == bits:
         return before
-    return bits, _format_chunks(values)
+    return bits, _column_rows(column)
 
 
-def _sweep_blocks(engine, blocks, r_list, grid):
+def _block_text(x_rows, r, columns, engine):
+    """One block's CSV rows as strings of up to _CHUNK rows each.
+
+    A chunk is one byte matrix: the swept values `x_rows`, r, the value
+    `columns` (each an (n, _WIDTH) matrix of `_column_rows`) and the
+    engine side by side with their commas, r and the engine broadcast.
+    Its text drops the padding spaces.
+    """
+    n = len(x_rows)
+
+    def constant(text):
+        return np.broadcast_to(np.frombuffer(text, np.uint8), (n, len(text)))
+
+    parts = [x_rows, constant((("," + _FMT22 + ",") % r).encode("ascii"))]
+    for i, rows in enumerate(columns):
+        parts += [constant(b","), rows] if i else [rows]
+    parts.append(constant(f",{engine}\n".encode("ascii")))
+    texts = []
+    for start in range(0, n, _CHUNK):
+        matrix = np.concatenate([p[start:start + _CHUNK] for p in parts], axis=1)
+        matrix[-1, -1] = ord(" ")  # _write ends the chunk's last row
+        texts.append(matrix.tobytes().translate(None, b" ").decode("ascii"))
+    return texts
+
+
+def _sweep_blocks(engine, blocks, r_list, grid, header):
     """CSV data rows in order: engine (in the order of `blocks`), then the
     r list as given, then the grid ascending, as strings of up to _CHUNK
     rows each.
 
     `blocks` maps each engine to a function (r, xs) -> value columns,
     called once per (engine, r) block with the grid as a list of floats.
-    The grid column is formatted once and r once per block; each value
-    column is formatted once per block unless `_formatted` reuses the
-    strings of the block before.  Formatted columns are kept as one string
-    per chunk and split only while that chunk's rows are joined.
+    `header` names the CSV fields: the swept value, r, the value columns
+    and the engine.  A non-finite value raises ValueError, naming the
+    first such cell.  The grid column is formatted once and r once per
+    block; each value column is formatted once per block unless
+    `_formatted` reuses the rows of the block before, and `_block_text`
+    joins a block's formatted columns into rows.
     """
     engines = list(blocks) if engine == "both" else [engine]
+    names = header.split(",")
     xs = grid.tolist()
-    x_chunks = _format_chunks(xs)
+    x_rows = _column_rows(grid)
     chunks = []
-    previous = []  # (bits, formatted chunks) of each value column of the block before
+    previous = []  # (bytes, rows) of each value column of the block before
     for e in engines:
         for r in r_list:
-            previous = [_formatted(values, before)
-                        for values, before in zip_longest(blocks[e](r, xs), previous)]
-            r_text = _FMT % r
-            for x_part, *parts in zip(x_chunks, *(c for _, c in previous)):
-                rows = zip(x_part.split("\n"), repeat(r_text),
-                           *(part.split("\n") for part in parts), repeat(e))
-                chunks.append("\n".join(map(",".join, rows)))
+            # as arrays at once: a list of floats takes four times the memory
+            columns = [np.array(values, np.float64) for values in blocks[e](r, xs)]
+            previous = [_formatted(column, before)
+                        for column, before in zip_longest(columns, previous)]
+            # a "%22.14e" string ends in a digit unless its value is inf or nan
+            bad = [(int(i[0]), col) for col, (_, rows) in enumerate(previous)
+                   if (i := np.flatnonzero(rows[:, -1] > ord("9"))).size]
+            if bad:
+                i, col = min(bad)
+                value = columns[col][i]
+                raise ValueError(
+                    f"{e} engine: non-finite {names[col + 2]} = {value} at "
+                    f"{names[1]} = {r!r}, {names[0]} = {xs[i]!r}")
+            del columns  # arrays of floats no longer needed: memory peaks below
+            chunks += _block_text(x_rows, r, [rows for _, rows in previous], e)
     return chunks
 
 
@@ -277,8 +470,9 @@ def cmd_sweep_phi(args):
         },
     )
     blocks = {"analytic": analytic_block, "simulated": simulated_block}
-    rows = _sweep_blocks(args.engine, blocks, r_list, phis)
-    _write(args, [meta, "phi_rad,r_per_s,p_e,engine", *rows])
+    header = "phi_rad,r_per_s,p_e,engine"
+    rows = _sweep_blocks(args.engine, blocks, r_list, phis, header)
+    _write(args, [meta, header, *rows])
     return 0
 
 
@@ -315,8 +509,9 @@ def cmd_sweep_time(args):
         },
     )
     blocks = {"analytic": analytic_block, "simulated": simulated_block}
-    rows = _sweep_blocks(args.engine, blocks, r_list, times)
-    _write(args, [meta, "T_s,r_per_s,p_e_r,p_e_nr,D,engine", *rows])
+    header = "T_s,r_per_s,p_e_r,p_e_nr,D,engine"
+    rows = _sweep_blocks(args.engine, blocks, r_list, times, header)
+    _write(args, [meta, header, *rows])
     return 0
 
 
@@ -380,9 +575,9 @@ def cmd_simulate(args):
 
 
 def cmd_validate(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = run_validation(args.profile)
-    report["elapsed_s"] = round(time.time() - t0, 3)
+    report["elapsed_s"] = round(time.perf_counter() - t0, 3)
     _write(args, [json.dumps(report, indent=2, sort_keys=True)])
     for check in report["checks"]:
         status = "pass" if check["passed"] else "FAIL"

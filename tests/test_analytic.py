@@ -124,12 +124,15 @@ def test_closed_forms_name_each_non_finite_argument(closed_form, name, bad):
 
 def test_rate_check_accepts_finite_arguments_whose_sum_overflows():
     # k + r + t + gamma is inf here; the screen falls back to the named
-    # checks, which pass every finite argument
+    # checks, which pass every finite argument.  At T = 0 nothing has
+    # decayed, even where 2k overflows a float
     k = r = gamma = 1e308
     M = single_excitation_propagator(k, r, gamma, 0.0)
     np.testing.assert_array_equal(M, np.eye(2))
-    prob_e_two_cavity(_PREP, k, r, gamma, 0.0)
-    prob_e_single_cavity_resonant(k, r, gamma, 0.0)
+    assert prob_e_two_cavity(PreparedStateParams(0.3, 1.0), k, r, gamma, 0.0) == 1.0
+    assert prob_e_two_cavity(_PREP, k, r, gamma, 0.0) == 1.0
+    assert prob_e_single_cavity_resonant(k, r, gamma, 0.0) == 1.0
+    assert prob_e_single_cavity_detuned(k, 0.0) == 1.0
 
 
 @pytest.mark.parametrize("bad", [_NAN, _INF, -_INF])

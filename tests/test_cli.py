@@ -210,7 +210,7 @@ def test_reused_columns_match_single_r_runs(tmp_path, capsys, command, engine, f
 @pytest.mark.parametrize("points", [1023, 1024, 1025, 2050])
 @pytest.mark.parametrize("command", ["sweep-phi", "sweep-time"])
 def test_rows_joined_in_chunks_match_row_reference(tmp_path, capsys, command, points):
-    # rows are joined 1024 at a time; full, partial and single-row last
+    # rows are joined 256 at a time; full, partial and single-row last
     # chunks, with a reused column, give the bytes of row-at-a-time output
     r_list = [1000.0, 0.0, 1000.0]
     args = [command, "--config", write_config(tmp_path, ROW_CFG), "--engine", "analytic",
@@ -223,13 +223,23 @@ def test_rows_joined_in_chunks_match_row_reference(tmp_path, capsys, command, po
                                                   points, r_list)
 
 
+def test_time_sweep_reads_one_at_t0_when_2k_overflows(tmp_path, capsys):
+    # exp(-2 k T) once formed -2k = -inf first, and -inf * 0 is nan
+    path = write_config(tmp_path, {"decay": {"k": 1e308}})
+    assert run_cli(["sweep-time", "--config", path, "--points", "3", "--r-list", "0"]) == 0
+    t0_row = capsys.readouterr().out.split("\n")[2]
+    assert t0_row.split(",")[2:5] == ["1.00000000000000e+00", "1.00000000000000e+00",
+                                      "0.00000000000000e+00"]
+
+
 def test_column_reuse_tells_negative_zero_from_zero():
     # 0.0 == -0.0, but they print differently: only equal bits share strings
     from crosscav.cli import _sweep_blocks
 
     columns = {1.0: [0.0, 1.0], 2.0: [-0.0, 1.0], 3.0: [-0.0, 1.0]}
     rows = "\n".join(_sweep_blocks("e", {"e": lambda r, xs: (columns[r],)},
-                                   [1.0, 2.0, 3.0], np.array([0.0, 1.0]))).split("\n")
+                                   [1.0, 2.0, 3.0], np.array([0.0, 1.0]),
+                                   "x,r,v,engine")).split("\n")
     assert [row.split(",")[2] for row in rows[::2]] == [
         "0.00000000000000e+00", "-0.00000000000000e+00", "-0.00000000000000e+00"]
 
