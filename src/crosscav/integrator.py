@@ -29,18 +29,25 @@ two successive terms fall below 2^-53 of the sum; the dense branch
 applies the same stop to its cumulative sum over the stored powers.
 
 Blocks of at most _DENSE_MAX_DIM rows, one full [2,2,2] protocol space,
-run densely.  A larger block is split along the connected components of
-L's stored pattern, labelled once per generator (_CSR.components): no
-stored entry joins two components, so each is closed under L and
-propagates on its own.  The weak U(1) symmetry of these generators
-(Buca & Prosen, New J. Phys. 14:073007, 2012) makes them small, at most
-19 of the 324 rows of [3,3,2], so a full-rank state there still runs
-densely, one component at a time.  Only a block that meets a component
-of more than _DENSE_MAX_DIM rows takes the action, as the n_max = 8
+run densely as one part.  A larger block is split along its own
+connected components (_components): no stored entry joins two of them,
+so each is closed under L and propagates on its own.  The weak U(1)
+symmetry of these generators (Buca & Prosen, New J. Phys. 14:073007,
+2012) keeps them small: at most 19 rows for a full-rank [3,3,2] state,
+55 for (|0> + |4>)_slow at n_max = 8.  Only a block with a component of
+more than _DENSE_MAX_DIM rows takes the action, as full-support n_max = 8
 states do (components of up to 489 of 6561 rows); that caps the dense
-block's memory.  Neither branch diagonalizes, so both stay exact where
+part's memory.  Neither branch diagonalizes, so both stay exact where
 the generator is defective, as at the decoherence-free point r = k.
 Both run on numpy alone.
+
+In the lab frame a dense block B carries the phases -i omega q of its
+coherence orders on its diagonal, and squaring would carry them too.
+With mu the mean imaginary diagonal of each connected piece of B's
+pattern, diag(mu) commutes with B, so exactly exp(B t) =
+diag(e^(i mu t)) exp((B - i diag(mu)) t): a dense part squares only the
+second factor and applies the phase with mu t reduced modulo 2 pi.
+
 Fixed-step RK4 runs only when a caller asks for it, as an independent
 oracle on the full generator.
 
@@ -52,15 +59,13 @@ are read-only and held in least-recently-used caches bounded by the bytes
 they hold (_memo.ByteLRU).  A miss runs every check; a hit returns a
 value that passed them.  The sparse action is not cached.  What a window
 does before any exponential, the reachable-block search, the component
-split and the assembly of each dense block or the action's norm, is its
-plan (_plan); it depends on the generator and supp(v) alone.
-Each generator record keeps its last plan, with that support, in a weak
-map (_plans), so a window that repeats both skips that work, and the plan
-goes when the record does.  A dense part of a plan also keeps the powers
-(B / ||B||_1)^j of its block B (_Powers), made when a window first misses
-the exponential cache and extended only when a window needs a higher
-degree, so the windows of a sweep over T on one generator compute them
-once.  The map is keyed by the record, not by its values: a record must
+split and the assembly of each dense part with its powers
+(B / ||B||_1)^j, j <= 25, or the action's norm, is its plan (_plan); it
+depends on the generator and supp(v) alone.  Each generator record keeps
+its last plan, with that support, in a weak map (_plans), so a window
+that repeats both skips that work, the windows of a sweep over T on one
+generator share one stack of powers, and the plan goes when the record
+does.  The map is keyed by the record, not by its values: a record must
 not be written after a window has run on it, and the package never
 writes one.
 """
@@ -94,10 +99,10 @@ _TAYLOR_THETA = {
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
 _UNIT_ROUNDOFF = 2.0**-53
-# the most rows a dense block may have: a reachable block or, past it,
-# each connected component it meets; a block that meets a larger
+# the most rows a dense part may have: a reachable block or, past it,
+# each of the block's connected components; a block with a larger
 # component takes the sparse action.  64 is one full [2,2,2] protocol
-# space, and the largest component of a [3,3,2] generator has 19 rows
+# space; a full-rank [3,3,2] block's components have at most 19 rows
 _DENSE_MAX_DIM = 64
 # the action stores a generator by diagonals unless that takes more than
 # this many times its stored entries (the package's generators take < 3.5)
@@ -115,9 +120,9 @@ _HAMILTONIAN_CACHE_SIZE = 16
 # 128.5 KiB, so at most 7 of those are kept.  The window plans (_plans)
 # are not counted here: a plan holds, per dense part, the bytes of B
 # (64 KiB for a full 64-row block, under 1 KiB for a protocol window) and
-# at most 25 n^2 16 bytes of its powers (1.6 MB for a 64-row block, at
-# most 40 KB for the 5- and 10-row windows of a protocol sweep), and
-# lives as long as its generator, of which the builders keep two.
+# 25 n^2 16 bytes of its powers (1.6 MB for a 64-row block, 10 and 40 KB
+# for the 5- and 10-row windows of a protocol sweep), and lives as long
+# as its generator, of which the builders keep two.
 _UNITARY_CACHE_BYTES = 256 * 1024
 _BLOCK_CACHE_BYTES = 1024 * 1024
 _unitaries = _memo.register(_memo.ByteLRU(_UNITARY_CACHE_BYTES))
@@ -316,45 +321,33 @@ def _block(A: _CSR, rows: np.ndarray, mask: np.ndarray):
     return R, pos[rows[keep]], pos[A.indices[keep]], A.data[keep]
 
 
-class _Powers:
-    """The powers P_j = (B / ||B||_1)^j, j = 1..m, of one dense block.
+def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Connected components of the pattern (rows, cols) on indices 0..n-1.
 
-    They are made in one stack on the first window that needs them and
-    remade, into a new stack that copies the old one, only when a window
-    needs a higher degree; a stack, once stored, is never written.  Each
-    P_j is P_{j-1} P_1 however the stack grew, so a window's result does
-    not depend on the windows before it.
+    Entry i is the smallest index of the component that i belongs to,
+    where an entry (i, j) joins i and j whatever its direction; no entry
+    joins two labels.  Every label is lowered to the labels of the indices
+    an entry joins it to, then to its own label's label, until nothing
+    changes.
     """
-
-    __slots__ = ("stack",)
-
-    def __init__(self):
-        self.stack = None
-
-    def upto(self, B: np.ndarray, norm: float, m: int) -> np.ndarray:
-        """P_1..P_m of B, whose norm ||B||_1 is norm."""
-        P = self.stack
-        have = 0 if P is None else len(P)
-        if have < m:
-            grown = np.empty((m,) + B.shape, dtype=complex)
-            if have:
-                grown[:have] = P
-            else:
-                np.divide(B, norm, out=grown[0])
-                have = 1
-            for j in range(have, m):
-                np.matmul(grown[j - 1], grown[0], out=grown[j])
-            self.stack = P = grown
-        return P[:m]
+    labels = np.arange(n)
+    while True:
+        lowered = labels.copy()
+        np.minimum.at(lowered, rows, labels[cols])
+        np.minimum.at(lowered, cols, labels[rows])
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, labels):
+            return labels
+        labels = lowered
 
 
-def _expm_dense(B: np.ndarray, t: float, norm: float, powers: _Powers) -> np.ndarray:
+def _expm_dense(t: float, norm: float, powers: np.ndarray) -> np.ndarray:
     """exp(B t) by truncated Taylor scaling and squaring; norm = ||B||_1 > 0.
 
     X = B t / 2^s takes the fewest squarings s with ||X||_1 = x <= theta_25
     = 2.43, then the smallest degree m with x <= theta_m: the backward-error
-    bound of _expm_action.  Every power of B is stored (powers), so a
-    degree costs no product and only the squarings count.  s comes from
+    bound of _expm_action.  B enters only through its stored powers (_powers),
+    so a degree costs no product and only the squarings count.  s comes from
     log2 t + log2 norm and x = 2^-s t * norm is formed without t * norm,
     so no finite window overflows either.
 
@@ -375,12 +368,12 @@ def _expm_dense(B: np.ndarray, t: float, norm: float, powers: _Powers) -> np.nda
     conserved slow-mode population into 0 or inf for windows near the
     float range).
     """
-    n = B.shape[0]
+    n = powers.shape[1]
     s = max(0, ceil(log2(t) + log2(norm) - log2(_TAYLOR_THETA[25])))
     x = ldexp(t, -s) * norm
     m = next((m for m in (10, 15, 20) if x <= _TAYLOR_THETA[m]), 25)
     c = np.cumprod(x / np.arange(1, m + 1))
-    terms = c[:, None, None] * powers.upto(B, norm, m)
+    terms = c[:, None, None] * powers[:m]
     sums = terms.cumsum(axis=0)
     # the largest entry of each term and of each partial sum
     size = np.abs(terms.reshape(m, -1)).max(axis=1)
@@ -400,38 +393,72 @@ def _expm_dense(B: np.ndarray, t: float, norm: float, powers: _Powers) -> np.nda
     return eye + F
 
 
+def _dense_part(R: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+    """The dense part (R, norm, data, powers, mu) of the block B = A_RR.
+
+    mu is None when B's diagonal is real.  Otherwise mu is, per row, the
+    mean imaginary diagonal of the row's piece (connected component) of
+    B's pattern, and the part stores B - i diag(mu) in place of B (see the
+    module docstring).  norm, data and powers are the stored matrix's
+    ||.||_1, bytes and power stack (_powers; None when norm is 0).
+    """
+    n = len(R)
+    B = np.zeros((n, n), dtype=complex)
+    B[rows, cols] = vals  # a _CSR row stores each column once
+    mu = None
+    if B.diagonal().imag.any():
+        labels = _components(rows, cols, n)
+        mu = np.bincount(labels, B.diagonal().imag)[labels] / np.bincount(labels)[labels]
+        B[np.diag_indices(n)] -= 1j * mu
+    norm = float(np.abs(B).sum(axis=0).max())
+    return R, norm, B.tobytes(), _powers(B, norm) if norm else None, mu
+
+
+def _powers(B: np.ndarray, norm: float) -> np.ndarray:
+    """The read-only stack P_j = (B / norm)^j, j = 1..25, with P_j = P_(j-1) P_1."""
+    P = np.empty((25,) + B.shape, dtype=complex)
+    np.divide(B, norm, out=P[0])
+    for j in range(1, 25):
+        np.matmul(P[j - 1], P[0], out=P[j])
+    P.setflags(write=False)
+    return P
+
+
 def _plan(A: _CSR, support: np.ndarray):
     """How exp(A t) v runs for every v whose nonzeros are the support mask.
 
-    Returns (parts, action).  A block of at most _DENSE_MAX_DIM rows, or
-    each connected component of A that the support touches when none has
-    more rows, is a dense part (R, norm, data, powers): its indices R, the
-    norm ||B||_1 of B = A_RR, B's bytes and the holder of B's powers,
-    empty until a window needs them; action is then None.  Otherwise
-    parts is empty and action is the norm ||A_RR||_1 of the whole
-    reachable block, on which the sparse action runs.
+    Returns (parts, action).  A reachable block of at most _DENSE_MAX_DIM
+    rows is one dense part (_dense_part).  A larger block is split along
+    its own connected components, each closed under A because the block
+    is, and runs as one dense part per component when none has more than
+    _DENSE_MAX_DIM rows; action is then None.  Otherwise parts is empty
+    and action is the norm ||A_RR||_1 of the whole reachable block, on
+    which the sparse action runs.
     """
     rows = A.row_of()
     mask = _reachable(A, rows, support)
-    masks = [mask]
-    if np.count_nonzero(mask) > _DENSE_MAX_DIM:
-        labels = A.components
-        touched = np.zeros(len(support), dtype=bool)
-        touched[labels[support]] = True
-        if np.bincount(labels, minlength=len(support))[touched].max() <= _DENSE_MAX_DIM:
-            # no stored entry joins two components, so each is closed under A
-            masks = [mask & (labels == c) for c in np.flatnonzero(touched)]
-    parts = []
-    for part in masks:
-        R, rows_R, cols, vals = _block(A, rows, part)
-        n = len(R)
-        norm = float(np.bincount(cols, weights=np.abs(vals), minlength=n).max())
-        if n > _DENSE_MAX_DIM:  # the unsplit block: too large to run densely
-            return (), norm
-        B = np.zeros((n, n), dtype=complex)
-        B[rows_R, cols] = vals  # a _CSR row stores each column once
-        parts.append((R, norm, B.tobytes(), _Powers()))
-    return parts, None
+    R, rows_R, cols, vals = block = _block(A, rows, mask)
+    n = len(R)
+    if n <= _DENSE_MAX_DIM:
+        return [_dense_part(*block)], None
+    labels = _components(rows_R, cols, n)
+    sizes = np.bincount(labels, minlength=n)
+    if sizes.max() > _DENSE_MAX_DIM:
+        return (), float(np.bincount(cols, weights=np.abs(vals), minlength=n).max())
+    owner = np.full(len(mask), -1)
+    owner[R] = labels
+    return [_dense_part(*_block(A, rows, owner == c)) for c in np.flatnonzero(sizes)], None
+
+
+def _frame_phase(mu: np.ndarray, t: float) -> np.ndarray:
+    """e^(i mu t) per row, with mu t reduced modulo 2 pi first."""
+    top = float(np.abs(mu).max())
+    if not isfinite(top * t):
+        raise ValueError(
+            f"window t = {t:g} s times the frame phase rate {top:.3e} 1/s "
+            "overflows the frame phase"
+        )
+    return np.exp(1j * np.fmod(mu * t, 2 * np.pi))
 
 
 def _propagate(A: _CSR, v: np.ndarray, t: float) -> np.ndarray:
@@ -441,10 +468,9 @@ def _propagate(A: _CSR, v: np.ndarray, t: float) -> np.ndarray:
     for A is kept, with its support, until A is freed or a window with
     another support replaces it.  A dense part's exp(B t) is reused by the
     bytes of B, its size and t, so equal blocks of different generators
-    share one exponential, and B is read back from its bytes only on a
-    miss, which sums the Taylor series over the part's stored powers;
-    B's entries are stored in row-major order, so B and t fix its norm
-    too.
+    share one exponential; a miss sums the Taylor series over the part's
+    stored powers.  B's entries are stored in row-major order, so B and t
+    fix its norm too.
     """
     support = v != 0
     pattern = support.tobytes()
@@ -456,19 +482,17 @@ def _propagate(A: _CSR, v: np.ndarray, t: float) -> np.ndarray:
         return _expm_action(A, v, t, action)
     out = np.zeros_like(v)
     t_hex = float(t).hex()
-    for R, norm, data, powers in parts:
-        if norm == 0:
-            out[R] = v[R]
-            continue
-        n = len(R)
-        key = (data, n, t_hex)
-        E = _block_exponentials.get(key)
-        if E is None:
-            B = np.frombuffer(data, dtype=complex).reshape(n, n)
-            E = _expm_dense(B, t, norm, powers)
-            E.setflags(write=False)
-            _block_exponentials.put(key, E, 2 * E.nbytes)
-        out[R] = E @ v[R]
+    for R, norm, data, powers, mu in parts:
+        w = v[R]
+        if norm:
+            key = (data, len(R), t_hex)
+            E = _block_exponentials.get(key)
+            if E is None:
+                E = _expm_dense(t, norm, powers)
+                E.setflags(write=False)
+                _block_exponentials.put(key, E, 2 * E.nbytes)
+            w = E @ w
+        out[R] = w if mu is None else _frame_phase(mu, t) * w
     return out
 
 

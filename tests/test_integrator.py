@@ -18,6 +18,7 @@ from crosscav.analytic import (
     prob_e_two_cavity,
     robust_coherent_state,
     robust_entangled_state,
+    robust_fock_state,
 )
 from crosscav.integrator import (
     EvolutionSpec,
@@ -150,10 +151,10 @@ def test_dense_exponential_matches_scipy_on_whole_generators(dims, r, frame):
     params = SymmetricDecayParameters(K_EXACT, r, 0.9, 2 * pi * 5e3)
     B = build_symmetric_liouvillian(params, space, frame).matrix.toarray()
     norm = float(np.abs(B).sum(axis=0).max())
-    powers = crosscav.integrator._Powers()
+    powers = crosscav.integrator._powers(B, norm)
     for t in (1e-7, 1e-5, 1e-4, 5e-4, 2e-3, 1e-2):
         ref = expm(B * t)
-        E = crosscav.integrator._expm_dense(B, t, norm, powers)
+        E = crosscav.integrator._expm_dense(t, norm, powers)
         assert np.abs(E - ref).max() <= 1e-13 * np.abs(ref).max(), t
 
 
@@ -257,49 +258,50 @@ def test_block_propagation_matches_dense_exponential(dims, case, rng):
                 assert outside.any()
 
 
-# --- connected components of a generator's stored pattern ---
+# --- connected components of a pattern: whole generators and reachable blocks ---
 
 
-def _assert_components_match_scipy(A, label):
-    labels = A.components
-    pattern = sp.csr_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
+def _assert_components_match_scipy(rows, cols, n, label):
+    labels = crosscav.integrator._components(rows, cols, n)
+    pattern = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     n_ref, ref = connected_components(pattern, directed=True, connection="weak")
     # the same partition: each label pairs with exactly one scipy label
     pairs = np.unique(np.stack([labels, ref]), axis=1)
     assert pairs.shape[1] == n_ref == len(np.unique(labels)), label
-    # no stored entry joins two labels
-    assert (labels[A.row_of()] == labels[A.indices]).all(), label
+    # no entry joins two labels
+    assert (labels[rows] == labels[cols]).all(), label
+    # each label is the smallest index of its component
+    assert (labels[labels] == labels).all() and (labels <= np.arange(n)).all(), label
+
+
+def _assert_generator_components_match_scipy(A, label):
+    _assert_components_match_scipy(A.row_of(), A.indices, A.shape[0], label)
 
 
 @pytest.mark.parametrize("dims", [[2, 2], [2, 2, 2], [3, 3, 2], [9, 9]], ids=str)
-def test_components_match_scipy(dims):
+def test_components_match_scipy(dims, rng):
     space = make_space(dims)
     for case in BLOCK_GENERATORS:
-        _assert_components_match_scipy(_generator(case, space).matrix, case)
+        A = _generator(case, space).matrix
+        _assert_generator_components_match_scipy(A, case)
+        if dims in ([3, 3, 2], [9, 9]):
+            # the reachable blocks of random supports, in block indices
+            rows = A.row_of()
+            for size in (1, 3, 10):
+                support = np.zeros(A.shape[0], dtype=bool)
+                support[rng.choice(A.shape[0], size, replace=False)] = True
+                mask = crosscav.integrator._reachable(A, rows, support)
+                R, rows_R, cols, _ = crosscav.integrator._block(A, rows, mask)
+                _assert_components_match_scipy(rows_R, cols, len(R), (case, size))
     if len(dims) == 3:
         params, frame = BLOCK_GENERATORS["r=k-lab"]
         H = jc_hamiltonian(space, "both_with_phase", 1e5, 2e5, 2e5)
         L = build_symmetric_liouvillian(params, space, frame, H)
-        _assert_components_match_scipy(L.matrix, "pulse")
+        _assert_generator_components_match_scipy(L.matrix, "pulse")
 
 
 def test_components_of_a_scattered_generator_match_scipy(rng):
-    _assert_components_match_scipy(_scattered_generator(rng).matrix, "scattered")
-
-
-def test_components_are_labelled_once_and_only_for_large_blocks():
-    params = SymmetricDecayParameters(K_EXACT, K_EXACT, 0.9)
-    space = make_space([2, 2, 2])
-    L = build_symmetric_liouvillian(params, space)
-    rho0 = density_from_ket(basis_ket(space, (1, 0, ATOM_G)))
-    evolve_master(rho0, L, EvolutionSpec(1.0))
-    # a block of at most 64 rows never labels the generator
-    assert "components" not in vars(L.matrix)
-    labels = L.matrix.components
-    assert not labels.flags.writeable
-    assert L.matrix.components is labels
-    # a generator reused by value keeps its labels
-    assert build_symmetric_liouvillian(params, space).matrix.components is labels
+    _assert_generator_components_match_scipy(_scattered_generator(rng).matrix, "scattered")
 
 
 def test_sparse_action_runs_the_nmax8_coherent_state(monkeypatch):
@@ -313,6 +315,64 @@ def test_sparse_action_runs_the_nmax8_coherent_state(monkeypatch):
     )
     rho_T = evolve_master(density_from_ket(psi), L, EvolutionSpec(1e-3))
     assert 1.0 - rho_T.fidelity_with_ket(psi) <= 1e-12
+
+
+def _dfs_superposition(gamma):
+    """(|0> + |4>)_slow / sqrt(2) at n_max = 8: a 65-row reachable block."""
+    zero, four = robust_fock_state(gamma, 0, 8), robust_fock_state(gamma, 4, 8)
+    return Ket((zero.amplitudes + four.amplitudes) / sqrt(2), zero.space)
+
+
+@pytest.mark.parametrize("r, T, fidelity", [
+    (K_EXACT, 1e-3, 1.0),
+    (K_EXACT, 1.0, 1.0),
+    (K_EXACT, 1e6, 1.0),
+    # 1/4 (1 + (1 - x)^4) + x^4 / 4 + x^2 / 2 with x = exp(-2 (k - r) T)
+    (500.0, 1e-3, 0.36216187637828623),
+])
+def test_a_decoherence_free_superposition_runs_densely_by_block_component(
+    monkeypatch, r, T, fidelity
+):
+    def no_action(*args, **kwargs):
+        raise AssertionError("the block's components have at most 64 rows")
+
+    monkeypatch.setattr(crosscav.integrator, "_expm_action", no_action)
+    gamma = 0.9
+    psi = _dfs_superposition(gamma)
+    L = build_symmetric_liouvillian(
+        SymmetricDecayParameters(K_EXACT, r, gamma), psi.space, "rotating"
+    )
+    rho0 = density_from_ket(psi)
+    rho_T = evolve_master(rho0, L, EvolutionSpec(T))
+    assert rho_T.fidelity_with_ket(psi) == pytest.approx(fidelity, abs=1e-12)
+    parts, _ = crosscav.integrator._plans[L.matrix][1]
+    assert sorted(len(part[0]) for part in parts) == [5, 5, 55]
+    if T == 1e-3:
+        ref = expm_multiply(to_scipy(L.matrix) * T, rho0.matrix.reshape(-1))
+        assert np.abs(rho_T.matrix.reshape(-1) - ref).max() <= 1e-10
+
+
+@pytest.mark.parametrize("dims", [[2, 2, 2], [3, 3, 2]], ids=str)
+def test_lab_frame_full_rank_windows_match_the_rotating_frame(dims, rng):
+    # the frame phases leave the squarings: each dense part runs
+    # B - i diag(mu) and multiplies its output by exp(i mu t)
+    space = make_space(dims)
+    rho0 = random_density(space, rng)
+    params = SymmetricDecayParameters(K_EXACT, K_EXACT, 0.9, 2 * pi * 5e3)
+    lab, rotating = (build_symmetric_liouvillian(params, space, frame)
+                     for frame in ("lab", "rotating"))
+    # omega T = 1.3 pi is no multiple of pi, so the phases show
+    T = 1.3e-4
+    out = evolve_master(rho0, lab, EvolutionSpec(T)).matrix.reshape(-1)
+    ref = expm(lab.matrix.toarray() * T) @ rho0.matrix.reshape(-1)
+    assert np.abs(out - ref).max() <= 1e-10 * np.abs(ref).max()
+    for T in (1e3, 1e6, 1e300):
+        out = evolve_master(rho0, lab, EvolutionSpec(T)).matrix
+        ref = evolve_master(rho0, rotating, EvolutionSpec(T)).matrix
+        assert np.abs(np.diag(out) - np.diag(ref)).max() <= 1e-12, T
+    with pytest.raises(ValueError, match=r"t = 1e\+308 s times the frame phase rate") as exc:
+        evolve_master(rho0, lab, EvolutionSpec(1e308))
+    assert "\n" not in str(exc.value)
 
 
 def test_action_rejects_a_window_whose_step_count_overflows(monkeypatch):
@@ -415,8 +475,8 @@ def test_scattered_generator_takes_the_csr_product(rng):
 
 
 # full-rank [3, 3, 2] windows: no component has more than 19 of its 324
-# rows, so they square densely too (the lab frame is left out at 1e308 s:
-# its result fails the density-matrix Hermiticity check)
+# rows, so they square densely too (the lab frame is left out at 1e308 s,
+# where its frame phase overflows)
 FULL_RANK_FRAMES = {1e-3: (), 1.0: ("rotating", "lab"), 1e308: ("rotating",)}
 
 
@@ -429,9 +489,9 @@ def test_dense_squaring_runs_a_protocol_state(monkeypatch, T, rng, cold):
     sizes = []
     expm_dense = crosscav.integrator._expm_dense
 
-    def recording(B, *args):
-        sizes.append(len(B))
-        return expm_dense(B, *args)
+    def recording(t, norm, powers):
+        sizes.append(powers.shape[1])
+        return expm_dense(t, norm, powers)
 
     monkeypatch.setattr(crosscav.integrator, "_expm_dense", recording)
     space = make_space([2, 2, 2])
@@ -777,7 +837,7 @@ def test_large_blocks_reuse_their_window_plan(case, cold, reachable_calls, monke
     assert len(reachable_calls) == 1
 
 
-def test_block_powers_are_reused_and_grown_only_for_a_higher_degree(cold, rng):
+def test_a_plans_stack_is_made_once_and_is_the_same_array_for_every_later_window(cold, rng):
     space = make_space([2, 2, 2])
     L = build_symmetric_liouvillian(SymmetricDecayParameters(K_EXACT, 700.0, 0.4), space)
     rho0 = random_density(space, rng)  # full rank: one 64-row block
@@ -793,11 +853,15 @@ def test_block_powers_are_reused_and_grown_only_for_a_higher_degree(cold, rng):
         crosscav.integrator._block_exponentials.cache_clear()
         assert evolve_master(rho0, L, EvolutionSpec(T)).matrix.tobytes() == cold_bytes[T], T
         (part,), _ = crosscav.integrator._plans[L.matrix][1]
-        stacks.append(part[-1].stack)
-    # 1e-7 s needs degree 10; 2e-3 s a higher one, so the stack is remade
-    assert len(stacks[0]) == 10 < len(stacks[1])
-    # 1e-4 s needs no higher degree than 2e-3 s: no power is computed
-    assert stacks[3] is stacks[2] is stacks[1]
+        stacks.append(part[3])
+    # the plan made every power up to degree 25 once, read-only
+    P = stacks[0]
+    assert P.shape == (25, 64, 64) and not P.flags.writeable
+    assert all(stack is P for stack in stacks)
+    B = np.frombuffer(part[2], dtype=complex).reshape(64, 64)
+    np.testing.assert_array_equal(P[0], B / part[1])
+    for j in range(1, 25):
+        np.testing.assert_array_equal(P[j], P[j - 1] @ P[0])
 
 
 def test_a_window_plan_lives_only_as_long_as_its_generator(cold):
@@ -811,7 +875,7 @@ def test_a_window_plan_lives_only_as_long_as_its_generator(cold):
     assert L.matrix in plans and len(plans) == 1
     ref = weakref.ref(L.matrix)
     (part,), _ = plans[L.matrix][1]
-    powers_ref = weakref.ref(part[-1].stack)
+    powers_ref = weakref.ref(part[3])
     del L, part
     gc.collect()
     assert ref() is None
