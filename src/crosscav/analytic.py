@@ -167,7 +167,22 @@ def robust_entangled_state(gamma: float, n_max: int = 1) -> Ket:
 
 
 def robust_coherent_state(gamma: float, v: complex, n_max: int = 8) -> Ket:
-    """Truncated two-mode coherent state with amplitudes (v, -e^{i gamma} v)."""
+    """Two-mode coherent state with amplitudes (v, -e^{i gamma} v), truncated
+    by total excitation: n1 + n2 <= n_max.
+
+    The product coefficients v^n1/sqrt(n1!) (-e^{i gamma} v)^n2/sqrt(n2!) are
+    kept where n1 + n2 <= n_max, then normalized.  Their n-photon part is
+    alpha^n/sqrt(n!) |n>_slow with alpha = sqrt(2) v, so the state is exactly
+    sum_{n <= n_max} alpha^n/sqrt(n!) |n>_slow, normalized (|n>_slow as in
+    robust_fock_state).  The subspace n1 + n2 <= n_max is closed under the
+    normal-mode rotation, so at r = k the state is stationary up to
+    rounding; a per-mode truncation is not, and leaks.
+
+    At r < k the dropped tail n > n_max shows: the fidelity after T departs
+    from the untruncated closed form exp(-2|v|^2 (1 - e^{-(k-r)T})^2), at
+    n_max = 8, k = 1000 /s, r = 500 /s and T = 1 ms by 5e-12 at |v| = 0.3
+    and by 2.9e-4 at |v| = 0.9.
+    """
     _require_finite(gamma=gamma)
     v = complex(v)
     if abs(v) ** 2 > n_max / 4.0:
@@ -181,9 +196,10 @@ def robust_coherent_state(gamma: float, v: complex, n_max: int = 8) -> Ket:
             [alpha**n / sqrt(factorial(n)) for n in range(n_max + 1)], dtype=complex
         )
 
-    amps = np.kron(coeffs(v), coeffs(-np.exp(1j * gamma) * v))
-    amps /= np.linalg.norm(amps)
-    return Ket(amps, space)
+    n = np.arange(n_max + 1)
+    amps = np.outer(coeffs(v), coeffs(-np.exp(1j * gamma) * v))
+    amps[np.add.outer(n, n) > n_max] = 0
+    return Ket(amps.ravel() / np.linalg.norm(amps), space)
 
 
 def robust_fock_state(gamma: float, n: int, n_max: int) -> Ket:

@@ -35,11 +35,11 @@ so each is closed under L and propagates on its own.  The weak U(1)
 symmetry of these generators (Buca & Prosen, New J. Phys. 14:073007,
 2012) keeps them small: at most 19 rows for a full-rank [3,3,2] state,
 55 for (|0> + |4>)_slow at n_max = 8.  Only a block with a component of
-more than _DENSE_MAX_DIM rows takes the action, as full-support n_max = 8
-states do (components of up to 489 of 6561 rows); that caps the dense
-part's memory.  Neither branch diagonalizes, so both stay exact where
-the generator is defective, as at the decoherence-free point r = k.
-Both run on numpy alone.
+more than _DENSE_MAX_DIM rows takes the action, as the n_max = 8 robust
+coherent state does (a 2025-row block of 6561, with components of up to
+285 rows); that caps the dense part's memory.  Neither branch
+diagonalizes, so both stay exact where the generator is defective, as at
+the decoherence-free point r = k.  Both run on numpy alone.
 
 In the lab frame a dense block B carries the phases -i omega q of its
 coherence orders on its diagonal, and squaring would carry them too.
@@ -268,11 +268,10 @@ def _expm_action(A: _CSR, v: np.ndarray, t: float, norm: float) -> np.ndarray:
     A is not first shifted by mu = trace(A_RR)/|R|, the preprocessing
     step of Al-Mohy & Higham.  Every GKSL block has eigenvalue 0, and the
     states that survive a long window sit there; the shift would move
-    them to -mu (+1.6e4 and +1.44e4 /s on validate's n_max = 8 blocks), a
-    growing mode that runs every substep to its full degree.  Unshifted,
-    the early stop makes a substep's cost follow the vector: validate's
-    two robust-state windows take 126 and 118 products, 220 and 198
-    shifted.
+    them to -mu > 0, a growing mode that runs every substep to its full
+    degree.  Unshifted, the early stop makes a substep's cost follow the
+    vector: validate's two robust coherent states lie in the generator's
+    kernel up to rounding, and their windows take 14 and 12 products.
     """
     if not isfinite(t * norm):
         raise ValueError(

@@ -179,9 +179,10 @@ def check_propagator_cross_factor(k=1000.0, r=750.0, gamma=pi / 2, T=500e-6):
     }
 
 
-def _normal_matrix(rng: random.Random, D: int) -> np.ndarray:
-    """A D x D matrix of standard normal draws, row by row."""
-    return np.array([[rng.gauss(0.0, 1.0) for _ in range(D)] for _ in range(D)])
+def _uniform_matrix(rng: random.Random, D: int) -> np.ndarray:
+    """A D x D matrix of draws uniform on [-1, 1), row by row."""
+    draw = rng.random
+    return 2.0 * np.array([draw() for _ in range(D * D)]).reshape(D, D) - 1.0
 
 
 def check_builder_consistency(tol=1e-12):
@@ -209,7 +210,7 @@ def check_builder_consistency(tol=1e-12):
         builds.append((build_general_liouvillian(asymmetric, space), asymmetric))
         for L, general in builds:
             for _ in range(3):
-                X = _normal_matrix(rng, D) + 1j * _normal_matrix(rng, D)
+                X = _uniform_matrix(rng, D) + 1j * _uniform_matrix(rng, D)
                 direct = liouvillian_direct(general, space, X)
                 dev = np.abs(apply_liouvillian(L, X) - direct).max()
                 devs.append(dev / np.abs(direct).max())

@@ -1,7 +1,7 @@
 import copy
 import dataclasses
 import pickle
-from math import cos, exp, pi, sin, sqrt
+from math import cos, exp, factorial, pi, sin, sqrt
 
 import numpy as np
 import pytest
@@ -357,9 +357,34 @@ def test_robust_coherent_mode_structure():
     psi = robust_coherent_state(gamma, v, n_max)
     A1, A2 = normal_mode_ops(psi.space, gamma)
     fast = A2.matrix @ psi.amplitudes
-    assert np.linalg.norm(fast) < 1e-6
+    assert np.linalg.norm(fast) < 1e-15
+    # A1 psi = sqrt(2) v psi below the top shell n1 + n2 = n_max; the top
+    # shell has no shell above it to lower from, so there A1 psi is 0 and
+    # differs from sqrt(2) v psi by up to 1.06e-6 here
     slow = A1.matrix @ psi.amplitudes
-    np.testing.assert_allclose(slow, sqrt(2) * v * psi.amplitudes, atol=1e-6)
+    n1, n2 = np.indices((n_max + 1, n_max + 1)).reshape(2, -1)
+    top = n1 + n2 == n_max
+    np.testing.assert_allclose(
+        slow[~top], sqrt(2) * v * psi.amplitudes[~top], rtol=0, atol=1e-15
+    )
+    assert (slow[top] == 0).all()
+
+
+@pytest.mark.parametrize("gamma, v, n_max", [
+    (0.6, 0.3, 8), (1.1, 0.9, 8), (2.5, 1.4, 8), (0.9, 0.5 - 0.4j, 4), (0.0, 1.0, 4),
+])
+def test_robust_coherent_state_is_a_truncated_slow_mode_coherent_state(gamma, v, n_max):
+    psi = robust_coherent_state(gamma, v, n_max)
+    # the support is exactly n1 + n2 <= n_max
+    n1, n2 = np.indices((n_max + 1, n_max + 1)).reshape(2, -1)
+    assert ((psi.amplitudes != 0) == (n1 + n2 <= n_max)).all()
+    # sum_{n <= n_max} alpha^n / sqrt(n!) |n>_slow with alpha = sqrt(2) v
+    alpha = sqrt(2) * v
+    ref = sum(
+        alpha**n / sqrt(factorial(n)) * robust_fock_state(gamma, n, n_max).amplitudes
+        for n in range(n_max + 1)
+    )
+    assert np.abs(psi.amplitudes - ref / np.linalg.norm(ref)).max() <= 1e-15
 
 
 def test_robust_coherent_rejects_large_amplitude():
