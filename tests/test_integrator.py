@@ -410,8 +410,13 @@ def test_robust_coherent_states_are_stationary_at_r_equal_k(v, gamma):
 # validate's two dfs_preservation checks and their deviations.  The robust
 # coherent state, truncated by total excitation, lies in the r = k
 # generator's kernel up to rounding, so every Taylor sum of the unshifted
-# action stops after its first terms: the two checks take 14 and 12 products
-DFS_CHECKS = [(1000.0, pi / 2, 4.441e-16), (900.0, 2.0, 2.221e-16)]
+# action stops after its first terms: the two checks take 14 and 12 products.
+# The case ids keep the deviations of the per-mode truncation (5.851e-14 and
+# 5.418e-14), so each case runs under its earlier name
+DFS_CHECKS = [
+    pytest.param(1000.0, pi / 2, 4.441e-16, id=f"1000.0-{pi / 2}-5.851e-14"),
+    pytest.param(900.0, 2.0, 2.221e-16, id="900.0-2.0-5.418e-14"),
+]
 
 
 @pytest.mark.parametrize("k, gamma, deviation", DFS_CHECKS)
