@@ -18,11 +18,12 @@ One function, _propagate, runs L_RR on one of two branches:
   the squarings;
 - the truncated Taylor action exp(L_RR t) v_R of Al-Mohy & Higham
   (SIAM J. Sci. Comput. 33:488, 2011), whose cost grows with T but needs
-  no dense matrix.  It multiplies by the whole generator, stored along
-  its few diagonals; since L[R^c, R] = 0, entries outside R stay exactly
-  zero, and its step plan comes from ||L_RR||_1 alone.  L is not shifted
-  by its mean eigenvalue: GKSL blocks have eigenvalue 0, and unshifted,
-  the Taylor sum's early stop makes the cost follow the vector.
+  no dense matrix.  It multiplies by L_RR alone, kept as a CSR record in
+  block indices, and the result is scattered into R; entries outside R
+  are never touched and stay exactly zero.  Its step plan comes from
+  ||L_RR||_1.  L_RR is not shifted by its mean eigenvalue: GKSL blocks
+  have eigenvalue 0, and unshifted, the Taylor sum's early stop makes the
+  cost follow the vector.
 
 The action sums its Taylor series in a loop, _taylor, that stops once
 two successive terms fall below 2^-53 of the sum; the dense branch
@@ -60,14 +61,14 @@ they hold (_memo.ByteLRU).  A miss runs every check; a hit returns a
 value that passed them.  The sparse action is not cached.  What a window
 does before any exponential, the reachable-block search, the component
 split and the assembly of each dense part with its powers
-(B / ||B||_1)^j, j <= 25, or the action's norm, is its plan (_plan); it
-depends on the generator and supp(v) alone.  Each generator record keeps
-its last plan, with that support, in a weak map (_plans), so a window
-that repeats both skips that work, the windows of a sweep over T on one
-generator share one stack of powers, and the plan goes when the record
-does.  The map is keyed by the record, not by its values: a record must
-not be written after a window has run on it, and the package never
-writes one.
+(B / ||B||_1)^j, j <= 25, or of the action's block L_RR with its norm,
+is its plan (_plan); it depends on the generator and supp(v) alone.
+Each generator record keeps its last plan, with that support, in a weak
+map (_plans), so a window that repeats both skips that work, the windows
+of a sweep over T on one generator share one stack of powers, and the
+plan goes when the record does.  The map is keyed by the record, not by
+its values: a record must not be written after a window has run on it,
+and the package never writes one.
 """
 
 from __future__ import annotations
@@ -104,8 +105,11 @@ _UNIT_ROUNDOFF = 2.0**-53
 # component takes the sparse action.  64 is one full [2,2,2] protocol
 # space; a full-rank [3,3,2] block's components have at most 19 rows
 _DENSE_MAX_DIM = 64
-# the action stores a generator by diagonals unless that takes more than
-# this many times its stored entries (the package's generators take < 3.5)
+# the action stores a matrix by diagonals unless that takes more than this
+# many times its stored entries.  Whole generators take < 3.5 (a full-rank
+# block keeps their indices); a smaller reachable block in its own indices
+# scatters over many diagonals (validate's n_max = 8 block: 114 diagonals
+# for 2025 rows, 16.9 times its 13688 entries) and takes the CSR product
 _DIAGONAL_FILL_LIMIT = 4
 # distinct pulse Hamiltonians a process keeps; a sweep needs a few
 _HAMILTONIAN_CACHE_SIZE = 16
@@ -224,10 +228,11 @@ def _product(A: _CSR):
     summed in ascending k, so each row adds its entries in column order,
     as a CSR product does.  Every generator the package builds has at most
     17 diagonals (a sandwich kron(A, B^T) lands on offsets D o_A + o_B), so
-    a product is a few whole-vector multiply-adds over shifted views of one
-    zero-padded copy of x, faster than gathering x[indices].  A matrix
-    whose diagonals would store more than _DIAGONAL_FILL_LIMIT times its
-    entries takes its own CSR product instead.
+    on a whole generator a product is a few whole-vector multiply-adds over
+    shifted views of one zero-padded copy of x, faster than gathering
+    x[indices].  A matrix whose diagonals would store more than
+    _DIAGONAL_FILL_LIMIT times its entries, as a reachable block in its own
+    indices usually does, takes its own CSR product instead.
     """
     n = A.shape[0]
     rows = A.row_of()
@@ -259,13 +264,13 @@ def _product(A: _CSR):
 def _expm_action(A: _CSR, v: np.ndarray, t: float, norm: float) -> np.ndarray:
     """exp(A t) v by s truncated Taylor substeps of degree <= m.
 
-    v is supported on a block R of indices closed under A, and norm is
-    ||A_RR||_1.  (m, s) minimise the matrix-vector products m*s subject to
-    t*norm / s <= theta_m, and each substep stops once two successive
-    terms fall below 2^-53 relative to the partial sum.  Since
-    A[R^c, R] = 0, every entry outside R stays exactly zero.
+    _propagate passes the reachable block A_RR and v_R, so every product
+    runs over |R| rows; norm is ||A||_1.  (m, s) minimise the
+    matrix-vector products m*s subject to t*norm / s <= theta_m, and each
+    substep stops once two successive terms fall below 2^-53 relative to
+    the partial sum.
 
-    A is not first shifted by mu = trace(A_RR)/|R|, the preprocessing
+    A is not first shifted by mu = trace(A)/n, the preprocessing
     step of Al-Mohy & Higham.  Every GKSL block has eigenvalue 0, and the
     states that survive a long window sit there; the shift would move
     them to -mu > 0, a growing mode that runs every substep to its full
@@ -431,8 +436,9 @@ def _plan(A: _CSR, support: np.ndarray):
     its own connected components, each closed under A because the block
     is, and runs as one dense part per component when none has more than
     _DENSE_MAX_DIM rows; action is then None.  Otherwise parts is empty
-    and action is the norm ||A_RR||_1 of the whole reachable block, on
-    which the sparse action runs.
+    and action is (R, A_RR, ||A_RR||_1): the indices of the reachable
+    block, the block as a _CSR in block indices (A itself when R is every
+    index), and its norm, on which the sparse action runs.
     """
     rows = A.row_of()
     mask = _reachable(A, rows, support)
@@ -443,7 +449,13 @@ def _plan(A: _CSR, support: np.ndarray):
     labels = _components(rows_R, cols, n)
     sizes = np.bincount(labels, minlength=n)
     if sizes.max() > _DENSE_MAX_DIM:
-        return (), float(np.bincount(cols, weights=np.abs(vals), minlength=n).max())
+        norm = float(np.bincount(cols, weights=np.abs(vals), minlength=n).max())
+        if n == A.shape[0]:
+            return (), (R, A, norm)
+        # _block keeps A's row order and each row's column order
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows_R, minlength=n), out=indptr[1:])
+        return (), (R, _CSR(vals, cols.astype(np.int32), indptr, (n, n)), norm)
     owner = np.full(len(mask), -1)
     owner[R] = labels
     return [_dense_part(*_block(A, rows, owner == c)) for c in np.flatnonzero(sizes)], None
@@ -461,7 +473,7 @@ def _frame_phase(mu: np.ndarray, t: float) -> np.ndarray:
 
 
 def _propagate(A: _CSR, v: np.ndarray, t: float) -> np.ndarray:
-    """exp(A t) v on the block of v's reachable indices; zero elsewhere.
+    """exp(A t) v on the block R of v's reachable indices; zero elsewhere.
 
     The plan (_plan) depends on A and supp(v) alone, so the last one made
     for A is kept, with its support, until A is freed or a window with
@@ -477,9 +489,11 @@ def _propagate(A: _CSR, v: np.ndarray, t: float) -> np.ndarray:
     if last is None or last[0] != pattern:
         last = _plans[A] = (pattern, _plan(A, support))
     parts, action = last[1]
-    if action is not None:
-        return _expm_action(A, v, t, action)
     out = np.zeros_like(v)
+    if action is not None:
+        R, A_RR, norm = action
+        out[R] = _expm_action(A_RR, v[R], t, norm)
+        return out
     t_hex = float(t).hex()
     for R, norm, data, powers, mu in parts:
         w = v[R]

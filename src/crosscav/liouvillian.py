@@ -2,10 +2,13 @@
 
 The generator acts on row-major vectorized density matrices: with
 vec(rho) = rho.reshape(-1), a sandwich map rho -> A rho B becomes
-kron(A, B.T).  One routine, _gksl, assembles every generator in a single
-pass: each sandwich term is turned into COO triplets by index arithmetic
-on the nonzeros of its dense D x D factors, and one sort-and-sum turns
-them into compressed sparse rows, so no Kronecker product is ever formed.
+kron(A, B.T).  One routine, _gksl, assembles every generator in two
+steps.  A symbolic plan, made by index arithmetic on the nonzero patterns
+of the dense D x D factors, holds the compressed-sparse-row pattern of
+the sum of all sandwich terms and each term's slots in it; it depends
+only on D and those patterns, so generators that share them share one
+plan.  The numeric fill then adds each term's values into its slots, so
+no Kronecker product is ever formed and nothing is sorted per build.
 Superoperator matrices are stored in _CSR, a small numpy-only CSR record,
 so the n_max = 8 coherent-state space (D = 81, D^2 = 6561) stays cheap
 and the package runs without scipy.
@@ -16,7 +19,9 @@ builder arguments, (parameters, space) for the general builder and
 SuperOperator, whose CSR arrays are read-only, from a private cache of
 the two most recently used, which _memo.clear_all empties.
 SymmetricDecayParameters.to_general, and so its positivity check, runs
-only when a generator is assembled.
+only when a generator is assembled.  The plans of builds without an extra
+Hamiltonian are reused by value from a cache bounded by the bytes it
+holds (_memo.ByteLRU), which _memo.clear_all empties too.
 """
 
 from __future__ import annotations
@@ -41,6 +46,11 @@ _REUSE_SIZE = 2
 # (DecayParameters, space) or (SymmetricDecayParameters, frame, space)
 # -> SuperOperator
 _generators = _memo.register(OrderedDict())
+# (mask shape, jumps, packed nonzero masks) -> the sparsity plan of _gksl
+# (_plan_for).  The n_max = 8 generator's plan takes 0.47 MB, so two fit;
+# a protocol space's takes 5 KB
+_PLAN_CACHE_BYTES = 1024 * 1024
+_sparsity_plans = _memo.register(_memo.ByteLRU(_PLAN_CACHE_BYTES))
 
 
 def _require_finite(params):
@@ -298,19 +308,60 @@ def normal_mode_ops(space: SpaceSignature, gamma: float):
     return tuple(Operator(u1 * a1 + u2 * a2, space) for u1, u2 in m)
 
 
-def _sandwich_coo(coef: complex, A: np.ndarray, B: np.ndarray, D: int):
-    """COO triplets of the vectorized sandwich rho -> coef A rho B.
+def _sparsity_plan(patterns: np.ndarray, jumps: tuple):
+    """Where _gksl's sandwich terms put their entries, from nonzero masks alone.
 
-    The sandwich vectorizes to coef kron(A, B.T): entry (a, c) of A times
-    entry (d, b) of B lands at row a*D + b, column c*D + d.  The triplets
-    come from the nonzeros of the dense factors, with int32 indices.
+    patterns holds the D x D nonzero masks of the lowering operators and,
+    last, of K; jumps lists the (i, j) with gamma_ij != 0.  The sandwiches
+    are those of _gksl, in its order: o_i rho o_j^dag for each jump, then
+    K rho and rho K^dag.  A sandwich A rho B vectorizes to kron(A, B.T):
+    entry (a, c) of A times entry (d, b) of B lands at row a*D + b, column
+    c*D + d.  Returns (groups, indices, indptr): per sandwich the nonzero
+    positions of A and of B and the slots of its entries, in the row-major
+    order of np.multiply.outer, in the union pattern; then the union's
+    int32 column indices and row pointers.  One np.unique over keys
+    row*D^2 + column, int32 wherever D^4 fits, sorts the union.
     """
-    ra, ca = np.nonzero(A)
-    cb, rb = np.nonzero(B)
-    rows = (ra.astype(np.int32)[:, None] * D + rb.astype(np.int32)).ravel()
-    cols = (ca.astype(np.int32)[:, None] * D + cb.astype(np.int32)).ravel()
-    vals = coef * np.multiply.outer(A[ra, ca], B[cb, rb]).ravel()
-    return rows, cols, vals
+    *ops, k = patterns
+    D = len(k)
+    n = D * D
+    dtype = np.int32 if n * n < 2**31 else np.int64
+    eye = np.eye(D, dtype=bool)
+    masks = [(ops[i], ops[j].T) for i, j in jumps] + [(k, eye), (eye, k.T)]
+    positions, keys = [], []
+    for mA, mB in masks:
+        a, b = np.nonzero(mA), np.nonzero(mB)
+        ra, ca = (x.astype(dtype) for x in a)
+        cb, rb = (x.astype(dtype) for x in b)
+        rows = (ra[:, None] * D + rb).ravel()
+        cols = (ca[:, None] * D + cb).ravel()
+        keys.append(rows * n + cols)
+        positions.append((a, b))
+    splits = np.cumsum([len(x) for x in keys])[:-1]
+    keys = np.concatenate(keys)
+    union, slots = np.unique(keys, return_inverse=True)
+    groups = [(a, b, s) for (a, b), s in zip(positions, np.split(slots.astype(np.int32), splits))]
+    indptr = np.searchsorted(union, np.arange(n + 1, dtype=dtype) * n).astype(np.int32)
+    return groups, (union % n).astype(np.int32), indptr
+
+
+def _plan_for(patterns: np.ndarray, jumps: tuple, store: bool):
+    """The _sparsity_plan of (patterns, jumps), reused by value if store.
+
+    A stored plan's arrays are read-only; a generator none of whose
+    entries cancels shares its indices and indptr.
+    """
+    key = (patterns.shape, jumps, np.packbits(patterns).tobytes())
+    plan = _sparsity_plans.get(key) if store else None
+    if plan is None:
+        plan = _sparsity_plan(patterns, jumps)
+        if store:
+            groups, indices, indptr = plan
+            arrays = [x for a, b, s in groups for x in (*a, *b, s)] + [indices, indptr]
+            for x in arrays:
+                x.setflags(write=False)
+            _sparsity_plans.put(key, plan, len(key[2]) + sum(x.nbytes for x in arrays))
+    return plan
 
 
 def _gksl(space: SpaceSignature, ops, gamma, h, H=None) -> SuperOperator:
@@ -321,29 +372,51 @@ def _gksl(space: SpaceSignature, ops, gamma, h, H=None) -> SuperOperator:
     Hamiltonian matrix.  Every term is a sandwich A rho B, whose vectorized
     form is kron(A, B.T): the jumps 2 gamma_ij o_i rho o_j^dag, and -K rho
     and -rho K^dag with the dense K = sum_ij (gamma_ij + i h_ji) o_j^dag o_i
-    + iH.  Each sandwich becomes COO triplets by index arithmetic on the
-    nonzeros of its dense factors; one _CSR.from_coo sums the duplicates,
-    and entries that cancel exactly are dropped.
+    + iH.
+
+    Where the entries go depends only on D and the nonzero patterns of the
+    operators and of K, so a symbolic plan (_sparsity_plan) gives each
+    sandwich's slots in the union CSR pattern.  Without H the plan is
+    reused by value from _sparsity_plans; a build with H makes a fresh one
+    and stores none.  The numeric fill adds each sandwich's values, the
+    products of its factors' nonzeros, into its slots in the order above.
+    In the package's generators no position takes more than two of them:
+    K rho and rho K^dag meet only on the diagonal, where no jump lands
+    because every o_i has a zero diagonal, and the jumps of different
+    (i, j) lower different modes.  So the sums equal those of one stable
+    sort of all the entries.  The fill starts from -0.0 so that an entry
+    with one contribution keeps its sign of zero.  Entries that cancel
+    exactly are dropped.
     """
     D = space.dim
-    eye = np.eye(D, dtype=complex)
     K = np.zeros((D, D), dtype=complex) if H is None else 1j * np.asarray(H)
-    terms = []
+    adjoints = [o.conj().T for o in ops]
+    jumps = []
     for i, oi in enumerate(ops):
-        for j, oj in enumerate(ops):
-            P = oj.conj().T @ oi
+        for j, oj_dag in enumerate(adjoints):
+            P = oj_dag @ oi
             if i == j:
                 # a fused multiply-add in the dense product can leave an
                 # imaginary rounding residue on the diagonal of o^dag o
                 P = 0.5 * (P + P.conj().T)
             K = K + complex(gamma[i, j] + 1j * h[j, i]) * P
             if gamma[i, j] != 0:
-                terms.append(_sandwich_coo(2 * gamma[i, j], oi, oj.conj().T, D))
-    terms.append(_sandwich_coo(-1, K, eye, D))
-    terms.append(_sandwich_coo(-1, eye, K.conj().T, D))
-    rows, cols, vals = (np.concatenate(parts) for parts in zip(*terms))
-    del terms  # the CSR conversion copies the triplets; hold one set, not two
-    return SuperOperator(_CSR.from_coo(rows, cols, vals, (D * D, D * D)), space)
+                jumps.append((i, j))
+    patterns = np.array([o != 0 for o in ops] + [K != 0])
+    groups, indices, indptr = _plan_for(patterns, tuple(jumps), store=H is None)
+    eye = np.eye(D, dtype=complex)
+    sandwiches = [(2 * gamma[i, j], ops[i], adjoints[j]) for i, j in jumps]
+    sandwiches += [(-1, K, eye), (-1, eye, K.conj().T)]
+    data = np.full(len(indices), complex(-0.0, -0.0))
+    for (coef, A, B), (a, b, slots) in zip(sandwiches, groups):
+        vals = np.multiply.outer(A[a], B[b]).ravel()
+        np.add.at(data, slots, np.multiply(coef, vals, out=vals))
+    keep = data != 0
+    if not keep.all():
+        dropped = np.flatnonzero(~keep)
+        indptr = (indptr - np.searchsorted(dropped, indptr)).astype(np.int32)
+        data, indices = data[keep], indices[keep]
+    return SuperOperator(_CSR(data, indices, indptr, (D * D, D * D)), space)
 
 
 def _general(params: DecayParameters, space: SpaceSignature, H=None) -> SuperOperator:

@@ -439,6 +439,37 @@ def test_robust_states_cost_the_action_few_products(k, gamma, deviation, monkeyp
     assert check["max_deviation"] <= deviation
 
 
+@pytest.mark.parametrize("k, gamma", [(1000.0, pi / 2), (900.0, 2.0)])
+def test_the_action_multiplies_only_the_reachable_block(k, gamma, monkeypatch):
+    # validate's n_max = 8 window: the state's block has 2025 of 6561 rows
+    rows = []
+    product_of = crosscav.integrator._product
+
+    def counted_product(A):
+        product = product_of(A)
+
+        def counted(x):
+            rows.append(len(x))
+            return product(x)
+        return counted
+
+    monkeypatch.setattr(crosscav.integrator, "_product", counted_product)
+    psi = robust_coherent_state(gamma, 0.3, n_max=8)
+    L = build_symmetric_liouvillian(SymmetricDecayParameters(k, k, gamma), psi.space, "rotating")
+    v = density_from_ket(psi).matrix.reshape(-1)
+    out = evolve_master(density_from_ket(psi), L, EvolutionSpec(1e-3)).matrix.reshape(-1)
+    assert rows and set(rows) == {2025}
+    parts, (R, _, norm) = crosscav.integrator._plans[L.matrix][1]
+    assert parts == () and len(R) == 2025
+    rows.clear()
+    whole = crosscav.integrator._expm_action(L.matrix, v, 1e-3, norm)
+    assert set(rows) == {6561}
+    assert np.abs(out - whole).max() <= 1e-15
+    outside = np.ones(len(v), dtype=bool)
+    outside[R] = False
+    assert not out[outside].any()
+
+
 def _assert_product_matches_scipy(A, rng, label):
     n = A.shape[0]
     ref = to_scipy(A)

@@ -302,18 +302,19 @@ def test_excitation_monotone_under_flow(two_mode_nmax1, rng):
         assert (diffs <= 1e-10).all()
 
 
-# --- one-pass COO assembly against a Kronecker-product reference ---
+# --- plan-and-fill assembly against a Kronecker-product reference ---
 
 
-def _kron_gksl(D, ops, gamma, h):
+def _kron_gksl(D, ops, gamma, h, H=None):
     """Reference generator summed term by term with sp.kron.
 
     2 sum_ij gamma_ij kron(o_i, conj o_j) - kron(K, I) - kron(I, conj K)
-    with K = sum_ij (gamma_ij + i h_ji) o_j^dag o_i, all in sparse algebra.
+    with K = sum_ij (gamma_ij + i h_ji) o_j^dag o_i + iH, all in sparse
+    algebra.
     """
     ops = [sp.csr_matrix(o) for o in ops]
     eye = sp.identity(D, format="csr")
-    K = sp.csr_matrix((D, D), dtype=complex)
+    K = sp.csr_matrix((D, D), dtype=complex) if H is None else sp.csr_matrix(1j * H)
     jump = sp.csr_matrix((D * D, D * D), dtype=complex)
     for i, oi in enumerate(ops):
         for j, oj in enumerate(ops):
@@ -323,11 +324,11 @@ def _kron_gksl(D, ops, gamma, h):
     return jump - sp.kron(K, eye, format="csr") - sp.kron(eye, K.conj(), format="csr")
 
 
-def _kron_general(p, space):
+def _kron_general(p, space, H=None):
     c = 0.5 * (p.d12 + p.d21) + 0.5j * (p.k12 - p.k21)
     h = np.array([[p.omega1 - p.d11, -c], [-np.conj(c), p.omega2 - p.d22]])
     ops = [annihilation_op(space, 0).matrix, annihilation_op(space, 1).matrix]
-    return _kron_gksl(space.dim, ops, p.damping_matrix(), h)
+    return _kron_gksl(space.dim, ops, p.damping_matrix(), h, H)
 
 
 def _generator_cases(space):
@@ -529,48 +530,38 @@ def test_never_holds_two_nmax8_generators_at_once(reuse_cache, monkeypatch):
 
 
 def _record_cases(space, rng):
-    """(label, builder) for every assembly path, plus the edge cases.
+    """(label, builder, sp.kron reference) for every assembly path, plus the edge cases.
 
     "lab-k0" has empty rows (-i[omega N, .] leaves the populations still);
     "channel-rate0" is the slow channel at r = k in the rotating frame (as
-    decompose_symmetric builds it), whose triplet list is empty.
+    decompose_symmetric builds it), which has no entries at all.
     """
+    D = space.dim
     k, omega, gamma = 1000.0, 3e4, 2.3
     for frame in ("rotating", "lab"):
         for r in (0.0, k / 2, k):
             p = SymmetricDecayParameters(k, r, gamma, omega)
-            yield f"symmetric-{frame}-r{r:g}", lambda p=p, f=frame: liouvillian._general(
-                p.to_general(f), space)
+            yield (f"symmetric-{frame}-r{r:g}",
+                   lambda p=p, f=frame: liouvillian._general(p.to_general(f), space),
+                   lambda p=p, f=frame: _kron_general(p.to_general(f), space))
     general = DecayParameters(
         k11=900.0, k22=1100.0, k12=300.0, k21=280.0,
         d11=15.0, d22=-10.0, d12=120.0, d21=-90.0, omega1=2e4, omega2=2.1e4,
     )
-    yield "general", lambda: liouvillian._general(general, space)
-    H = random_hermitian(space.dim, rng, scale=1e4)
-    yield "general-with-H", lambda: liouvillian._general(general, space, H)
-    yield "lab-k0", lambda: liouvillian._general(
-        SymmetricDecayParameters(0.0, 0.0, 0.0, omega).to_general("lab"), space)
+    yield ("general", lambda: liouvillian._general(general, space),
+           lambda: _kron_general(general, space))
+    H = random_hermitian(D, rng, scale=1e4)
+    yield ("general-with-H", lambda: liouvillian._general(general, space, H),
+           lambda: _kron_general(general, space, H))
+    lab_k0 = SymmetricDecayParameters(0.0, 0.0, 0.0, omega).to_general("lab")
+    yield ("lab-k0", lambda: liouvillian._general(lab_k0, space),
+           lambda: _kron_general(lab_k0, space))
     A1, A2 = (A.matrix for A in normal_mode_ops(space, gamma))
-    yield "channel-lab", lambda: liouvillian._gksl(
-        space, [A2], np.array([[2 * k]]), np.array([[omega]]))
-    yield "channel-rate0", lambda: liouvillian._gksl(
-        space, [A1], np.array([[0.0]]), np.array([[0.0]]))
-
-
-def _built_with_triplets(build, monkeypatch):
-    """The generator build() returns, with the triplets it was summed from."""
-    seen = []
-    from_coo = liouvillian._CSR.from_coo
-
-    def capture(rows, cols, vals, shape):
-        seen.append((np.array(rows), np.array(cols), np.array(vals), shape))
-        return from_coo(rows, cols, vals, shape)
-
-    monkeypatch.setattr(liouvillian._CSR, "from_coo", capture)
-    L = build()
-    monkeypatch.undo()
-    assert len(seen) == 1
-    return L, seen[0]
+    channels = {"channel-lab": ([A2], np.array([[2 * k]]), np.array([[omega]])),
+                "channel-rate0": ([A1], np.array([[0.0]]), np.array([[0.0]]))}
+    for label, args in channels.items():
+        yield (label, lambda args=args: liouvillian._gksl(space, *args),
+               lambda args=args: _kron_gksl(D, *args))
 
 
 def _assert_matches_scipy(m, ref, label):
@@ -592,15 +583,15 @@ KERNEL_SPACES = pytest.mark.parametrize(
 
 
 @KERNEL_SPACES
-def test_csr_assembly_matches_scipy(dims, rng, monkeypatch):
+def test_csr_assembly_matches_scipy(dims, rng):
     space = make_space(dims)
-    for label, build in _record_cases(space, rng):
-        L, (rows, cols, vals, shape) = _built_with_triplets(build, monkeypatch)
-        ref = sp.csr_matrix((vals, (rows, cols)), shape=shape)
+    for label, build, reference in _record_cases(space, rng):
+        L = build()
+        ref = reference()
         ref.eliminate_zeros()
         _assert_matches_scipy(L.matrix, ref, label)
         if label == "channel-rate0":
-            assert rows.size == 0 and L.matrix.nnz == 0
+            assert ref.nnz == 0 and L.matrix.nnz == 0
         if label == "lab-k0":
             assert (np.diff(L.matrix.indptr) == 0).any()
         if space.dim**2 <= DENSE_MAX_ROWS:
@@ -611,11 +602,101 @@ def test_csr_assembly_matches_scipy(dims, rng, monkeypatch):
             np.testing.assert_array_equal(again.data, L.matrix.data, err_msg=label)
 
 
+def _sandwich_coo(coef, A, B, D):
+    """COO triplets of the vectorized sandwich rho -> coef A rho B.
+
+    Entry (a, c) of A times entry (d, b) of B lands at row a*D + b,
+    column c*D + d, in the row-major order of np.multiply.outer.
+    """
+    ra, ca = np.nonzero(A)
+    cb, rb = np.nonzero(B)
+    rows = (ra.astype(np.int32)[:, None] * D + rb.astype(np.int32)).ravel()
+    cols = (ca.astype(np.int32)[:, None] * D + cb.astype(np.int32)).ravel()
+    vals = coef * np.multiply.outer(A[ra, ca], B[cb, rb]).ravel()
+    return rows, cols, vals
+
+
+def _sort_and_sum_gksl(space, ops, gamma, h, H=None):
+    """liouvillian._gksl as one stable sort-and-sum of all sandwich triplets."""
+    D = space.dim
+    eye = np.eye(D, dtype=complex)
+    K = np.zeros((D, D), dtype=complex) if H is None else 1j * np.asarray(H)
+    terms = []
+    for i, oi in enumerate(ops):
+        for j, oj in enumerate(ops):
+            P = oj.conj().T @ oi
+            if i == j:
+                P = 0.5 * (P + P.conj().T)
+            K = K + complex(gamma[i, j] + 1j * h[j, i]) * P
+            if gamma[i, j] != 0:
+                terms.append(_sandwich_coo(2 * gamma[i, j], oi, oj.conj().T, D))
+    terms.append(_sandwich_coo(-1, K, eye, D))
+    terms.append(_sandwich_coo(-1, eye, K.conj().T, D))
+    rows, cols, vals = (np.concatenate(parts) for parts in zip(*terms))
+    matrix = liouvillian._CSR.from_coo(rows, cols, vals, (D * D, D * D))
+    return liouvillian.SuperOperator(matrix, space)
+
+
+@KERNEL_SPACES
+def test_assembly_is_byte_identical_to_one_sort_and_sum(dims, rng, monkeypatch):
+    # no position of these generators takes more than two contributions, so
+    # adding sandwich by sandwich from -0.0 reproduces the sums of a stable
+    # sort; from +0.0 a zero imaginary part could change its sign
+    space = make_space(dims)
+    builds = [(label, build) for label, build, _ in _record_cases(space, rng)]
+    for frame in ("rotating", "lab"):
+        for r in (400.0, 1000.0):
+            p = SymmetricDecayParameters(1000.0, r, 2.3, 3e4)
+            builds += [(f"decompose-{frame}-r{r:g}-L{n + 1}",
+                        lambda p=p, f=frame, n=n: decompose_symmetric(p, space, f)[n])
+                       for n in (0, 1)]
+    for label, build in builds:
+        L = build().matrix
+        with monkeypatch.context() as m:
+            m.setattr(liouvillian, "_gksl", _sort_and_sum_gksl)
+            ref = build().matrix
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(L, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (label, name)
+
+
+def test_equal_patterns_share_one_sparsity_plan(cold, monkeypatch, rng):
+    made = []
+    plan_of = liouvillian._sparsity_plan
+
+    def counted(*args):
+        made.append(args)
+        return plan_of(*args)
+
+    monkeypatch.setattr(liouvillian, "_sparsity_plan", counted)
+    plans = liouvillian._sparsity_plans
+    space = make_space([9, 9])
+
+    def build(r, H=None):
+        p = SymmetricDecayParameters(1000.0, r, 0.7, 2e4).to_general("lab")
+        return liouvillian._general(p, space, H).matrix
+
+    build(300.0)
+    assert len(made) == 1 and len(plans) == 1
+    # the n_max = 8 plan fits the map, and other rates keep its patterns
+    warm = build(600.0)
+    assert len(made) == 1
+    with_h = build(600.0, random_hermitian(space.dim, rng, scale=1e4))
+    assert len(made) == 2 and len(plans) == 1
+    assert with_h.data.flags.writeable and with_h.indices.flags.writeable
+    cold()
+    assert len(plans) == 0
+    again = build(600.0)
+    assert len(made) == 3
+    for name in ("data", "indices", "indptr"):
+        assert getattr(again, name).tobytes() == getattr(warm, name).tobytes(), name
+
+
 @KERNEL_SPACES
 def test_csr_record_operations_match_scipy(dims, rng):
     space = make_space(dims)
     n = space.dim**2
-    cases = {label: build() for label, build in _record_cases(space, rng)}
+    cases = {label: build() for label, build, _ in _record_cases(space, rng)}
     x = rng.normal(size=n) + 1j * rng.normal(size=n)
     X = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
     for label, L in cases.items():
