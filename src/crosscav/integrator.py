@@ -225,14 +225,15 @@ def _product(A: _CSR):
     """The map x -> A x, applied along A's diagonals.
 
     Diagonal k holds A[i, i + k], and y_i = sum_k A[i, i + k] x_{i+k} is
-    summed in ascending k, so each row adds its entries in column order,
-    as a CSR product does.  Every generator the package builds has at most
+    summed in ascending k, so each row adds its entries in column order.
+    Every generator the package builds has at most
     17 diagonals (a sandwich kron(A, B^T) lands on offsets D o_A + o_B), so
     on a whole generator a product is a few whole-vector multiply-adds over
     shifted views of one zero-padded copy of x, faster than gathering
     x[indices].  A matrix whose diagonals would store more than
     _DIAGONAL_FILL_LIMIT times its entries, as a reachable block in its own
-    indices usually does, takes its own CSR product instead.
+    indices usually does, takes its own CSR product instead, whose rows
+    are not summed in column order, so the two may differ in rounding.
     """
     n = A.shape[0]
     rows = A.row_of()

@@ -218,7 +218,11 @@ class _CSR:
         return out
 
     def __matmul__(self, x):
-        """The product with a vector or a matrix, row by row in column order."""
+        """The product with a vector or a matrix, row by row.
+
+        np.add.reduceat adds a row's first term to the sum of the others
+        (a pairwise sum for long rows), not in column order.
+        """
         x = np.asarray(x)
         out = np.zeros((self.shape[0], *x.shape[1:]), dtype=complex)
         filled = np.flatnonzero(np.diff(self.indptr))
@@ -316,11 +320,12 @@ def _sparsity_plan(patterns: np.ndarray, jumps: tuple):
     are those of _gksl, in its order: o_i rho o_j^dag for each jump, then
     K rho and rho K^dag.  A sandwich A rho B vectorizes to kron(A, B.T):
     entry (a, c) of A times entry (d, b) of B lands at row a*D + b, column
-    c*D + d.  Returns (groups, indices, indptr): per sandwich the nonzero
-    positions of A and of B and the slots of its entries, in the row-major
-    order of np.multiply.outer, in the union pattern; then the union's
-    int32 column indices and row pointers.  One np.unique over keys
-    row*D^2 + column, int32 wherever D^4 fits, sorts the union.
+    c*D + d.  Returns (groups, indices, indptr).  groups holds, per
+    sandwich, the nonzero positions of A and of B and the int32 slots of
+    its entries in the union pattern, in the row-major order of
+    np.multiply.outer over those positions; indices and indptr are the
+    union's int32 column indices and row pointers.  One np.unique over
+    keys row*D^2 + column, int32 wherever D^4 fits, sorts the union.
     """
     *ops, k = patterns
     D = len(k)
