@@ -438,8 +438,10 @@ def _plan(A: _CSR, support: np.ndarray):
     is, and runs as one dense part per component when none has more than
     _DENSE_MAX_DIM rows; action is then None.  Otherwise parts is empty
     and action is (R, A_RR, ||A_RR||_1): the indices of the reachable
-    block, the block as a _CSR in block indices (A itself when R is every
-    index), and its norm, on which the sparse action runs.
+    block, the block as a _CSR in block indices, and its norm, on which
+    the sparse action runs.  When R is every index A_RR is None and A
+    itself is used: _plans holds its values strongly, so a plan that
+    held A would keep its own key alive.
     """
     rows = A.row_of()
     mask = _reachable(A, rows, support)
@@ -452,7 +454,7 @@ def _plan(A: _CSR, support: np.ndarray):
     if sizes.max() > _DENSE_MAX_DIM:
         norm = float(np.bincount(cols, weights=np.abs(vals), minlength=n).max())
         if n == A.shape[0]:
-            return (), (R, A, norm)
+            return (), (R, None, norm)
         # _block keeps A's row order and each row's column order
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(rows_R, minlength=n), out=indptr[1:])
@@ -493,7 +495,7 @@ def _propagate(A: _CSR, v: np.ndarray, t: float) -> np.ndarray:
     out = np.zeros_like(v)
     if action is not None:
         R, A_RR, norm = action
-        out[R] = _expm_action(A_RR, v[R], t, norm)
+        out[R] = _expm_action(A if A_RR is None else A_RR, v[R], t, norm)
         return out
     t_hex = float(t).hex()
     for R, norm, data, powers, mu in parts:

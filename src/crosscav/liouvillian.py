@@ -5,10 +5,9 @@ vec(rho) = rho.reshape(-1), a sandwich map rho -> A rho B becomes
 kron(A, B.T).  One routine, _gksl, assembles every generator in two
 steps.  A symbolic plan, made by index arithmetic on the nonzero patterns
 of the dense D x D factors, holds the compressed-sparse-row pattern of
-the sum of all sandwich terms and each term's slots in it; it depends
-only on D and those patterns, so generators that share them share one
-plan.  The numeric fill then adds each term's values into its slots, so
-no Kronecker product is ever formed and nothing is sorted per build.
+the sum of all sandwich terms and each term's slots in it.  The numeric
+fill then adds each term's values into its slots, so no Kronecker
+product is ever formed and only integer keys are sorted.
 Superoperator matrices are stored in _CSR, a small numpy-only CSR record,
 so the n_max = 8 coherent-state space (D = 81, D^2 = 6561) stays cheap
 and the package runs without scipy.
@@ -19,9 +18,7 @@ builder arguments, (parameters, space) for the general builder and
 SuperOperator, whose CSR arrays are read-only, from a private cache of
 the two most recently used, which _memo.clear_all empties.
 SymmetricDecayParameters.to_general, and so its positivity check, runs
-only when a generator is assembled.  The plans of builds without an extra
-Hamiltonian are reused by value from a cache bounded by the bytes it
-holds (_memo.ByteLRU), which _memo.clear_all empties too.
+only when a generator is assembled.
 """
 
 from __future__ import annotations
@@ -46,11 +43,6 @@ _REUSE_SIZE = 2
 # (DecayParameters, space) or (SymmetricDecayParameters, frame, space)
 # -> SuperOperator
 _generators = _memo.register(OrderedDict())
-# (mask shape, jumps, packed nonzero masks) -> the sparsity plan of _gksl
-# (_plan_for).  The n_max = 8 generator's plan takes 0.47 MB, so two fit;
-# a protocol space's takes 5 KB
-_PLAN_CACHE_BYTES = 1024 * 1024
-_sparsity_plans = _memo.register(_memo.ByteLRU(_PLAN_CACHE_BYTES))
 
 
 def _require_finite(params):
@@ -312,7 +304,7 @@ def normal_mode_ops(space: SpaceSignature, gamma: float):
     return tuple(Operator(u1 * a1 + u2 * a2, space) for u1, u2 in m)
 
 
-def _sparsity_plan(patterns: np.ndarray, jumps: tuple):
+def _sparsity_plan(patterns: np.ndarray, jumps: list):
     """Where _gksl's sandwich terms put their entries, from nonzero masks alone.
 
     patterns holds the D x D nonzero masks of the lowering operators and,
@@ -350,25 +342,6 @@ def _sparsity_plan(patterns: np.ndarray, jumps: tuple):
     return groups, (union % n).astype(np.int32), indptr
 
 
-def _plan_for(patterns: np.ndarray, jumps: tuple, store: bool):
-    """The _sparsity_plan of (patterns, jumps), reused by value if store.
-
-    A stored plan's arrays are read-only; a generator none of whose
-    entries cancels shares its indices and indptr.
-    """
-    key = (patterns.shape, jumps, np.packbits(patterns).tobytes())
-    plan = _sparsity_plans.get(key) if store else None
-    if plan is None:
-        plan = _sparsity_plan(patterns, jumps)
-        if store:
-            groups, indices, indptr = plan
-            arrays = [x for a, b, s in groups for x in (*a, *b, s)] + [indices, indptr]
-            for x in arrays:
-                x.setflags(write=False)
-            _sparsity_plans.put(key, plan, len(key[2]) + sum(x.nbytes for x in arrays))
-    return plan
-
-
 def _gksl(space: SpaceSignature, ops, gamma, h, H=None) -> SuperOperator:
     """GKSL generator of the lowering operators ops on row-major vec(rho).
 
@@ -381,11 +354,11 @@ def _gksl(space: SpaceSignature, ops, gamma, h, H=None) -> SuperOperator:
 
     Where the entries go depends only on D and the nonzero patterns of the
     operators and of K, so a symbolic plan (_sparsity_plan) gives each
-    sandwich's slots in the union CSR pattern.  Without H the plan is
-    reused by value from _sparsity_plans; a build with H makes a fresh one
-    and stores none.  The numeric fill adds each sandwich's values, the
-    products of its factors' nonzeros, into its slots in the order above.
-    In the package's generators no position takes more than two of them:
+    sandwich's slots in the union CSR pattern.  The numeric fill adds
+    each sandwich's values, the products of its factors' nonzeros, into
+    its slots in the order above; a sandwich's slots are distinct, since
+    kron places each pair of factor entries once.  In the package's
+    generators no position takes more than two of them:
     K rho and rho K^dag meet only on the diagonal, where no jump lands
     because every o_i has a zero diagonal, and the jumps of different
     (i, j) lower different modes.  So the sums equal those of one stable
@@ -408,14 +381,14 @@ def _gksl(space: SpaceSignature, ops, gamma, h, H=None) -> SuperOperator:
             if gamma[i, j] != 0:
                 jumps.append((i, j))
     patterns = np.array([o != 0 for o in ops] + [K != 0])
-    groups, indices, indptr = _plan_for(patterns, tuple(jumps), store=H is None)
+    groups, indices, indptr = _sparsity_plan(patterns, jumps)
     eye = np.eye(D, dtype=complex)
     sandwiches = [(2 * gamma[i, j], ops[i], adjoints[j]) for i, j in jumps]
     sandwiches += [(-1, K, eye), (-1, eye, K.conj().T)]
     data = np.full(len(indices), complex(-0.0, -0.0))
     for (coef, A, B), (a, b, slots) in zip(sandwiches, groups):
         vals = np.multiply.outer(A[a], B[b]).ravel()
-        np.add.at(data, slots, np.multiply(coef, vals, out=vals))
+        data[slots] += np.multiply(coef, vals, out=vals)
     keep = data != 0
     if not keep.all():
         dropped = np.flatnonzero(~keep)

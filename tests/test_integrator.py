@@ -918,23 +918,41 @@ def test_a_plans_stack_is_made_once_and_is_the_same_array_for_every_later_window
         np.testing.assert_array_equal(P[j], P[j - 1] @ P[0])
 
 
-def test_a_window_plan_lives_only_as_long_as_its_generator(cold):
-    space = make_space([2, 2, 2])
+def _assert_plan_dies_with_generator(space, H, rho0):
+    """Run one window on a fresh generator; its plan must go when it does."""
     plans = crosscav.integrator._plans
     # a generator with a Hamiltonian is never kept for reuse
-    H = jc_hamiltonian(space, "mode1", 1e5)
     L = build_symmetric_liouvillian(SymmetricDecayParameters(K_EXACT, 500.0, 0.9), space,
                                     "rotating", H)
-    evolve_master(_one_excitation_state(space, (1.0, 1.0)), L, EvolutionSpec(1e-6))
+    evolve_master(rho0, L, EvolutionSpec(1e-6))
     assert L.matrix in plans and len(plans) == 1
     ref = weakref.ref(L.matrix)
-    (part,), _ = plans[L.matrix][1]
-    powers_ref = weakref.ref(part[3])
-    del L, part
+    parts, action = plans[L.matrix][1]
+    del L
     gc.collect()
     assert ref() is None
     assert len(plans) == 0
+    return parts, action
+
+
+def test_a_window_plan_lives_only_as_long_as_its_generator(cold):
+    space = make_space([2, 2, 2])
+    H = jc_hamiltonian(space, "mode1", 1e5)
+    (part,), _ = _assert_plan_dies_with_generator(space, H, _one_excitation_state(space, (1.0, 1.0)))
+    powers_ref = weakref.ref(part[3])
+    del part
+    gc.collect()
     assert powers_ref() is None
+
+
+def test_a_whole_space_action_plan_lives_only_as_long_as_its_generator(cold, rng):
+    # a full-rank n_max = 8 state reaches every row and takes the action,
+    # whose plan must not hold the generator that keys it
+    space = make_space([9, 9])
+    parts, (R, A_RR, _) = _assert_plan_dies_with_generator(
+        space, 1e3 * number_op(space, 0), random_density(space, rng)
+    )
+    assert parts == () and len(R) == space.dim**2 and A_RR is None
 
 
 def test_clear_all_empties_the_generators_and_the_window_plans(cold):

@@ -660,36 +660,29 @@ def test_assembly_is_byte_identical_to_one_sort_and_sum(dims, rng, monkeypatch):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (label, name)
 
 
-def test_equal_patterns_share_one_sparsity_plan(cold, monkeypatch, rng):
-    made = []
-    plan_of = liouvillian._sparsity_plan
-
-    def counted(*args):
-        made.append(args)
-        return plan_of(*args)
-
-    monkeypatch.setattr(liouvillian, "_sparsity_plan", counted)
-    plans = liouvillian._sparsity_plans
+def test_each_build_owns_its_arrays(cold, rng):
+    # a sparsity plan lives only inside one build, so builds that share
+    # patterns share no array, and only the reuse cache makes them read-only
     space = make_space([9, 9])
+    params = SymmetricDecayParameters(1000.0, 600.0, 0.7, 2e4)
 
-    def build(r, H=None):
-        p = SymmetricDecayParameters(1000.0, r, 0.7, 2e4).to_general("lab")
-        return liouvillian._general(p, space, H).matrix
+    def build(H=None):
+        return liouvillian._general(params.to_general("lab"), space, H).matrix
 
-    build(300.0)
-    assert len(made) == 1 and len(plans) == 1
-    # the n_max = 8 plan fits the map, and other rates keep its patterns
-    warm = build(600.0)
-    assert len(made) == 1
-    with_h = build(600.0, random_hermitian(space.dim, rng, scale=1e4))
-    assert len(made) == 2 and len(plans) == 1
-    assert with_h.data.flags.writeable and with_h.indices.flags.writeable
-    cold()
-    assert len(plans) == 0
-    again = build(600.0)
-    assert len(made) == 3
+    first, second = build(), build()
+    with_h = build(random_hermitian(space.dim, rng, scale=1e4))
+    channels = [L.matrix for L in decompose_symmetric(params, space, "lab")]
+    built = [first, second, with_h, *channels]
     for name in ("data", "indices", "indptr"):
-        assert getattr(again, name).tobytes() == getattr(warm, name).tobytes(), name
+        arrays = [getattr(m, name) for m in built]
+        assert all(x.flags.writeable for x in arrays), name
+        for a, x in enumerate(arrays):
+            assert not any(np.shares_memory(x, y) for y in arrays[a + 1:]), name
+        assert getattr(first, name).tobytes() == getattr(second, name).tobytes(), name
+    cold()
+    again = build()
+    for name in ("data", "indices", "indptr"):
+        assert getattr(again, name).tobytes() == getattr(first, name).tobytes(), name
 
 
 @KERNEL_SPACES
