@@ -18,16 +18,16 @@ One function, _propagate, runs L_RR on one of two branches:
   the squarings;
 - the truncated Taylor action exp(L_RR t) v_R of Al-Mohy & Higham
   (SIAM J. Sci. Comput. 33:488, 2011), whose cost grows with T but needs
-  no dense matrix.  It multiplies by L_RR alone, kept as a CSR record in
-  block indices, and the result is scattered into R; entries outside R
-  are never touched and stay exactly zero.  Its step plan comes from
-  ||L_RR||_1.  L_RR is not shifted by its mean eigenvalue: GKSL blocks
-  have eigenvalue 0, and unshifted, the Taylor sum's early stop makes the
-  cost follow the vector.
+  no dense matrix.  It multiplies by L_RR alone, a _CSR record in block
+  indices, through the record's own product, the one RK4 uses, and the
+  result is scattered into R; entries outside R are never touched and
+  stay exactly zero.  Its step plan comes from ||L_RR||_1.  L_RR is not
+  shifted by its mean eigenvalue: GKSL blocks have eigenvalue 0, and
+  unshifted, the Taylor sum's early stop makes the cost follow the vector.
 
-The action sums its Taylor series in a loop, _taylor, that stops once
-two successive terms fall below 2^-53 of the sum; the dense branch
-applies the same stop to its cumulative sum over the stored powers.
+Each substep of the action sums its Taylor series until two successive
+terms fall below 2^-53 of the sum; the dense branch applies the same
+stop to its cumulative sum over the stored powers.
 
 Blocks of at most _DENSE_MAX_DIM rows, one full [2,2,2] protocol space,
 run densely as one part.  A larger block is split along its own
@@ -105,12 +105,6 @@ _UNIT_ROUNDOFF = 2.0**-53
 # component takes the sparse action.  64 is one full [2,2,2] protocol
 # space; a full-rank [3,3,2] block's components have at most 19 rows
 _DENSE_MAX_DIM = 64
-# the action stores a matrix by diagonals unless that takes more than this
-# many times its stored entries.  Whole generators take < 3.5 (a full-rank
-# block keeps their indices); a smaller reachable block in its own indices
-# scatters over many diagonals (validate's n_max = 8 block: 114 diagonals
-# for 2025 rows, 16.9 times its 13688 entries) and takes the CSR product
-_DIAGONAL_FILL_LIMIT = 4
 # distinct pulse Hamiltonians a process keeps; a sweep needs a few
 _HAMILTONIAN_CACHE_SIZE = 16
 # bytes the two exponential caches may hold (_memo.ByteLRU); with the
@@ -203,73 +197,14 @@ def _rk4(Lmat, v: np.ndarray, duration: float, step: float, check_step: bool) ->
     return y
 
 
-def _taylor(step, F: np.ndarray, m: int) -> np.ndarray:
-    """F plus the Taylor terms term <- step(term, j), j = 1..m, from term = F.
-
-    The sum stops early once two successive terms fall below 2^-53 of it,
-    as in Al-Mohy & Higham's Algorithm 3.2.
-    """
-    term = F
-    c1 = np.abs(term).max()
-    for j in range(1, m + 1):
-        term = step(term, j)
-        c2 = np.abs(term).max()
-        F = F + term
-        if c1 + c2 <= _UNIT_ROUNDOFF * np.abs(F).max():
-            break
-        c1 = c2
-    return F
-
-
-def _product(A: _CSR):
-    """The map x -> A x, applied along A's diagonals.
-
-    Diagonal k holds A[i, i + k], and y_i = sum_k A[i, i + k] x_{i+k} is
-    summed in ascending k, so each row adds its entries in column order.
-    Every generator the package builds has at most
-    17 diagonals (a sandwich kron(A, B^T) lands on offsets D o_A + o_B), so
-    on a whole generator a product is a few whole-vector multiply-adds over
-    shifted views of one zero-padded copy of x, faster than gathering
-    x[indices].  A matrix whose diagonals would store more than
-    _DIAGONAL_FILL_LIMIT times its entries, as a reachable block in its own
-    indices usually does, takes its own CSR product instead, whose rows
-    are not summed in column order, so the two may differ in rounding.
-    """
-    n = A.shape[0]
-    rows = A.row_of()
-    offset = A.indices - rows
-    # the diagonals present, ascending, from the 2n - 1 possible offsets
-    present = np.zeros(2 * n - 1, dtype=bool)
-    present[offset + (n - 1)] = True
-    ks = np.flatnonzero(present) - (n - 1)
-    if len(ks) * n > _DIAGONAL_FILL_LIMIT * max(A.nnz, n):
-        return A.__matmul__
-    diags = np.zeros((len(ks), n), dtype=complex)
-    diags[np.searchsorted(ks, offset), rows] = A.data
-    lo = -int(ks[0])
-    padded = np.zeros(lo + n + int(ks[-1]), dtype=complex)
-    views = [padded[lo + k:lo + k + n] for k in ks]
-    tmp = np.empty(n, dtype=complex)
-
-    def product(x):
-        padded[lo:lo + n] = x
-        y = diags[0] * views[0]
-        for d, xk in zip(diags[1:], views[1:]):
-            np.multiply(d, xk, out=tmp)
-            y += tmp
-        return y
-
-    return product
-
-
 def _expm_action(A: _CSR, v: np.ndarray, t: float, norm: float) -> np.ndarray:
     """exp(A t) v by s truncated Taylor substeps of degree <= m.
 
     _propagate passes the reachable block A_RR and v_R, so every product
-    runs over |R| rows; norm is ||A||_1.  (m, s) minimise the
-    matrix-vector products m*s subject to t*norm / s <= theta_m, and each
-    substep stops once two successive terms fall below 2^-53 relative to
-    the partial sum.
+    A @ x (_CSR.__matmul__) runs over |R| rows; norm is ||A||_1.  (m, s)
+    minimise the matrix-vector products m*s subject to t*norm / s <=
+    theta_m, and each substep stops once two successive terms fall below
+    2^-53 relative to the partial sum (Al-Mohy & Higham's Algorithm 3.2).
 
     A is not first shifted by mu = trace(A)/n, the preprocessing
     step of Al-Mohy & Higham.  Every GKSL block has eigenvalue 0, and the
@@ -288,11 +223,18 @@ def _expm_action(A: _CSR, v: np.ndarray, t: float, norm: float) -> np.ndarray:
         ((m, max(1, ceil(t * norm / theta))) for m, theta in _TAYLOR_THETA.items()),
         key=lambda ms: ms[0] * ms[1],
     )
-    product = _product(A)
     h = t / s
     F = v
     for _ in range(s):
-        F = _taylor(lambda term, j: (h / j) * product(term), F, m)
+        term = F
+        c1 = np.abs(term).max()
+        for j in range(1, m + 1):
+            term = (h / j) * (A @ term)
+            c2 = np.abs(term).max()
+            F = F + term
+            if c1 + c2 <= _UNIT_ROUNDOFF * np.abs(F).max():
+                break
+            c1 = c2
     return F
 
 
@@ -359,7 +301,7 @@ def _expm_dense(t: float, norm: float, powers: np.ndarray) -> np.ndarray:
     F = exp(X) - I = sum_j c_j P_j, c_j = x^j / j!, is one cumulative sum
     over the stack of powers, taken up to the first j at which two
     successive terms are both below 2^-53 of the partial sum, the early
-    stop of _taylor.  The terms add up to at most e^x - 1 in norm and
+    stop of _expm_action.  The terms add up to at most e^x - 1 in norm and
     exp(X) is at least e^-x, so cancellation amplifies rounding by at most
     e^(2 * 2.43), about 130.
 
@@ -439,9 +381,10 @@ def _plan(A: _CSR, support: np.ndarray):
     _DENSE_MAX_DIM rows; action is then None.  Otherwise parts is empty
     and action is (R, A_RR, ||A_RR||_1): the indices of the reachable
     block, the block as a _CSR in block indices, and its norm, on which
-    the sparse action runs.  When R is every index A_RR is None and A
-    itself is used: _plans holds its values strongly, so a plan that
-    held A would keep its own key alive.
+    the sparse action runs.  When R is every index A_RR shares A's data
+    and indices, so it copies nothing and holds no reference to A: _plans
+    holds its values strongly, so a plan that held A would keep its own
+    key alive.
     """
     rows = A.row_of()
     mask = _reachable(A, rows, support)
@@ -453,12 +396,10 @@ def _plan(A: _CSR, support: np.ndarray):
     sizes = np.bincount(labels, minlength=n)
     if sizes.max() > _DENSE_MAX_DIM:
         norm = float(np.bincount(cols, weights=np.abs(vals), minlength=n).max())
-        if n == A.shape[0]:
-            return (), (R, None, norm)
         # _block keeps A's row order and each row's column order
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(rows_R, minlength=n), out=indptr[1:])
-        return (), (R, _CSR(vals, cols.astype(np.int32), indptr, (n, n)), norm)
+        return (), (R, _CSR(vals, cols.astype(np.int32, copy=False), indptr, (n, n)), norm)
     owner = np.full(len(mask), -1)
     owner[R] = labels
     return [_dense_part(*_block(A, rows, owner == c)) for c in np.flatnonzero(sizes)], None
@@ -495,7 +436,7 @@ def _propagate(A: _CSR, v: np.ndarray, t: float) -> np.ndarray:
     out = np.zeros_like(v)
     if action is not None:
         R, A_RR, norm = action
-        out[R] = _expm_action(A if A_RR is None else A_RR, v[R], t, norm)
+        out[R] = _expm_action(A_RR, v[R], t, norm)
         return out
     t_hex = float(t).hex()
     for R, norm, data, powers, mu in parts:

@@ -212,8 +212,10 @@ class _CSR:
     def __matmul__(self, x):
         """The product with a vector or a matrix, row by row.
 
-        np.add.reduceat adds a row's first term to the sum of the others
-        (a pairwise sum for long rows), not in column order.
+        The package's only sparse product: the Taylor action, RK4 and
+        apply_liouvillian all multiply through it.  Each row is summed
+        with np.add.reduceat, which adds a row's first term to the sum of
+        the others (a pairwise sum for long rows), not in column order.
         """
         x = np.asarray(x)
         out = np.zeros((self.shape[0], *x.shape[1:]), dtype=complex)

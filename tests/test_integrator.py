@@ -382,7 +382,7 @@ def test_action_rejects_a_window_whose_step_count_overflows(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("the window must be rejected before any product")
 
-    monkeypatch.setattr(crosscav.integrator, "_product", no_work)
+    monkeypatch.setattr(crosscav.liouvillian._CSR, "__matmul__", no_work)
     psi = robust_coherent_state(0.3, 0.3, n_max=8)
     L = build_symmetric_liouvillian(
         SymmetricDecayParameters(K_EXACT, K_EXACT, 0.3), psi.space, "rotating"
@@ -419,20 +419,22 @@ DFS_CHECKS = [
 ]
 
 
+def _count_products(monkeypatch):
+    """The length of every vector the sparse product multiplies from now on."""
+    rows = []
+    product = crosscav.liouvillian._CSR.__matmul__
+
+    def counted(A, x):
+        rows.append(len(x))
+        return product(A, x)
+
+    monkeypatch.setattr(crosscav.liouvillian._CSR, "__matmul__", counted)
+    return rows
+
+
 @pytest.mark.parametrize("k, gamma, deviation", DFS_CHECKS)
 def test_robust_states_cost_the_action_few_products(k, gamma, deviation, monkeypatch):
-    calls = []
-    product_of = crosscav.integrator._product
-
-    def counted_product(A):
-        product = product_of(A)
-
-        def counted(x):
-            calls.append(len(x))
-            return product(x)
-        return counted
-
-    monkeypatch.setattr(crosscav.integrator, "_product", counted_product)
+    calls = _count_products(monkeypatch)
     check = check_dfs_preservation(SymmetricDecayParameters(k, k, gamma))
     assert check["passed"]
     assert 0 < len(calls) <= 20
@@ -442,18 +444,7 @@ def test_robust_states_cost_the_action_few_products(k, gamma, deviation, monkeyp
 @pytest.mark.parametrize("k, gamma", [(1000.0, pi / 2), (900.0, 2.0)])
 def test_the_action_multiplies_only_the_reachable_block(k, gamma, monkeypatch):
     # validate's n_max = 8 window: the state's block has 2025 of 6561 rows
-    rows = []
-    product_of = crosscav.integrator._product
-
-    def counted_product(A):
-        product = product_of(A)
-
-        def counted(x):
-            rows.append(len(x))
-            return product(x)
-        return counted
-
-    monkeypatch.setattr(crosscav.integrator, "_product", counted_product)
+    rows = _count_products(monkeypatch)
     psi = robust_coherent_state(gamma, 0.3, n_max=8)
     L = build_symmetric_liouvillian(SymmetricDecayParameters(k, k, gamma), psi.space, "rotating")
     v = density_from_ket(psi).matrix.reshape(-1)
@@ -474,13 +465,16 @@ def _assert_product_matches_scipy(A, rng, label):
     n = A.shape[0]
     ref = to_scipy(A)
     for x in (rng.normal(size=n) + 1j * rng.normal(size=n), rng.normal(size=n) + 0j):
-        out = crosscav.integrator._product(A)(x)
+        out = A @ x
         # rounding of a row sum is bounded by its absolute terms
         assert (np.abs(out - ref @ x) <= 1e-15 * (abs(ref) @ np.abs(x))).all(), label
 
 
-@pytest.mark.parametrize("dims", [[3, 3, 2], [9, 9]], ids=str)
-def test_diagonal_product_matches_scipy(dims, rng):
+@pytest.mark.parametrize("dims", [[3, 3, 2], [9, 9], "scattered"], ids=str)
+def test_csr_product_matches_scipy(dims, rng):
+    if dims == "scattered":
+        _assert_product_matches_scipy(_scattered_generator(rng).matrix, rng, dims)
+        return
     space = make_space(dims)
     pulses = [None]
     if len(dims) == 3:
@@ -507,19 +501,12 @@ def _scattered_generator(rng):
     return SuperOperator(L.matrix.toarray()[np.ix_(vec_perm, vec_perm)], space)
 
 
-def test_scattered_generator_takes_the_csr_product(rng):
-    # relabelling the basis of [3, 3] scatters the generator over many
-    # diagonals; the action must then use the CSR product, and stay exact
+def test_scattered_generator_evolves_as_the_dense_exponential(rng):
+    # relabelling the basis of [3, 3] scatters the generator's entries
+    # far from its diagonal; its windows must stay exact
     scattered = _scattered_generator(rng)
     space = scattered.space
-    A = scattered.matrix
-    dense = A.toarray()
-    n_diagonals = len(np.unique(A.indices - A.row_of()))
-    assert n_diagonals * A.shape[0] > crosscav.integrator._DIAGONAL_FILL_LIMIT * A.nnz
-    # no diagonal storage is built: the product is the CSR record's own
-    product = crosscav.integrator._product(A)
-    assert product.__self__ is A
-    _assert_product_matches_scipy(A, rng, "scattered")
+    dense = scattered.matrix.toarray()
     rho0 = random_density(space, rng)
     for T in (1e-4, 1e-3):
         out = evolve_master(rho0, scattered, EvolutionSpec(T))
@@ -918,8 +905,11 @@ def test_a_plans_stack_is_made_once_and_is_the_same_array_for_every_later_window
         np.testing.assert_array_equal(P[j], P[j - 1] @ P[0])
 
 
-def _assert_plan_dies_with_generator(space, H, rho0):
-    """Run one window on a fresh generator; its plan must go when it does."""
+def _assert_plan_dies_with_generator(space, H, rho0, check=lambda A, plan: None):
+    """Run one window on a fresh generator; its plan must go when it does.
+
+    check(A, plan) runs on the generator record and its plan before they go.
+    """
     plans = crosscav.integrator._plans
     # a generator with a Hamiltonian is never kept for reuse
     L = build_symmetric_liouvillian(SymmetricDecayParameters(K_EXACT, 500.0, 0.9), space,
@@ -928,6 +918,7 @@ def _assert_plan_dies_with_generator(space, H, rho0):
     assert L.matrix in plans and len(plans) == 1
     ref = weakref.ref(L.matrix)
     parts, action = plans[L.matrix][1]
+    check(L.matrix, (parts, action))
     del L
     gc.collect()
     assert ref() is None
@@ -947,12 +938,20 @@ def test_a_window_plan_lives_only_as_long_as_its_generator(cold):
 
 def test_a_whole_space_action_plan_lives_only_as_long_as_its_generator(cold, rng):
     # a full-rank n_max = 8 state reaches every row and takes the action,
-    # whose plan must not hold the generator that keys it
+    # whose plan must not hold the generator that keys it: its block shares
+    # the generator's arrays instead
     space = make_space([9, 9])
-    parts, (R, A_RR, _) = _assert_plan_dies_with_generator(
-        space, 1e3 * number_op(space, 0), random_density(space, rng)
+
+    def shares_the_generators_arrays(A, plan):
+        parts, (R, A_RR, _) = plan
+        assert parts == () and len(R) == space.dim**2 and A_RR is not A
+        assert np.shares_memory(A_RR.data, A.data)
+        assert np.shares_memory(A_RR.indices, A.indices)
+
+    _assert_plan_dies_with_generator(
+        space, 1e3 * number_op(space, 0), random_density(space, rng),
+        shares_the_generators_arrays,
     )
-    assert parts == () and len(R) == space.dim**2 and A_RR is None
 
 
 def test_clear_all_empties_the_generators_and_the_window_plans(cold):
