@@ -1,13 +1,52 @@
 """Brute-force time evolution: master-equation and unitary segments.
 
 This module is the numerical oracle against which every closed form in
-the package is checked, so it stays deliberately simple.  The master
-equation is propagated exactly on the reachable block of the vectorized
-state: the set R of vec(rho) indices reachable from the support of rho0
-along the generator's nonzeros.  R is closed under L, so L[R^c, R] = 0 and
-exp(L t) v = (exp(L_RR t) v_R, 0) for any generator, frame or rate; a
-protocol state in the N <= 1 excitation sector touches a handful of the
-64 entries of its space, a full-rank state all of them.
+the package is checked, so it stays deliberately simple.  evolve_master
+with method "expm" takes one of two exact routes:
+
+- the factorized route, for a symmetric two-mode window.  It runs when
+  L comes from build_symmetric_liouvillian without H (a
+  _SymmetricGenerator, which keeps its parameters and frame), its space
+  is exactly two field modes [N+1, N+1] with N >= 3, and rho0 vanishes
+  outside S, the entries whose ket and bra both have n1 + n2 <= N (more
+  than _DENSE_MAX_DIM of them from N = 3 on).  It never reads L.matrix,
+  so the generator is never assembled (_propagate_factorized);
+- the Fock-basis route, _propagate on L.matrix, for every other window:
+  every protocol window (its space has the atom), a generator with H or
+  from the general builder, N <= 2, and any state outside S.
+
+The factorized route.  With symmetric decay the damping matrix and the
+mode Hamiltonian (omega times the identity in either frame) commute, so
+in the normal modes A1, A2 (normal_mode_ops) L = L_s + L_f, the one-mode
+channels of rates k - r and k + r at the frame's omega, which commute;
+the decoherence-free condition of Zanardi & Rasetti (PRL 79:3306, 1997)
+is the vanishing of L_s at r = k.  Both channels only lower or keep the
+excitation numbers, so S is invariant under each, and on S the per-mode
+truncation at N is exact, in the Fock and in the normal-mode basis.  So
+for rho0 in S
+
+    exp(L t) rho0 = W (E_s (x) E_f)(W^dag rho0 W) W^dag,
+
+with W the unitary whose columns are the normal-mode Fock states of S,
+built from the vacuum by A1^dag and A2^dag (exact below the top shell),
+and E_s, E_f the exponentials of the one-mode generators on N + 1 levels,
+built by liouvillian._gksl in the rotating frame and run as ordinary
+dense parts (below); a one-mode generator keeps the coherence order
+n - m, so its components have at most N + 1 rows.  The lab frame adds
+-i omega [n1 + n2, .], which commutes with both channels: the route
+conjugates the result by the unitary diag(e^(-i omega (n1 + n2) t)),
+one phase per ket, so a pure state stays exactly rank one however large
+omega t grows (a phase per coherence order, as the mu split below
+applies, rounds each order's phase on its own).  A window costs two
+small dense exponentials at any T; the plan (W and both factors' parts)
+is kept per generator in a weak map (_factorizations).
+
+The Fock-basis route propagates exactly on the reachable block of the
+vectorized state: the set R of vec(rho) indices reachable from the
+support of rho0 along the generator's nonzeros.  R is closed under L, so
+L[R^c, R] = 0 and exp(L t) v = (exp(L_RR t) v_R, 0) for any generator,
+frame or rate; a protocol state in the N <= 1 excitation sector touches a
+handful of the 64 entries of its space, a full-rank state all of them.
 
 One function, _propagate, runs L_RR on one of two branches:
 
@@ -37,10 +76,11 @@ symmetry of these generators (Buca & Prosen, New J. Phys. 14:073007,
 2012) keeps them small: at most 19 rows for a full-rank [3,3,2] state,
 55 for (|0> + |4>)_slow at n_max = 8.  Only a block with a component of
 more than _DENSE_MAX_DIM rows takes the action, as the n_max = 8 robust
-coherent state does (a 2025-row block of 6561, with components of up to
-285 rows); that caps the dense part's memory.  Neither branch
-diagonalizes, so both stay exact where the generator is defective, as at
-the decoherence-free point r = k.  Both run on numpy alone.
+coherent state does on the Fock-basis route (a 2025-row block of 6561,
+with components of up to 285 rows) and any full-rank n_max = 8 state
+does; that caps the dense part's memory.  No route diagonalizes, so all
+stay exact where the generator is defective, as at the decoherence-free
+point r = k.  All run on numpy alone.
 
 In the lab frame a dense block B carries the phases -i omega q of its
 coherence orders on its diagonal, and squaring would carry them too.
@@ -76,12 +116,19 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, isfinite, ldexp, log2
+from math import ceil, isfinite, ldexp, log2, sqrt
 
 import numpy as np
 
 from . import _memo
-from .liouvillian import _CSR, SuperOperator
+from .liouvillian import (
+    _CSR,
+    SuperOperator,
+    _frame_omega,
+    _gksl,
+    _SymmetricGenerator,
+    normal_mode_ops,
+)
 from .tensor import (
     DensityMatrix,
     Ket,
@@ -89,6 +136,7 @@ from .tensor import (
     SpaceSignature,
     annihilation_op,
     atom_ops,
+    make_space,
     number_op,
 )
 
@@ -127,6 +175,8 @@ _unitaries = _memo.register(_memo.ByteLRU(_UNITARY_CACHE_BYTES))
 _block_exponentials = _memo.register(_memo.ByteLRU(_BLOCK_CACHE_BYTES))
 # _CSR -> (supp(v) bytes, _plan(A, supp(v))) of the last window on it
 _plans = _memo.register(weakref.WeakKeyDictionary())
+# _SymmetricGenerator -> its factorized plan (_factorization)
+_factorizations = _memo.register(weakref.WeakKeyDictionary())
 
 
 @dataclass(frozen=True)
@@ -433,11 +483,21 @@ def _propagate(A: _CSR, v: np.ndarray, t: float) -> np.ndarray:
     if last is None or last[0] != pattern:
         last = _plans[A] = (pattern, _plan(A, support))
     parts, action = last[1]
+    if action is None:
+        return _run_parts(parts, v, t)
+    R, A_RR, norm = action
     out = np.zeros_like(v)
-    if action is not None:
-        R, A_RR, norm = action
-        out[R] = _expm_action(A_RR, v[R], t, norm)
-        return out
+    out[R] = _expm_action(A_RR, v[R], t, norm)
+    return out
+
+
+def _run_parts(parts, v: np.ndarray, t: float) -> np.ndarray:
+    """exp(A t) v for the dense parts of a plan of A, whose indices are v's rows.
+
+    v is a vector, or a matrix when no part carries a frame phase; rows
+    of v in no part come out zero.
+    """
+    out = np.zeros_like(v)
     t_hex = float(t).hex()
     for R, norm, data, powers, mu in parts:
         w = v[R]
@@ -453,13 +513,114 @@ def _propagate(A: _CSR, v: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
+def _shell(n: int) -> np.ndarray:
+    """Mask of the kets |n1, n2> of an [n, n] space with n1 + n2 < n, in basis order."""
+    levels = np.arange(n)
+    return (levels[:, None] + levels).ravel() < n
+
+
+def _mode_parts(rate: float, n: int):
+    """The dense parts of exp(G t) for the one-mode GKSL generator G on n levels.
+
+    G is rho -> rate (2 a rho a^dag - {a^dag a, rho}), built by _gksl.  It
+    keeps the coherence order n - m of every |n><m|, so it runs as one
+    dense part per order, of at most n rows.  G is real and commutes with
+    the transpose |n><m| -> |m><n|, which maps order q to -q index by
+    index in basis order, so both orders share one block and its powers.
+    """
+    space = make_space([n])
+    a = annihilation_op(space, 0).matrix
+    G = _gksl(space, [a], np.array([[rate]]), np.zeros((1, 1))).matrix
+    rows = G.row_of()
+    order = np.subtract.outer(np.arange(n), np.arange(n)).ravel()
+    parts = []
+    for q in range(n):
+        part = _dense_part(*_block(G, rows, order == q))
+        parts.append(part)
+        if q:
+            parts.append((np.flatnonzero(order == -q), *part[1:]))
+    return parts
+
+
+def _factorization(params, frame: str, n: int):
+    """(kets, W, slow, fast, mu): the factorized plan of a symmetric generator on [n, n].
+
+    kets are the Fock indices of the kets of S, in basis order.  Column c
+    of W is the normal-mode Fock state |n_s, n_f> whose index n_s n + n_f
+    is kets[c], built from the vacuum by the creation operators of
+    normal_mode_ops and given on the kets of S, its only nonzero rows;
+    W is unitary.  slow and fast are the dense parts (_mode_parts) of
+    the one-mode channels at rates k - r and k + r.  mu is None in the
+    rotating frame, else -omega (n1 + n2) on the kets of S.
+    """
+    kets = np.flatnonzero(_shell(n))
+    A1, A2 = normal_mode_ops(make_space([n, n]), params.gamma)
+    up_s, up_f = A1.matrix.conj().T, A2.matrix.conj().T
+    W = np.empty((n * n, len(kets)), dtype=complex)
+    slow = np.zeros(n * n, dtype=complex)
+    slow[0] = 1.0
+    c = 0
+    for n_s in range(n):
+        if n_s:
+            slow = up_s @ slow / sqrt(n_s)
+        state = slow
+        for n_f in range(n - n_s):
+            if n_f:
+                state = up_f @ state / sqrt(n_f)
+            W[:, c] = state
+            c += 1
+    omega = _frame_omega(params.omega, frame)
+    mu = -omega * (kets // n + kets % n) if omega else None
+    return (kets, W[kets], _mode_parts(params.k - params.r, n),
+            _mode_parts(params.k + params.r, n), mu)
+
+
+def _propagate_factorized(L: SuperOperator, rho: np.ndarray, t: float):
+    """exp(L t) rho on the factorized route, or None where that route does not run.
+
+    It runs when L is a _SymmetricGenerator on two field modes [n, n]
+    with N = n - 1 >= 3, so that S has more than _DENSE_MAX_DIM entries,
+    and rho vanishes outside S; see the module docstring.  The plan
+    (_factorization) is kept per generator.
+    """
+    n = L.space.dims[0]
+    kets_in_s = n * (n + 1) // 2
+    if not (isinstance(L, _SymmetricGenerator) and L.space.dims == (n, n)
+            and kets_in_s**2 > _DENSE_MAX_DIM):
+        return None
+    outside = ~_shell(n)
+    if rho[outside].any() or rho[:, outside].any():
+        return None
+    plan = _factorizations.get(L)
+    if plan is None:
+        plan = _factorizations[L] = _factorization(L.params, L.frame, n)
+    kets, W, slow, fast, mu = plan
+    inside = np.ix_(kets, kets)
+    # rho in the normal-mode basis, as Y[(n_s, n_f), (m_s, m_f)]
+    Y = np.zeros((n * n, n * n), dtype=complex)
+    Y[inside] = W.conj().T @ rho[inside] @ W
+    # Z[(n_s, m_s), (n_f, m_f)]: the slow channel acts on the rows, the fast on the columns
+    Z = Y.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    Z = _run_parts(fast, _run_parts(slow, Z, t).T, t).T
+    Y = Z.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    X = W @ Y[inside] @ W.conj().T
+    if mu is not None:
+        # the lab frame: conjugation by the unitary e^(-i omega (n1 + n2) t)
+        u = _frame_phase(mu, t)
+        X = u[:, None] * X * u.conj()
+    out = np.zeros_like(rho)
+    out[inside] = X
+    return out
+
+
 def evolve_master(rho0: DensityMatrix, L: SuperOperator, spec: EvolutionSpec) -> DensityMatrix:
     """Integrate d(rho)/dt = L rho for spec.duration.
 
-    method "expm" propagates the block of vec(rho0) reachable under L, on
-    the dense or the sparse branch (see the module docstring); entries
-    outside the block stay exactly zero.  L is only read, so a generator
-    shared through the builders' reuse cache can be passed as it is.
+    method "expm" takes the factorized route where it runs, and otherwise
+    propagates the block of vec(rho0) reachable under L, on the dense or
+    the sparse branch (see the module docstring); entries outside the
+    block stay exactly zero.  L is only read, so a generator shared
+    through the builders' reuse cache can be passed as it is.
     """
     if rho0.space != L.space:
         raise ValueError("space mismatch between state and superoperator")
@@ -467,7 +628,8 @@ def evolve_master(rho0: DensityMatrix, L: SuperOperator, spec: EvolutionSpec) ->
         return rho0
     v0 = rho0.matrix.reshape(-1)
     if spec.method == "expm":
-        v = _propagate(L.matrix, v0, spec.duration)
+        out = _propagate_factorized(L, rho0.matrix, spec.duration)
+        v = _propagate(L.matrix, v0, spec.duration) if out is None else out.reshape(-1)
     else:
         step = _auto_step(L, spec.duration) if spec.step == "auto" else float(spec.step)
         v = _rk4(L.matrix, v0, spec.duration, step, check_step=spec.step != "auto")

@@ -17,14 +17,22 @@ builder arguments, (parameters, space) for the general builder and
 (parameters, frame, space) for the symmetric one, return the same
 SuperOperator, whose CSR arrays are read-only, from a private cache of
 the two most recently used, which _memo.clear_all empties.
-SymmetricDecayParameters.to_general, and so its positivity check, runs
-only when a generator is assembled.
+
+The symmetric builder without H assembles lazily: it returns a
+_SymmetricGenerator, which keeps its (parameters, frame) and makes its
+CSR on the first read of .matrix.  Only then does
+SymmetricDecayParameters.to_general, and so its positivity check, run,
+once per generator, and the arrays are marked read-only.  So
+integrator.evolve_master can propagate a two-mode window from the
+parameters alone (its factorized route) and never assemble the
+D^2-row generator.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -242,11 +250,12 @@ class _CSR:
         return self._combine(other, -1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuperOperator:
     """D^2 x D^2 generator on row-major vectorized density matrices.
 
-    matrix is a _CSR; a dense array is converted to one.
+    matrix is a _CSR; a dense array is converted to one.  Generators
+    compare and hash by identity.
     """
 
     matrix: _CSR
@@ -265,6 +274,26 @@ class SuperOperator:
         if self.space != other.space:
             raise ValueError("space mismatch")
         return SuperOperator(self.matrix + other.matrix, self.space)
+
+
+class _SymmetricGenerator(SuperOperator):
+    """build_symmetric_liouvillian's generator without H, assembled on first read.
+
+    params and frame are kept; the first read of matrix runs to_general
+    and _general once and marks the CSR arrays read-only.
+    """
+
+    def __init__(self, params: SymmetricDecayParameters, frame: str, space: SpaceSignature):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "space", space)
+
+    @cached_property
+    def matrix(self) -> _CSR:
+        return _read_only(_general(self.params.to_general(self.frame), self.space)).matrix
+
+    def __repr__(self):
+        return f"_SymmetricGenerator({self.params!r}, {self.frame!r}, {self.space!r})"
 
 
 @dataclass(frozen=True)
@@ -399,10 +428,14 @@ def _gksl(space: SpaceSignature, ops, gamma, h, H=None) -> SuperOperator:
     return SuperOperator(_CSR(data, indices, indptr, (D * D, D * D)), space)
 
 
-def _general(params: DecayParameters, space: SpaceSignature, H=None) -> SuperOperator:
-    """A fresh build_general_liouvillian generator; H is a matrix or None."""
+def _require_field_modes(space: SpaceSignature):
     if len(space.dims) < 2:
         raise ValueError("space must contain the two field modes")
+
+
+def _general(params: DecayParameters, space: SpaceSignature, H=None) -> SuperOperator:
+    """A fresh build_general_liouvillian generator; H is a matrix or None."""
+    _require_field_modes(space)
     p = params
     c = 0.5 * (p.d12 + p.d21) + 0.5j * (p.k12 - p.k21)
     h = np.array([[p.omega1 - p.d11, -c], [-np.conj(c), p.omega2 - p.d22]])
@@ -411,10 +444,11 @@ def _general(params: DecayParameters, space: SpaceSignature, H=None) -> SuperOpe
 
 
 def _reused(key, build) -> SuperOperator:
-    """The cached generator under key, assembled by build() on a miss.
+    """The cached generator under key, made by build() on a miss.
 
     The least recently used entry is evicted before a build, so no more
-    than _REUSE_SIZE generators are held even while a new one is built.
+    than _REUSE_SIZE generators are held even while a new one is built
+    or, for a lazy one, assembled.
     """
     L = _generators.get(key)
     if L is not None:
@@ -422,10 +456,14 @@ def _reused(key, build) -> SuperOperator:
         return L
     while len(_generators) >= _REUSE_SIZE:
         _generators.popitem(last=False)
-    L = build()
+    L = _generators[key] = build()
+    return L
+
+
+def _read_only(L: SuperOperator) -> SuperOperator:
+    """L, with its CSR arrays marked read-only."""
     for a in (L.matrix.data, L.matrix.indices, L.matrix.indptr):
         a.setflags(write=False)
-    _generators[key] = L
     return L
 
 
@@ -452,7 +490,7 @@ def build_general_liouvillian(
     as L.matrix.toarray(), instead.  A build with H is fresh and writable.
     """
     if H is None:
-        return _reused((params, space), lambda: _general(params, space))
+        return _reused((params, space), lambda: _read_only(_general(params, space)))
     if H.space != space:
         raise ValueError(f"Hamiltonian space {H.space.dims} does not match {space.dims}")
     return _general(params, space, H.matrix)
@@ -469,13 +507,17 @@ def build_symmetric_liouvillian(
     In the rotating frame the -i*Omega number commutators are dropped;
     measured probabilities are frame-independent.  H is an optional extra
     full-space Hamiltonian, as in build_general_liouvillian.  Without H the
-    result is reused by value under (params, frame, space), so to_general
-    runs only when a generator is assembled; it is not shared with a
-    general build of the same generator.
+    result is reused by value under (params, frame, space) and keeps
+    params and frame; its CSR is assembled on the first read of .matrix,
+    when to_general runs.  It is not shared with a general build of the
+    same generator.
     """
     if H is None:
+        # a bad space or frame fails here, not at the first read of .matrix
+        _require_field_modes(space)
+        _frame_omega(params.omega, frame)
         return _reused(
-            (params, frame, space), lambda: _general(params.to_general(frame), space)
+            (params, frame, space), lambda: _SymmetricGenerator(params, frame, space)
         )
     return build_general_liouvillian(params.to_general(frame), space, H)
 

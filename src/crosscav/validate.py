@@ -2,8 +2,10 @@
 
 Every closed form is checked against brute-force master-equation
 integration, the sparse Liouvillian builder against a direct D x D
-term-by-term evaluation of the generator, and the slow/fast channel split
-against the builder.  The suite also documents that the phase-only
+term-by-term evaluation of the generator, the slow/fast channel split
+against the builder, and the integrator's factorized route (two
+single-mode factors) against propagation by the assembled Fock-basis
+generator.  The suite also documents that the phase-only
 off-diagonal factor in the single-excitation propagator is the correct
 one: the r-scaled variant disagrees with the integrated dynamics by
 orders of magnitude.
@@ -27,7 +29,7 @@ from .analytic import (
     single_excitation_propagator,
     two_mode_space,
 )
-from .integrator import EvolutionSpec, evolve_master
+from .integrator import EvolutionSpec, _propagate, _propagate_factorized, _shell, evolve_master
 from .liouvillian import (
     DecayParameters,
     SymmetricDecayParameters,
@@ -256,6 +258,54 @@ def check_dfs_preservation(
     )
 
 
+# (N, r / k, frame) of the factorized_route windows.  One case keeps the
+# check near 0.4 MB (tracemalloc peak) and off the sparse action: at N = 3 and
+# r = 0 the Fock side runs densely in components of at most 10 rows, and the
+# frame phases show.  The dfs_preservation checks already fail for a wrong
+# normal-mode basis or swapped channels.  At N = 3 and r > 0 the Fock side's
+# power stacks reach 1.9 MB, more than the rest of a validate pass holds at
+# once, and at N = 5 it takes the action.  The whole product of N in (3, 5),
+# r / k in (0, 1/2, 1) and both frames takes about 160 ms on 2 vCPUs, twice a
+# default validate pass, so the tier-1 tests run it instead
+FACTORIZED_CASES = ((3, 0.0, "lab"),)
+
+
+def check_factorized_route(cases=FACTORIZED_CASES, k=1000.0, tol=1e-12):
+    """The factorized route against the Fock-basis generator on short windows.
+
+    For each case (N, r / k, frame), a robust coherent state and a random
+    full-rank state inside S (the kets with n1 + n2 <= N) are propagated
+    for T in (1e-4, 1e-3) s by the factorized route and by _propagate on
+    the assembled Fock-basis generator; the deviation is the largest
+    entry difference.  A window that does not take the factorized route
+    fails the check.  omega T = 2 rad at T = 1 ms, so a wrong frame phase
+    shows.
+    """
+    gamma, omega = 1.1, 2e3
+    rng = random.Random(_SEED)
+    devs = []
+    for N, share, frame in cases:
+        space = two_mode_space(N)
+        D = space.dim
+        kets = np.flatnonzero(_shell(N + 1))
+        X = _uniform_matrix(rng, len(kets)) + 1j * _uniform_matrix(rng, len(kets))
+        full_rank = np.zeros((D, D), dtype=complex)
+        full_rank[np.ix_(kets, kets)] = X @ X.conj().T / np.trace(X @ X.conj().T).real
+        states = (density_from_ket(robust_coherent_state(gamma, 0.5, N)).matrix, full_rank)
+        p = SymmetricDecayParameters(k, share * k, gamma, omega)
+        L = build_symmetric_liouvillian(p, space, frame)
+        fock = build_general_liouvillian(p.to_general(frame), space).matrix
+        for rho in states:
+            for T in (1e-4, 1e-3):
+                factored = _propagate_factorized(L, rho, T)
+                if factored is None:
+                    devs.append(float("inf"))
+                    continue
+                ref = _propagate(fock, rho.reshape(-1), T).reshape(D, D)
+                devs.append(np.abs(factored - ref).max())
+    return _check("factorized_route", max(devs), tol)
+
+
 def check_zero_dissipation(tol=1e-9):
     from .protocol import ProtocolConfig, run_single_cavity, run_two_cavity
 
@@ -279,6 +329,7 @@ def run_validation(profile: str = "default") -> dict:
             check_decomposition_identity(),
             check_dfs_preservation(SymmetricDecayParameters(1000.0, 1000.0, pi / 2)),
             check_dfs_preservation(SymmetricDecayParameters(900.0, 900.0, 2.0)),
+            check_factorized_route(),
             check_zero_dissipation(),
         ]
     elif profile == "zero-dissipation":

@@ -1,4 +1,5 @@
 import gc
+import time
 import weakref
 from math import cos, exp, pi, sin, sqrt
 
@@ -37,6 +38,7 @@ from crosscav.liouvillian import (
 from crosscav.tensor import (
     ATOM_E,
     ATOM_G,
+    DensityMatrix,
     Ket,
     Operator,
     basis_ket,
@@ -44,7 +46,11 @@ from crosscav.tensor import (
     make_space,
     number_op,
 )
-from crosscav.validate import check_dfs_preservation, integrated_prob_two_cavity
+from crosscav.validate import (
+    check_dfs_preservation,
+    check_factorized_route,
+    integrated_prob_two_cavity,
+)
 
 
 def test_zero_generator_is_identity(two_mode_nmax1, rng):
@@ -307,15 +313,19 @@ def test_components_of_a_scattered_generator_match_scipy(rng):
     _assert_generator_components_match_scipy(_scattered_generator(rng).matrix, "scattered")
 
 
+def _fock_generator(params, space, frame="rotating"):
+    """The symmetric generator from the general builder, which keeps no
+    (params, frame): its windows take the Fock-basis route even inside S."""
+    return build_general_liouvillian(params.to_general(frame), space)
+
+
 def test_sparse_action_runs_the_nmax8_coherent_state(monkeypatch):
     def no_dense(*args, **kwargs):
         raise AssertionError("the n_max = 8 coherent state must take the sparse action")
 
     monkeypatch.setattr(crosscav.integrator, "_expm_dense", no_dense)
     psi = robust_coherent_state(2.0, 0.3, n_max=8)
-    L = build_symmetric_liouvillian(
-        SymmetricDecayParameters(K_EXACT, K_EXACT, 2.0), psi.space, "rotating"
-    )
+    L = _fock_generator(SymmetricDecayParameters(K_EXACT, K_EXACT, 2.0), psi.space)
     rho_T = evolve_master(density_from_ket(psi), L, EvolutionSpec(1e-3))
     assert 1.0 - rho_T.fidelity_with_ket(psi) <= 1e-12
 
@@ -342,17 +352,21 @@ def test_a_decoherence_free_superposition_runs_densely_by_block_component(
     monkeypatch.setattr(crosscav.integrator, "_expm_action", no_action)
     gamma = 0.9
     psi = _dfs_superposition(gamma)
-    L = build_symmetric_liouvillian(
-        SymmetricDecayParameters(K_EXACT, r, gamma), psi.space, "rotating"
-    )
+    params = SymmetricDecayParameters(K_EXACT, r, gamma)
     rho0 = density_from_ket(psi)
-    rho_T = evolve_master(rho0, L, EvolutionSpec(T))
-    assert rho_T.fidelity_with_ket(psi) == pytest.approx(fidelity, abs=1e-12)
-    parts, _ = crosscav.integrator._plans[L.matrix][1]
+    # the symmetric builder's generator takes the factorized route, the
+    # general builder's the Fock-basis blocks; both must give the fidelity
+    L = build_symmetric_liouvillian(params, psi.space, "rotating")
+    fock = _fock_generator(params, psi.space)
+    for generator in (L, fock):
+        rho_T = evolve_master(rho0, generator, EvolutionSpec(T))
+        assert rho_T.fidelity_with_ket(psi) == pytest.approx(fidelity, abs=1e-12)
+        if T == 1e-3:
+            ref = expm_multiply(to_scipy(fock.matrix) * T, rho0.matrix.reshape(-1))
+            assert np.abs(rho_T.matrix.reshape(-1) - ref).max() <= 1e-10
+    assert L.matrix not in crosscav.integrator._plans
+    parts, _ = crosscav.integrator._plans[fock.matrix][1]
     assert sorted(len(part[0]) for part in parts) == [5, 5, 55]
-    if T == 1e-3:
-        ref = expm_multiply(to_scipy(L.matrix) * T, rho0.matrix.reshape(-1))
-        assert np.abs(rho_T.matrix.reshape(-1) - ref).max() <= 1e-10
 
 
 @pytest.mark.parametrize("dims", [[2, 2, 2], [3, 3, 2]], ids=str)
@@ -378,17 +392,18 @@ def test_lab_frame_full_rank_windows_match_the_rotating_frame(dims, rng):
     assert "\n" not in str(exc.value)
 
 
-def test_action_rejects_a_window_whose_step_count_overflows(monkeypatch):
+def test_action_rejects_a_window_whose_step_count_overflows(monkeypatch, rng):
     def no_work(*args, **kwargs):
         raise AssertionError("the window must be rejected before any product")
 
     monkeypatch.setattr(crosscav.liouvillian._CSR, "__matmul__", no_work)
-    psi = robust_coherent_state(0.3, 0.3, n_max=8)
+    # a full-rank state reaches outside S, so it takes the action on every row
+    space = make_space([9, 9])
     L = build_symmetric_liouvillian(
-        SymmetricDecayParameters(K_EXACT, K_EXACT, 0.3), psi.space, "rotating"
+        SymmetricDecayParameters(K_EXACT, K_EXACT, 0.3), space, "rotating"
     )
     with pytest.raises(ValueError, match=r"t = 1e\+308 s times the generator norm \S+ 1/s") as exc:
-        evolve_master(density_from_ket(psi), L, EvolutionSpec(1e308))
+        evolve_master(random_density(space, rng), L, EvolutionSpec(1e308))
     assert "\n" not in str(exc.value)
 
 
@@ -408,13 +423,12 @@ def test_robust_coherent_states_are_stationary_at_r_equal_k(v, gamma):
 
 
 # validate's two dfs_preservation checks and their deviations.  The robust
-# coherent state, truncated by total excitation, lies in the r = k
-# generator's kernel up to rounding, so every Taylor sum of the unshifted
-# action stops after its first terms: the two checks take 14 and 12 products.
-# The case ids keep the deviations of the per-mode truncation (5.851e-14 and
-# 5.418e-14), so each case runs under its earlier name
+# coherent state lies in S, so both windows take the factorized route and
+# make no sparse product.  The case ids keep the deviations of the per-mode
+# truncation (5.851e-14 and 5.418e-14), so each case runs under its earlier
+# name
 DFS_CHECKS = [
-    pytest.param(1000.0, pi / 2, 4.441e-16, id=f"1000.0-{pi / 2}-5.851e-14"),
+    pytest.param(1000.0, pi / 2, 5.552e-16, id=f"1000.0-{pi / 2}-5.851e-14"),
     pytest.param(900.0, 2.0, 2.221e-16, id="900.0-2.0-5.418e-14"),
 ]
 
@@ -437,8 +451,8 @@ def test_robust_states_cost_the_action_few_products(k, gamma, deviation, monkeyp
     calls = _count_products(monkeypatch)
     check = check_dfs_preservation(SymmetricDecayParameters(k, k, gamma))
     assert check["passed"]
-    assert 0 < len(calls) <= 20
-    assert check["max_deviation"] <= deviation
+    assert calls == []
+    assert check["max_deviation"] <= deviation <= 1e-15
 
 
 @pytest.mark.parametrize("k, gamma", [(1000.0, pi / 2), (900.0, 2.0)])
@@ -446,7 +460,7 @@ def test_the_action_multiplies_only_the_reachable_block(k, gamma, monkeypatch):
     # validate's n_max = 8 window: the state's block has 2025 of 6561 rows
     rows = _count_products(monkeypatch)
     psi = robust_coherent_state(gamma, 0.3, n_max=8)
-    L = build_symmetric_liouvillian(SymmetricDecayParameters(k, k, gamma), psi.space, "rotating")
+    L = _fock_generator(SymmetricDecayParameters(k, k, gamma), psi.space)
     v = density_from_ket(psi).matrix.reshape(-1)
     out = evolve_master(density_from_ket(psi), L, EvolutionSpec(1e-3)).matrix.reshape(-1)
     assert rows and set(rows) == {2025}
@@ -459,6 +473,203 @@ def test_the_action_multiplies_only_the_reachable_block(k, gamma, monkeypatch):
     outside = np.ones(len(v), dtype=bool)
     outside[R] = False
     assert not out[outside].any()
+
+
+# --- the factorized route: symmetric two-mode windows inside S ---
+
+
+def _inside_s(space, rng):
+    """A random full-rank density matrix on the kets with n1 + n2 <= N."""
+    kets = np.flatnonzero(crosscav.integrator._shell(space.dims[0]))
+    X = rng.normal(size=(len(kets), len(kets))) + 1j * rng.normal(size=(len(kets), len(kets)))
+    m = np.zeros((space.dim, space.dim), dtype=complex)
+    m[np.ix_(kets, kets)] = X @ X.conj().T
+    return DensityMatrix(m / np.trace(m).real, space)
+
+
+def _no_fock_route(monkeypatch):
+    def fock(*args):
+        raise AssertionError("a state inside S must take the factorized route")
+
+    monkeypatch.setattr(crosscav.integrator, "_propagate", fock)
+
+
+@pytest.mark.parametrize("frame", ["rotating", "lab"])
+@pytest.mark.parametrize("r", [0.0, 500.0, K_EXACT])
+def test_factorized_route_matches_expm_multiply_at_nmax8(r, frame, monkeypatch, rng):
+    psi = robust_coherent_state(1.1, 0.9, n_max=8)
+    # omega T is no multiple of pi at either window, so a wrong phase shows
+    params = SymmetricDecayParameters(K_EXACT, r, 1.1, 31415.9)
+    L = build_symmetric_liouvillian(params, psi.space, frame)
+    states = (density_from_ket(psi), _inside_s(psi.space, rng))
+    windows = (1e-4, 1e-3)
+    with monkeypatch.context() as m:
+        _no_fock_route(m)
+        outs = [evolve_master(rho0, L, EvolutionSpec(T)).matrix.reshape(-1)
+                for rho0 in states for T in windows]
+    A = to_scipy(L.matrix)
+    refs = [expm_multiply(A * T, rho0.matrix.reshape(-1)) for rho0 in states for T in windows]
+    for out, ref in zip(outs, refs):
+        assert np.abs(out - ref).max() <= 1e-10
+
+
+@pytest.mark.parametrize("T", [1.0, 1e6, 1e300])
+def test_factorized_windows_keep_a_robust_state_at_any_length(T, monkeypatch):
+    _no_fock_route(monkeypatch)
+    psi = robust_coherent_state(1.1, 0.9, n_max=8)
+    L = build_symmetric_liouvillian(
+        SymmetricDecayParameters(K_EXACT, K_EXACT, 1.1), psi.space, "rotating"
+    )
+    start = time.perf_counter()
+    rho_T = evolve_master(density_from_ket(psi), L, EvolutionSpec(T))
+    elapsed = time.perf_counter() - start
+    assert abs(1.0 - rho_T.fidelity_with_ket(psi)) <= 1e-14
+    assert elapsed < 0.1
+
+
+@pytest.mark.parametrize("T", [1.0, 1e6])
+def test_factorized_lab_windows_keep_a_pure_state_pure(T):
+    # the frame is one phase per ket, a unitary: a phase per coherence order,
+    # each rounded on its own, left this state with eigenvalue -1.9e-6 at 1e6 s
+    psi = robust_coherent_state(1.1, 0.9, n_max=8)
+    params = SymmetricDecayParameters(K_EXACT, K_EXACT, 1.1, 31415.9)
+    lab, rotating = (build_symmetric_liouvillian(params, psi.space, frame)
+                     for frame in ("lab", "rotating"))
+    rho0 = density_from_ket(psi)
+    out = evolve_master(rho0, lab, EvolutionSpec(T))
+    ref = evolve_master(rho0, rotating, EvolutionSpec(T)).matrix
+    assert abs(1.0 - out.purity()) <= 1e-14
+    assert np.abs(np.diag(out.matrix) - np.diag(ref)).max() <= 1e-14
+    with pytest.raises(ValueError, match=r"t = 1e\+308 s times the frame phase rate") as exc:
+        evolve_master(rho0, lab, EvolutionSpec(1e308))
+    assert "\n" not in str(exc.value)
+
+
+def test_a_state_inside_s_answers_where_the_action_overflows():
+    # a full-rank state reaches outside S and still overflows the action:
+    # test_action_rejects_a_window_whose_step_count_overflows
+    psi = robust_coherent_state(0.3, 0.3, n_max=8)
+    rho0 = density_from_ket(psi)
+
+    def window(r):
+        L = build_symmetric_liouvillian(SymmetricDecayParameters(K_EXACT, r, 0.3), psi.space)
+        return evolve_master(rho0, L, EvolutionSpec(1e308))
+
+    assert abs(1.0 - window(K_EXACT).fidelity_with_ket(psi)) <= 1e-14
+    # below r = k every excitation decays: the vacuum is left
+    decayed = window(K_EXACT / 2).matrix
+    vacuum = np.zeros_like(decayed)
+    vacuum[0, 0] = 1.0
+    assert np.abs(decayed - vacuum).max() <= 1e-15
+
+
+def test_dfs_check_never_assembles_the_nmax8_generator(cold, monkeypatch):
+    spaces = []
+    general = crosscav.liouvillian._general
+
+    def recording(params, space, H=None):
+        spaces.append(space.dims)
+        return general(params, space, H)
+
+    monkeypatch.setattr(crosscav.liouvillian, "_general", recording)
+    for k, gamma in ((1000.0, pi / 2), (900.0, 2.0)):
+        assert check_dfs_preservation(SymmetricDecayParameters(k, k, gamma))["passed"]
+    # the robust entangled state's [2, 2] generator is assembled; the
+    # n_max = 8 window runs on its two single-mode factors
+    assert (2, 2) in spaces and (9, 9) not in spaces
+
+
+def test_factorized_windows_share_one_plan_and_never_assemble(cold, monkeypatch):
+    calls = {"_general": 0, "_factorization": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(crosscav.liouvillian, "_general")
+    counted(crosscav.integrator, "_factorization")
+    psi = robust_coherent_state(0.9, 0.6, n_max=8)
+    params = SymmetricDecayParameters(K_EXACT, 600.0, 0.9, 31415.9)
+    L = build_symmetric_liouvillian(params, psi.space, "lab")
+    rho0 = density_from_ket(psi)
+    first = [evolve_master(rho0, L, EvolutionSpec(T)).matrix.tobytes() for T in (1e-3, 2e-3)]
+    assert evolve_master(rho0, L, EvolutionSpec(1e-3)).matrix.tobytes() == first[0]
+    assert calls == {"_general": 0, "_factorization": 1}
+    # the plan goes with its generator and with clear_all
+    assert len(crosscav.integrator._factorizations) == 1
+    _memo.clear_all()
+    assert len(crosscav.integrator._factorizations) == 0
+    assert evolve_master(rho0, L, EvolutionSpec(2e-3)).matrix.tobytes() == first[1]
+
+
+def _fock_route_cases(rng):
+    """(label, generator, state) of windows that keep the Fock-basis route."""
+    params = SymmetricDecayParameters(K_EXACT, 600.0, 0.9)
+    nine = make_space([9, 9])
+    coherent = density_from_ket(robust_coherent_state(0.9, 0.6, n_max=8))
+    yield ("N=2", build_symmetric_liouvillian(params, make_space([3, 3])),
+           density_from_ket(robust_coherent_state(0.9, 0.6, n_max=2)))
+    yield ("atom", build_symmetric_liouvillian(params, make_space([4, 4, 2])),
+           random_density(make_space([4, 4, 2]), rng))
+    yield ("unequal", build_symmetric_liouvillian(params, make_space([4, 3])),
+           random_density(make_space([4, 3]), rng))
+    yield ("hamiltonian", build_symmetric_liouvillian(params, nine, "rotating",
+                                                      1e3 * number_op(nine, 0)), coherent)
+    yield ("general", _fock_generator(params, nine), coherent)
+    # one ket with n1 + n2 = 9 puts the state outside S
+    psi = coherent.matrix[:, 0] + 0.1 * basis_ket(nine, (1, 8)).amplitudes
+    yield ("outside-S", build_symmetric_liouvillian(params, nine),
+           density_from_ket(Ket(psi / np.linalg.norm(psi), nine)))
+
+
+def test_other_windows_keep_the_fock_route(monkeypatch, rng):
+    def no_factors(*args):
+        raise AssertionError("this window must keep the Fock-basis route")
+
+    monkeypatch.setattr(crosscav.integrator, "_factorization", no_factors)
+    for label, L, rho0 in _fock_route_cases(rng):
+        T = 1e-4
+        out = evolve_master(rho0, L, EvolutionSpec(T)).matrix.reshape(-1)
+        ref = expm_multiply(to_scipy(L.matrix) * T, rho0.matrix.reshape(-1))
+        assert np.abs(out - ref).max() <= 1e-10, label
+        assert L.matrix in crosscav.integrator._plans, label
+
+
+@pytest.mark.parametrize("rate", [0.0, 500.0])
+@pytest.mark.parametrize("n", [4, 9])
+def test_opposite_coherence_orders_share_one_block(n, rate):
+    # each order's part, as _dense_part makes it from the one-mode generator
+    space = make_space([n])
+    a = crosscav.integrator.annihilation_op(space, 0).matrix
+    G = crosscav.liouvillian._gksl(space, [a], np.array([[rate]]), np.zeros((1, 1))).matrix
+    order = np.subtract.outer(np.arange(n), np.arange(n)).ravel()
+    rows = G.row_of()
+    for R, norm, data, powers, mu in crosscav.integrator._mode_parts(rate, n):
+        q = order[R[0]]
+        ref = crosscav.integrator._dense_part(*crosscav.integrator._block(G, rows, order == q))
+        assert np.array_equal(R, ref[0]) and (norm, data, mu) == (ref[1], ref[2], ref[4]), q
+        assert (powers is None) == (ref[3] is None) and np.array_equal(powers, ref[3]), q
+
+
+def test_factorized_route_check_passes_on_the_whole_grid(monkeypatch):
+    actions = []
+    action = crosscav.integrator._expm_action
+
+    def counted(*args):
+        actions.append(len(args[1]))
+        return action(*args)
+
+    monkeypatch.setattr(crosscav.integrator, "_expm_action", counted)
+    cases = [(N, share, frame) for N in (3, 5) for share in (0.0, 0.5, 1.0)
+             for frame in ("rotating", "lab")]
+    check = check_factorized_route(cases, k=K_EXACT)
+    assert check["passed"] and check["max_deviation"] <= 1e-12
+    # the Fock side takes the sparse action at N = 5 once r > 0
+    assert actions and set(actions) == {441}
 
 
 def _assert_product_matches_scipy(A, rng, label):
@@ -836,9 +1047,7 @@ def _large_block_case(case, rng):
     """A generator and a state whose reachable block has more than 64 rows."""
     if case == "action":
         psi = robust_coherent_state(2.0, 0.3, n_max=8)
-        L = build_symmetric_liouvillian(
-            SymmetricDecayParameters(K_EXACT, K_EXACT, 2.0), psi.space, "rotating"
-        )
+        L = _fock_generator(SymmetricDecayParameters(K_EXACT, K_EXACT, 2.0), psi.space)
         return L, density_from_ket(psi)
     space = make_space([3, 3, 2])
     L = build_symmetric_liouvillian(

@@ -452,6 +452,34 @@ def test_changed_input_gives_a_fresh_build(reuse_cache, change):
     np.testing.assert_array_equal(L.matrix.toarray(), fresh.toarray())
 
 
+def test_a_symmetric_generator_is_assembled_on_its_first_read(reuse_cache, monkeypatch):
+    calls = []
+    general = liouvillian._general
+
+    def counted(*args):
+        calls.append(args)
+        return general(*args)
+
+    monkeypatch.setattr(liouvillian, "_general", counted)
+    params, space, L = _build()
+    assert (L.params, L.frame, L.space) == (params, "lab", space)
+    assert _build()[2] is L and calls == []
+    m = L.matrix
+    assert L.matrix is m and len(calls) == 1
+    assert list(reuse_cache.values()) == [L]
+    for name in ("data", "indices", "indptr"):
+        assert not getattr(m, name).flags.writeable
+    fresh = general(params.to_general("lab"), space).matrix
+    np.testing.assert_array_equal(m.toarray(), fresh.toarray())
+
+
+def test_a_symmetric_build_rejects_an_unknown_frame_at_once(reuse_cache):
+    with pytest.raises(ValueError, match="frame must be 'lab' or 'rotating'"):
+        build_symmetric_liouvillian(SymmetricDecayParameters(**REUSE_BASE), make_space([2, 2]),
+                                    "rotate")
+    assert not reuse_cache
+
+
 def test_builds_with_a_hamiltonian_are_never_cached(reuse_cache):
     space = make_space([2, 2, 2])
     params = SymmetricDecayParameters(**REUSE_BASE)
@@ -507,22 +535,23 @@ def test_at_most_two_generators_are_retained(reuse_cache):
 def test_never_holds_two_nmax8_generators_at_once(reuse_cache, monkeypatch):
     # as in crosscav validate: an n_max = 8 generator, a small one, another
     big, small = make_space([9, 9]), make_space([2, 2])
-    built = []  # weak references to every generator built
+    built = []  # weak references to the CSR record of every generator built
     general = liouvillian._general
 
     def live_big():
-        return sum(L is not None and L.space == big for L in (ref() for ref in built))
+        return sum(m is not None and m.shape[0] == big.dim**2 for m in (ref() for ref in built))
 
     def tracked(params, space, H=None):
         if space == big:
             assert live_big() == 0
         L = general(params, space, H)
-        built.append(weakref.ref(L))
+        built.append(weakref.ref(L.matrix))
         return L
 
     monkeypatch.setattr(liouvillian, "_general", tracked)
     for space, k in ((big, 1000.0), (small, 1000.0), (big, 900.0)):
-        build_symmetric_liouvillian(SymmetricDecayParameters(k, k, 2.0), space)
+        # a symmetric generator is assembled on the first read of its matrix
+        build_symmetric_liouvillian(SymmetricDecayParameters(k, k, 2.0), space).matrix
     assert len(built) == 3 and live_big() == 1
 
 
