@@ -48,25 +48,13 @@ L[R^c, R] = 0 and exp(L t) v = (exp(L_RR t) v_R, 0) for any generator,
 frame or rate; a protocol state in the N <= 1 excitation sector touches a
 handful of the 64 entries of its space, a full-rank state all of them.
 
-One function, _propagate, runs L_RR on one of two branches:
-
-- dense Taylor scaling and squaring of exp(L_RR t), whose cost grows
-  with log T (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005); its
-  Taylor sum runs over the powers of L_RR that the window plan keeps,
-  so a window computes only its coefficients, one cumulative sum and
-  the squarings;
-- the truncated Taylor action exp(L_RR t) v_R of Al-Mohy & Higham
-  (SIAM J. Sci. Comput. 33:488, 2011), whose cost grows with T but needs
-  no dense matrix.  It multiplies by L_RR alone, a _CSR record in block
-  indices, through the record's own product, the one RK4 uses, and the
-  result is scattered into R; entries outside R are never touched and
-  stay exactly zero.  Its step plan comes from ||L_RR||_1.  L_RR is not
-  shifted by its mean eigenvalue: GKSL blocks have eigenvalue 0, and
-  unshifted, the Taylor sum's early stop makes the cost follow the vector.
-
-Each substep of the action sums its Taylor series until two successive
-terms fall below 2^-53 of the sum; the dense branch applies the same
-stop to its cumulative sum over the stored powers.
+One function, _propagate, runs L_RR by dense Taylor scaling and
+squaring of exp(L_RR t), whose cost grows with log T (Higham, SIAM J.
+Matrix Anal. Appl. 26:1179, 2005).  Its Taylor sum runs over the powers
+of L_RR that the window plan keeps, so a window computes only its
+coefficients, one cumulative sum (stopped once two successive terms
+fall below 2^-53 of the sum) and the squarings; the result is scattered
+into R, and entries outside R are never touched and stay exactly zero.
 
 Blocks of at most _DENSE_MAX_DIM rows, one full [2,2,2] protocol space,
 run densely as one part.  A larger block is split along its own
@@ -74,13 +62,14 @@ connected components (_components): no stored entry joins two of them,
 so each is closed under L and propagates on its own.  The weak U(1)
 symmetry of these generators (Buca & Prosen, New J. Phys. 14:073007,
 2012) keeps them small: at most 19 rows for a full-rank [3,3,2] state,
-55 for (|0> + |4>)_slow at n_max = 8.  Only a block with a component of
-more than _DENSE_MAX_DIM rows takes the action, as the n_max = 8 robust
-coherent state does on the Fock-basis route (a 2025-row block of 6561,
-with components of up to 285 rows) and any full-rank n_max = 8 state
-does; that caps the dense part's memory.  No route diagonalizes, so all
-stay exact where the generator is defective, as at the decoherence-free
-point r = k.  All run on numpy alone.
+55 for (|0> + |4>)_slow at n_max = 8.  A block with a component of more
+than _DENSE_MAX_DIM rows is refused with a one-line ValueError that
+names the component's size and points to method "rk4": the n_max = 8
+robust coherent state on the Fock-basis route (components of up to 285
+rows) and any full-rank n_max = 8 state (489) are such blocks, and no
+command builds one.  That caps the dense part's memory.  No route
+diagonalizes, so both stay exact where the generator is defective, as
+at the decoherence-free point r = k.  Both run on numpy alone.
 
 In the lab frame a dense block B carries the phases -i omega q of its
 coherence orders on its diagonal, and squaring would carry them too.
@@ -98,11 +87,10 @@ and the dense branch's exp(B t) by the bytes of the block B, its size and
 t, so equal blocks of different generators share one exponential.  Both
 are read-only and held in least-recently-used caches bounded by the bytes
 they hold (_memo.ByteLRU).  A miss runs every check; a hit returns a
-value that passed them.  The sparse action is not cached.  What a window
-does before any exponential, the reachable-block search, the component
-split and the assembly of each dense part with its powers
-(B / ||B||_1)^j, j <= 25, or of the action's block L_RR with its norm,
-is its plan (_plan); it depends on the generator and supp(v) alone.
+value that passed them.  What a window does before any exponential, the
+reachable-block search, the component split and the assembly of each
+dense part with its powers (B / ||B||_1)^j, j <= 25, is its plan
+(_plan); it depends on the generator and supp(v) alone.
 Each generator record keeps its last plan, with that support, in a weak
 map (_plans), so a window that repeats both skips that work, the windows
 of a sweep over T on one generator share one stack of powers, and the
@@ -143,15 +131,14 @@ from .tensor import (
 _RK4_LOCAL_ERR_LIMIT = 1e-6
 # Al-Mohy & Higham, Table 3.1: the largest t*||A||_1 for which the degree-m
 # Taylor polynomial meets a backward error of 2^-53
-_TAYLOR_THETA = {
-    10: 1.44e-1, 15: 6.41e-1, 20: 1.44, 25: 2.43, 30: 3.54,
-    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
-}
+_TAYLOR_THETA = {10: 1.44e-1, 15: 6.41e-1, 20: 1.44, 25: 2.43}
 _UNIT_ROUNDOFF = 2.0**-53
 # the most rows a dense part may have: a reachable block or, past it,
-# each of the block's connected components; a block with a larger
-# component takes the sparse action.  64 is one full [2,2,2] protocol
-# space; a full-rank [3,3,2] block's components have at most 19 rows
+# each of the block's connected components; _plan refuses a block with a
+# larger component.  64 is one full [2,2,2] protocol space; a full-rank
+# [3,3,2] block's components have at most 19 rows.  A part's powers take
+# 25 n^2 16 bytes: 1.6 MB at 64 rows, 95 MB at the 489 of a full-rank
+# [9,9] state
 _DENSE_MAX_DIM = 64
 # distinct pulse Hamiltonians a process keeps; a sweep needs a few
 _HAMILTONIAN_CACHE_SIZE = 16
@@ -183,9 +170,10 @@ _factorizations = _memo.register(weakref.WeakKeyDictionary())
 class EvolutionSpec:
     """Duration, step size ('auto' or seconds) and integration method.
 
-    method "expm" (the default) is the exact exponential action and ignores
-    step; "rk4" is fixed-step RK4, an independent oracle that runs only
-    when asked for, with step "auto" or an explicit step in seconds.
+    method "expm" (the default) is exact propagation and ignores step; it
+    refuses a block it cannot hold densely (_plan).  "rk4" is fixed-step
+    RK4, an independent oracle that runs only when asked for, with step
+    "auto" or an explicit step in seconds.
     """
 
     duration: float
@@ -247,47 +235,6 @@ def _rk4(Lmat, v: np.ndarray, duration: float, step: float, check_step: bool) ->
     return y
 
 
-def _expm_action(A: _CSR, v: np.ndarray, t: float, norm: float) -> np.ndarray:
-    """exp(A t) v by s truncated Taylor substeps of degree <= m.
-
-    _propagate passes the reachable block A_RR and v_R, so every product
-    A @ x (_CSR.__matmul__) runs over |R| rows; norm is ||A||_1.  (m, s)
-    minimise the matrix-vector products m*s subject to t*norm / s <=
-    theta_m, and each substep stops once two successive terms fall below
-    2^-53 relative to the partial sum (Al-Mohy & Higham's Algorithm 3.2).
-
-    A is not first shifted by mu = trace(A)/n, the preprocessing
-    step of Al-Mohy & Higham.  Every GKSL block has eigenvalue 0, and the
-    states that survive a long window sit there; the shift would move
-    them to -mu > 0, a growing mode that runs every substep to its full
-    degree.  Unshifted, the early stop makes a substep's cost follow the
-    vector: validate's two robust coherent states lie in the generator's
-    kernel up to rounding, and their windows take 14 and 12 products.
-    """
-    if not isfinite(t * norm):
-        raise ValueError(
-            f"window t = {t:g} s times the generator norm {norm:.3e} 1/s "
-            "overflows the Taylor action's step count"
-        )
-    m, s = min(
-        ((m, max(1, ceil(t * norm / theta))) for m, theta in _TAYLOR_THETA.items()),
-        key=lambda ms: ms[0] * ms[1],
-    )
-    h = t / s
-    F = v
-    for _ in range(s):
-        term = F
-        c1 = np.abs(term).max()
-        for j in range(1, m + 1):
-            term = (h / j) * (A @ term)
-            c2 = np.abs(term).max()
-            F = F + term
-            if c1 + c2 <= _UNIT_ROUNDOFF * np.abs(F).max():
-                break
-            c1 = c2
-    return F
-
-
 def _reachable(A: _CSR, rows: np.ndarray, support: np.ndarray) -> np.ndarray:
     """Mask of the indices R reachable from a support mask along A's stored entries.
 
@@ -311,8 +258,6 @@ def _block(A: _CSR, rows: np.ndarray, mask: np.ndarray):
     entry of a column in R has its row in R.
     """
     R = np.flatnonzero(mask)
-    if len(R) == len(mask):
-        return R, rows, A.indices, A.data
     keep = mask[A.indices]
     pos = np.cumsum(mask) - 1
     return R, pos[rows[keep]], pos[A.indices[keep]], A.data[keep]
@@ -343,15 +288,16 @@ def _expm_dense(t: float, norm: float, powers: np.ndarray) -> np.ndarray:
 
     X = B t / 2^s takes the fewest squarings s with ||X||_1 = x <= theta_25
     = 2.43, then the smallest degree m with x <= theta_m: the backward-error
-    bound of _expm_action.  B enters only through its stored powers (_powers),
-    so a degree costs no product and only the squarings count.  s comes from
-    log2 t + log2 norm and x = 2^-s t * norm is formed without t * norm,
-    so no finite window overflows either.
+    bound of Al-Mohy & Higham (SIAM J. Sci. Comput. 33:488, 2011), Table
+    3.1.  B enters only through its stored powers (_powers), so a degree
+    costs no product and only the squarings count.  s comes from log2 t +
+    log2 norm and x = 2^-s t * norm is formed without t * norm, so no
+    finite window overflows either.
 
     F = exp(X) - I = sum_j c_j P_j, c_j = x^j / j!, is one cumulative sum
     over the stack of powers, taken up to the first j at which two
-    successive terms are both below 2^-53 of the partial sum, the early
-    stop of _expm_action.  The terms add up to at most e^x - 1 in norm and
+    successive terms are both below 2^-53 of the partial sum (Al-Mohy &
+    Higham's early stop).  The terms add up to at most e^x - 1 in norm and
     exp(X) is at least e^-x, so cancellation amplifies rounding by at most
     e^(2 * 2.43), about 130.
 
@@ -422,37 +368,32 @@ def _powers(B: np.ndarray, norm: float) -> np.ndarray:
 
 
 def _plan(A: _CSR, support: np.ndarray):
-    """How exp(A t) v runs for every v whose nonzeros are the support mask.
+    """The dense parts of exp(A t) v for every v whose nonzeros are the support mask.
 
-    Returns (parts, action).  A reachable block of at most _DENSE_MAX_DIM
-    rows is one dense part (_dense_part).  A larger block is split along
-    its own connected components, each closed under A because the block
-    is, and runs as one dense part per component when none has more than
-    _DENSE_MAX_DIM rows; action is then None.  Otherwise parts is empty
-    and action is (R, A_RR, ||A_RR||_1): the indices of the reachable
-    block, the block as a _CSR in block indices, and its norm, on which
-    the sparse action runs.  When R is every index A_RR shares A's data
-    and indices, so it copies nothing and holds no reference to A: _plans
-    holds its values strongly, so a plan that held A would keep its own
-    key alive.
+    A reachable block of at most _DENSE_MAX_DIM rows is one dense part
+    (_dense_part).  A larger block is split along its own connected
+    components, each closed under A because the block is, and runs as one
+    dense part per component.  A component of more than _DENSE_MAX_DIM
+    rows raises ValueError before any product: "expm" holds no block that
+    large, and RK4 runs only when asked for.
     """
     rows = A.row_of()
     mask = _reachable(A, rows, support)
     R, rows_R, cols, vals = block = _block(A, rows, mask)
     n = len(R)
     if n <= _DENSE_MAX_DIM:
-        return [_dense_part(*block)], None
+        return [_dense_part(*block)]
     labels = _components(rows_R, cols, n)
     sizes = np.bincount(labels, minlength=n)
     if sizes.max() > _DENSE_MAX_DIM:
-        norm = float(np.bincount(cols, weights=np.abs(vals), minlength=n).max())
-        # _block keeps A's row order and each row's column order
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows_R, minlength=n), out=indptr[1:])
-        return (), (R, _CSR(vals, cols.astype(np.int32, copy=False), indptr, (n, n)), norm)
+        raise ValueError(
+            f"the state's reachable block has a component of {sizes.max()} rows, "
+            f'more than the {_DENSE_MAX_DIM} that method "expm" propagates '
+            'densely; use method="rk4"'
+        )
     owner = np.full(len(mask), -1)
     owner[R] = labels
-    return [_dense_part(*_block(A, rows, owner == c)) for c in np.flatnonzero(sizes)], None
+    return [_dense_part(*_block(A, rows, owner == c)) for c in np.flatnonzero(sizes)]
 
 
 def _frame_phase(mu: np.ndarray, t: float) -> np.ndarray:
@@ -482,13 +423,7 @@ def _propagate(A: _CSR, v: np.ndarray, t: float) -> np.ndarray:
     last = _plans.get(A)
     if last is None or last[0] != pattern:
         last = _plans[A] = (pattern, _plan(A, support))
-    parts, action = last[1]
-    if action is None:
-        return _run_parts(parts, v, t)
-    R, A_RR, norm = action
-    out = np.zeros_like(v)
-    out[R] = _expm_action(A_RR, v[R], t, norm)
-    return out
+    return _run_parts(last[1], v, t)
 
 
 def _run_parts(parts, v: np.ndarray, t: float) -> np.ndarray:
@@ -617,10 +552,12 @@ def evolve_master(rho0: DensityMatrix, L: SuperOperator, spec: EvolutionSpec) ->
     """Integrate d(rho)/dt = L rho for spec.duration.
 
     method "expm" takes the factorized route where it runs, and otherwise
-    propagates the block of vec(rho0) reachable under L, on the dense or
-    the sparse branch (see the module docstring); entries outside the
-    block stay exactly zero.  L is only read, so a generator shared
-    through the builders' reuse cache can be passed as it is.
+    propagates the block of vec(rho0) reachable under L densely, one
+    connected component at a time (see the module docstring); entries
+    outside the block stay exactly zero.  It raises ValueError for a block
+    with a component of more than _DENSE_MAX_DIM rows; method "rk4" runs
+    any block.  L is only read, so a generator shared through the
+    builders' reuse cache can be passed as it is.
     """
     if rho0.space != L.space:
         raise ValueError("space mismatch between state and superoperator")

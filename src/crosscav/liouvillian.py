@@ -220,8 +220,8 @@ class _CSR:
     def __matmul__(self, x):
         """The product with a vector or a matrix, row by row.
 
-        The package's only sparse product: the Taylor action, RK4 and
-        apply_liouvillian all multiply through it.  Each row is summed
+        The package's only sparse product: RK4 and apply_liouvillian
+        both multiply through it.  Each row is summed
         with np.add.reduceat, which adds a row's first term to the sum of
         the others (a pairwise sum for long rows), not in column order.
         """

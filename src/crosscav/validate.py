@@ -259,14 +259,15 @@ def check_dfs_preservation(
 
 
 # (N, r / k, frame) of the factorized_route windows.  One case keeps the
-# check near 0.4 MB (tracemalloc peak) and off the sparse action: at N = 3 and
-# r = 0 the Fock side runs densely in components of at most 10 rows, and the
-# frame phases show.  The dfs_preservation checks already fail for a wrong
-# normal-mode basis or swapped channels.  At N = 3 and r > 0 the Fock side's
-# power stacks reach 1.9 MB, more than the rest of a validate pass holds at
-# once, and at N = 5 it takes the action.  The whole product of N in (3, 5),
-# r / k in (0, 1/2, 1) and both frames takes about 160 ms on 2 vCPUs, twice a
-# default validate pass, so the tier-1 tests run it instead
+# check near 0.4 MB (tracemalloc peak): at N = 3 and r = 0 the Fock side
+# runs densely in components of at most 10 rows, and the frame phases show.
+# The dfs_preservation checks already fail for a wrong normal-mode basis or
+# swapped channels.  At N = 3 and r > 0 the Fock side's power stacks reach
+# 1.9 MB, more than the rest of a validate pass holds at once, and at N = 5
+# its components exceed the dense cap, so method "expm" refuses them.  The
+# whole product of N in (3, 4), r / k in (0, 1/2, 1) and both frames, with
+# Fock-side components of at most 55 rows, takes about 180 ms on 2 vCPUs,
+# more than a default validate pass, so the tier-1 tests run it instead
 FACTORIZED_CASES = ((3, 0.0, "lab"),)
 
 

@@ -190,7 +190,7 @@ def test_expm_never_falls_back_to_rk4(two_mode_nmax1, rng, monkeypatch):
     assert abs(np.trace(out.matrix) - 1) <= 1e-12
 
 
-# --- reachable block: dense and sparse branches against scipy's expm ---
+# --- reachable block: dense parts against scipy's expm ---
 
 BLOCK_GENERATORS = {
     **{
@@ -319,15 +319,47 @@ def _fock_generator(params, space, frame="rotating"):
     return build_general_liouvillian(params.to_general(frame), space)
 
 
-def test_sparse_action_runs_the_nmax8_coherent_state(monkeypatch):
-    def no_dense(*args, **kwargs):
-        raise AssertionError("the n_max = 8 coherent state must take the sparse action")
+def _refused(L, rho0, rows, T=1e-3):
+    """Assert that method "expm" refuses the window in one line that names rows."""
+    with pytest.raises(ValueError, match=rf"a component of {rows} rows, more than the 64 "
+                       r'.*use method="rk4"') as exc:
+        evolve_master(rho0, L, EvolutionSpec(T))
+    assert "\n" not in str(exc.value)
+    assert L.matrix not in crosscav.integrator._plans
 
-    monkeypatch.setattr(crosscav.integrator, "_expm_dense", no_dense)
-    psi = robust_coherent_state(2.0, 0.3, n_max=8)
-    L = _fock_generator(SymmetricDecayParameters(K_EXACT, K_EXACT, 2.0), psi.space)
-    rho_T = evolve_master(density_from_ket(psi), L, EvolutionSpec(1e-3))
-    assert 1.0 - rho_T.fidelity_with_ket(psi) <= 1e-12
+
+@pytest.mark.parametrize("case, rows", [("coherent", 285), ("full-rank", 489)])
+def test_expm_refuses_a_component_over_the_dense_cap(case, rows, monkeypatch, rng):
+    params = SymmetricDecayParameters(K_EXACT, K_EXACT, 2.0)
+    if case == "coherent":
+        # the general builder keeps the n_max = 8 robust coherent state on the
+        # Fock-basis route, where its block splits into components of up to 285 rows
+        psi = robust_coherent_state(2.0, 0.3, n_max=8)
+        L, rho0 = _fock_generator(params, psi.space), density_from_ket(psi)
+    else:
+        # a full-rank state reaches outside S, so it keeps the Fock-basis route
+        space = make_space([9, 9])
+        L, rho0 = build_symmetric_liouvillian(params, space), random_density(space, rng)
+    L.matrix  # assembled before the products are watched
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the window must be refused before any product")
+
+    monkeypatch.setattr(crosscav.liouvillian._CSR, "__matmul__", no_work)
+    # no window length is ever tried: 1e308 s is refused the same way
+    for T in (1e-3, 1e308):
+        _refused(L, rho0, rows, T)
+
+
+def test_rk4_answers_a_window_that_expm_refuses(rng):
+    # a full-rank [5, 5] state: one 85-row component under the general builder
+    space = make_space([5, 5])
+    L = _fock_generator(SymmetricDecayParameters(K_EXACT, 600.0, 0.9), space)
+    rho0 = random_density(space, rng)
+    _refused(L, rho0, 85, T=1e-4)
+    out = evolve_master(rho0, L, EvolutionSpec(1e-4, method="rk4")).matrix.reshape(-1)
+    ref = expm_multiply(to_scipy(L.matrix) * 1e-4, rho0.matrix.reshape(-1))
+    assert np.abs(out - ref).max() <= 1e-12
 
 
 def _dfs_superposition(gamma):
@@ -343,13 +375,7 @@ def _dfs_superposition(gamma):
     # 1/4 (1 + (1 - x)^4) + x^4 / 4 + x^2 / 2 with x = exp(-2 (k - r) T)
     (500.0, 1e-3, 0.36216187637828623),
 ])
-def test_a_decoherence_free_superposition_runs_densely_by_block_component(
-    monkeypatch, r, T, fidelity
-):
-    def no_action(*args, **kwargs):
-        raise AssertionError("the block's components have at most 64 rows")
-
-    monkeypatch.setattr(crosscav.integrator, "_expm_action", no_action)
+def test_a_decoherence_free_superposition_runs_densely_by_block_component(r, T, fidelity):
     gamma = 0.9
     psi = _dfs_superposition(gamma)
     params = SymmetricDecayParameters(K_EXACT, r, gamma)
@@ -365,7 +391,7 @@ def test_a_decoherence_free_superposition_runs_densely_by_block_component(
             ref = expm_multiply(to_scipy(fock.matrix) * T, rho0.matrix.reshape(-1))
             assert np.abs(rho_T.matrix.reshape(-1) - ref).max() <= 1e-10
     assert L.matrix not in crosscav.integrator._plans
-    parts, _ = crosscav.integrator._plans[fock.matrix][1]
+    parts = crosscav.integrator._plans[fock.matrix][1]
     assert sorted(len(part[0]) for part in parts) == [5, 5, 55]
 
 
@@ -389,21 +415,6 @@ def test_lab_frame_full_rank_windows_match_the_rotating_frame(dims, rng):
         assert np.abs(np.diag(out) - np.diag(ref)).max() <= 1e-12, T
     with pytest.raises(ValueError, match=r"t = 1e\+308 s times the frame phase rate") as exc:
         evolve_master(rho0, lab, EvolutionSpec(1e308))
-    assert "\n" not in str(exc.value)
-
-
-def test_action_rejects_a_window_whose_step_count_overflows(monkeypatch, rng):
-    def no_work(*args, **kwargs):
-        raise AssertionError("the window must be rejected before any product")
-
-    monkeypatch.setattr(crosscav.liouvillian._CSR, "__matmul__", no_work)
-    # a full-rank state reaches outside S, so it takes the action on every row
-    space = make_space([9, 9])
-    L = build_symmetric_liouvillian(
-        SymmetricDecayParameters(K_EXACT, K_EXACT, 0.3), space, "rotating"
-    )
-    with pytest.raises(ValueError, match=r"t = 1e\+308 s times the generator norm \S+ 1/s") as exc:
-        evolve_master(random_density(space, rng), L, EvolutionSpec(1e308))
     assert "\n" not in str(exc.value)
 
 
@@ -453,26 +464,6 @@ def test_robust_states_cost_the_action_few_products(k, gamma, deviation, monkeyp
     assert check["passed"]
     assert calls == []
     assert check["max_deviation"] <= deviation <= 1e-15
-
-
-@pytest.mark.parametrize("k, gamma", [(1000.0, pi / 2), (900.0, 2.0)])
-def test_the_action_multiplies_only_the_reachable_block(k, gamma, monkeypatch):
-    # validate's n_max = 8 window: the state's block has 2025 of 6561 rows
-    rows = _count_products(monkeypatch)
-    psi = robust_coherent_state(gamma, 0.3, n_max=8)
-    L = _fock_generator(SymmetricDecayParameters(k, k, gamma), psi.space)
-    v = density_from_ket(psi).matrix.reshape(-1)
-    out = evolve_master(density_from_ket(psi), L, EvolutionSpec(1e-3)).matrix.reshape(-1)
-    assert rows and set(rows) == {2025}
-    parts, (R, _, norm) = crosscav.integrator._plans[L.matrix][1]
-    assert parts == () and len(R) == 2025
-    rows.clear()
-    whole = crosscav.integrator._expm_action(L.matrix, v, 1e-3, norm)
-    assert set(rows) == {6561}
-    assert np.abs(out - whole).max() <= 1e-15
-    outside = np.ones(len(v), dtype=bool)
-    outside[R] = False
-    assert not out[outside].any()
 
 
 # --- the factorized route: symmetric two-mode windows inside S ---
@@ -546,8 +537,8 @@ def test_factorized_lab_windows_keep_a_pure_state_pure(T):
 
 
 def test_a_state_inside_s_answers_where_the_action_overflows():
-    # a full-rank state reaches outside S and still overflows the action:
-    # test_action_rejects_a_window_whose_step_count_overflows
+    # a full-rank state reaches outside S, where method "expm" refuses its
+    # 489-row component: test_expm_refuses_a_component_over_the_dense_cap
     psi = robust_coherent_state(0.3, 0.3, n_max=8)
     rho0 = density_from_ket(psi)
 
@@ -609,21 +600,21 @@ def test_factorized_windows_share_one_plan_and_never_assemble(cold, monkeypatch)
 def _fock_route_cases(rng):
     """(label, generator, state) of windows that keep the Fock-basis route."""
     params = SymmetricDecayParameters(K_EXACT, 600.0, 0.9)
-    nine = make_space([9, 9])
-    coherent = density_from_ket(robust_coherent_state(0.9, 0.6, n_max=8))
+    four = make_space([4, 4])
+    coherent = density_from_ket(robust_coherent_state(0.9, 0.6, n_max=3))
     yield ("N=2", build_symmetric_liouvillian(params, make_space([3, 3])),
            density_from_ket(robust_coherent_state(0.9, 0.6, n_max=2)))
     yield ("atom", build_symmetric_liouvillian(params, make_space([4, 4, 2])),
            random_density(make_space([4, 4, 2]), rng))
     yield ("unequal", build_symmetric_liouvillian(params, make_space([4, 3])),
            random_density(make_space([4, 3]), rng))
-    yield ("hamiltonian", build_symmetric_liouvillian(params, nine, "rotating",
-                                                      1e3 * number_op(nine, 0)), coherent)
-    yield ("general", _fock_generator(params, nine), coherent)
-    # one ket with n1 + n2 = 9 puts the state outside S
-    psi = coherent.matrix[:, 0] + 0.1 * basis_ket(nine, (1, 8)).amplitudes
-    yield ("outside-S", build_symmetric_liouvillian(params, nine),
-           density_from_ket(Ket(psi / np.linalg.norm(psi), nine)))
+    yield ("hamiltonian", build_symmetric_liouvillian(params, four, "rotating",
+                                                      1e3 * number_op(four, 0)), coherent)
+    yield ("general", _fock_generator(params, four), coherent)
+    # one ket with n1 + n2 = 4 puts the state outside S
+    psi = coherent.matrix[:, 0] + 0.1 * basis_ket(four, (1, 3)).amplitudes
+    yield ("outside-S", build_symmetric_liouvillian(params, four),
+           density_from_ket(Ket(psi / np.linalg.norm(psi), four)))
 
 
 def test_other_windows_keep_the_fock_route(monkeypatch, rng):
@@ -655,21 +646,28 @@ def test_opposite_coherence_orders_share_one_block(n, rate):
         assert (powers is None) == (ref[3] is None) and np.array_equal(powers, ref[3]), q
 
 
-def test_factorized_route_check_passes_on_the_whole_grid(monkeypatch):
-    actions = []
-    action = crosscav.integrator._expm_action
+GRID = [(share, frame) for share in (0.0, 0.5, 1.0) for frame in ("rotating", "lab")]
 
-    def counted(*args):
-        actions.append(len(args[1]))
-        return action(*args)
 
-    monkeypatch.setattr(crosscav.integrator, "_expm_action", counted)
-    cases = [(N, share, frame) for N in (3, 5) for share in (0.0, 0.5, 1.0)
-             for frame in ("rotating", "lab")]
-    check = check_factorized_route(cases, k=K_EXACT)
+def test_factorized_route_check_passes_on_the_whole_grid():
+    # the Fock side runs densely up to N = 4, in components of at most 55 rows
+    check = check_factorized_route([(N, *case) for N in (3, 4) for case in GRID], k=K_EXACT)
     assert check["passed"] and check["max_deviation"] <= 1e-12
-    # the Fock side takes the sparse action at N = 5 once r > 0
-    assert actions and set(actions) == {441}
+
+
+@pytest.mark.parametrize("share, frame", GRID)
+def test_factorized_route_matches_expm_multiply_at_n5(share, frame, rng):
+    # at N = 5 the Fock side's components exceed the dense cap, so the
+    # factorized route is checked against scipy on the assembled generator
+    space = make_space([6, 6])
+    params = SymmetricDecayParameters(K_EXACT, share * K_EXACT, 1.1, 2e3)
+    L = build_symmetric_liouvillian(params, space, frame)
+    A = to_scipy(build_general_liouvillian(params.to_general(frame), space).matrix)
+    for rho0 in (density_from_ket(robust_coherent_state(1.1, 0.5, 5)), _inside_s(space, rng)):
+        for T in (1e-4, 1e-3):
+            out = crosscav.integrator._propagate_factorized(L, rho0.matrix, T)
+            ref = expm_multiply(A * T, rho0.matrix.reshape(-1))
+            assert np.abs(out.reshape(-1) - ref).max() <= 1e-12, T
 
 
 def _assert_product_matches_scipy(A, rng, label):
@@ -734,10 +732,6 @@ FULL_RANK_FRAMES = {1e-3: (), 1.0: ("rotating", "lab"), 1e308: ("rotating",)}
 
 @pytest.mark.parametrize("T", [1e-3, 1.0, 1e308])
 def test_dense_squaring_runs_a_protocol_state(monkeypatch, T, rng, cold):
-    def no_action(*args, **kwargs):
-        raise AssertionError("a protocol state must take the dense branch")
-
-    monkeypatch.setattr(crosscav.integrator, "_expm_action", no_action)
     sizes = []
     expm_dense = crosscav.integrator._expm_dense
 
@@ -1045,10 +1039,6 @@ def test_a_window_plan_is_remade_when_the_support_changes(cold, reachable_calls,
 
 def _large_block_case(case, rng):
     """A generator and a state whose reachable block has more than 64 rows."""
-    if case == "action":
-        psi = robust_coherent_state(2.0, 0.3, n_max=8)
-        L = _fock_generator(SymmetricDecayParameters(K_EXACT, K_EXACT, 2.0), psi.space)
-        return L, density_from_ket(psi)
     space = make_space([3, 3, 2])
     L = build_symmetric_liouvillian(
         SymmetricDecayParameters(K_EXACT, 700.0, 0.9, 2 * pi * 5e3), space, case
@@ -1056,30 +1046,23 @@ def _large_block_case(case, rng):
     return L, random_density(space, rng)
 
 
-@pytest.mark.parametrize("case", ["rotating", "lab", "action"])
+@pytest.mark.parametrize("case", ["rotating", "lab"])
 def test_large_blocks_reuse_their_window_plan(case, cold, reachable_calls, monkeypatch, rng):
     L, rho0 = _large_block_case(case, rng)
-    branches = []
+    calls = []
+    expm_dense = crosscav.integrator._expm_dense
 
-    def recording(name):
-        fn = getattr(crosscav.integrator, name)
+    def recorded(*args):
+        calls.append(args)
+        return expm_dense(*args)
 
-        def recorded(*args):
-            branches.append(name)
-            return fn(*args)
-        return recorded
-
-    for name in ("_expm_dense", "_expm_action"):
-        monkeypatch.setattr(crosscav.integrator, name, recording(name))
-    # the [3, 3, 2] states split into components; the n_max = 8 one takes the action
-    expected = "_expm_action" if case == "action" else "_expm_dense"
+    monkeypatch.setattr(crosscav.integrator, "_expm_dense", recorded)
     cold_bytes = {}
     for T in (2e-4, 5e-4):
         cold()
         cold_bytes[T] = evolve_master(rho0, L, EvolutionSpec(T)).matrix.tobytes()
-    assert set(branches) == {expected}
-    if expected == "_expm_dense":
-        assert branches.count(expected) > 2
+    # the [3, 3, 2] states split into components, each squared densely
+    assert len(calls) > 2
     cold()
     reachable_calls.clear()
     for T in (2e-4, 5e-4, 2e-4):
@@ -1102,7 +1085,7 @@ def test_a_plans_stack_is_made_once_and_is_the_same_array_for_every_later_window
         # every window misses the result cache and sums the plan's powers
         crosscav.integrator._block_exponentials.cache_clear()
         assert evolve_master(rho0, L, EvolutionSpec(T)).matrix.tobytes() == cold_bytes[T], T
-        (part,), _ = crosscav.integrator._plans[L.matrix][1]
+        (part,) = crosscav.integrator._plans[L.matrix][1]
         stacks.append(part[3])
     # the plan made every power up to degree 25 once, read-only
     P = stacks[0]
@@ -1114,11 +1097,8 @@ def test_a_plans_stack_is_made_once_and_is_the_same_array_for_every_later_window
         np.testing.assert_array_equal(P[j], P[j - 1] @ P[0])
 
 
-def _assert_plan_dies_with_generator(space, H, rho0, check=lambda A, plan: None):
-    """Run one window on a fresh generator; its plan must go when it does.
-
-    check(A, plan) runs on the generator record and its plan before they go.
-    """
+def _assert_plan_dies_with_generator(space, H, rho0):
+    """Run one window on a fresh generator; its plan must go when it does."""
     plans = crosscav.integrator._plans
     # a generator with a Hamiltonian is never kept for reuse
     L = build_symmetric_liouvillian(SymmetricDecayParameters(K_EXACT, 500.0, 0.9), space,
@@ -1126,41 +1106,22 @@ def _assert_plan_dies_with_generator(space, H, rho0, check=lambda A, plan: None)
     evolve_master(rho0, L, EvolutionSpec(1e-6))
     assert L.matrix in plans and len(plans) == 1
     ref = weakref.ref(L.matrix)
-    parts, action = plans[L.matrix][1]
-    check(L.matrix, (parts, action))
+    parts = plans[L.matrix][1]
     del L
     gc.collect()
     assert ref() is None
     assert len(plans) == 0
-    return parts, action
+    return parts
 
 
 def test_a_window_plan_lives_only_as_long_as_its_generator(cold):
     space = make_space([2, 2, 2])
     H = jc_hamiltonian(space, "mode1", 1e5)
-    (part,), _ = _assert_plan_dies_with_generator(space, H, _one_excitation_state(space, (1.0, 1.0)))
+    (part,) = _assert_plan_dies_with_generator(space, H, _one_excitation_state(space, (1.0, 1.0)))
     powers_ref = weakref.ref(part[3])
     del part
     gc.collect()
     assert powers_ref() is None
-
-
-def test_a_whole_space_action_plan_lives_only_as_long_as_its_generator(cold, rng):
-    # a full-rank n_max = 8 state reaches every row and takes the action,
-    # whose plan must not hold the generator that keys it: its block shares
-    # the generator's arrays instead
-    space = make_space([9, 9])
-
-    def shares_the_generators_arrays(A, plan):
-        parts, (R, A_RR, _) = plan
-        assert parts == () and len(R) == space.dim**2 and A_RR is not A
-        assert np.shares_memory(A_RR.data, A.data)
-        assert np.shares_memory(A_RR.indices, A.indices)
-
-    _assert_plan_dies_with_generator(
-        space, 1e3 * number_op(space, 0), random_density(space, rng),
-        shares_the_generators_arrays,
-    )
 
 
 def test_clear_all_empties_the_generators_and_the_window_plans(cold):
