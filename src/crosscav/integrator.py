@@ -4,42 +4,33 @@ This module is the numerical oracle against which every closed form in
 the package is checked, so it stays deliberately simple.  evolve_master
 with method "expm" takes one of two exact routes:
 
-- the factorized route, for a symmetric two-mode window.  It runs when
-  L comes from build_symmetric_liouvillian without H (a
-  _SymmetricGenerator, which keeps its parameters and frame), its space
-  is exactly two field modes [N+1, N+1] with N >= 3, and rho0 vanishes
-  outside S, the entries whose ket and bra both have n1 + n2 <= N (more
-  than _DENSE_MAX_DIM of them from N = 3 on).  It never reads L.matrix,
-  so the generator is never assembled (_propagate_factorized);
+- the loss channel, for a window without a pulse: L is a builder's
+  generator without H (a _LossGenerator), its space is exactly two field
+  modes [N+1, N+1], and rho0 lies in S, every ket and bra with
+  n1 + n2 <= N.  It never reads L.matrix (_propagate_channel);
 - the Fock-basis route, _propagate on L.matrix, for every other window:
-  every protocol window (its space has the atom), a generator with H or
-  from the general builder, N <= 2, and any state outside S.
+  every protocol window (its space has the atom), a generator with H,
+  and any state outside S.
 
-The factorized route.  With symmetric decay the damping matrix and the
-mode Hamiltonian (omega times the identity in either frame) commute, so
-in the normal modes A1, A2 (normal_mode_ops) L = L_s + L_f, the one-mode
-channels of rates k - r and k + r at the frame's omega, which commute;
-the decoherence-free condition of Zanardi & Rasetti (PRL 79:3306, 1997)
-is the vanishing of L_s at r = k.  Both channels only lower or keep the
-excitation numbers, so S is invariant under each, and on S the per-mode
-truncation at N is exact, in the Fock and in the normal-mode basis.  So
-for rho0 in S
+The loss channel.  The jumps are linear in the modes and h is quadratic,
+so at zero temperature exp(L t) is a pure-loss channel fixed by the 2x2
+M(t) = exp(-(Gamma^T + i h) t), which carries <a> to M <a> (Serafini,
+Quantum Continuous Variables, CRC 2017, ch. 5; Prosen, New J. Phys.
+10:043026, 2008):
 
-    exp(L t) rho0 = W (E_s (x) E_f)(W^dag rho0 W) W^dag,
+    exp(L t) rho = Gamma(M) (sum_{m <= N} D^m(rho) / m!) Gamma(M)^dag,
 
-with W the unitary whose columns are the normal-mode Fock states of S,
-built from the vacuum by A1^dag and A2^dag (exact below the top shell),
-and E_s, E_f the exponentials of the one-mode generators on N + 1 levels,
-built by liouvillian._gksl in the rotating frame and run as ordinary
-dense parts (below); a one-mode generator keeps the coherence order
-n - m, so its components have at most N + 1 rows.  The lab frame adds
--i omega [n1 + n2, .], which commutes with both channels: the route
-conjugates the result by the unitary diag(e^(-i omega (n1 + n2) t)),
-one phase per ket, so a pure state stays exactly rank one however large
-omega t grows (a phase per coherence order, as the mu split below
-applies, rounds each order's phase on its own).  A window costs two
-small dense exponentials at any T; the plan (W and both factors' parts)
-is kept per generator in a weak map (_factorizations).
+with Gamma(M) the number-conserving map a_j^dag -> sum_i M_ij a_i^dag
+(_ladder) and D(X) = sum_jj' Q_j'j a_j X a_j'^dag, Q = I - M^dag M, run
+as index shifts on S (_lower).  D lowers ket and bra by one excitation,
+so the sum ends at m = N.  The window is completely positive by
+construction and costs the same at any T.  For the symmetric builder M
+comes from the exact rates k - r and k + r of the slow and fast normal
+modes, so at r = k the slow mode does not decay however long the window
+(Zanardi & Rasetti, PRL 79:3306, 1997); for the general builder M is
+_expm_dense of the 2x2 generator.  The mean mode frequency w leaves M as
+the phase e^(-i w n t) of sector n, one phase per ket with w n t reduced
+modulo 2 pi, so a pure state stays rank one however large w t grows.
 
 The Fock-basis route propagates exactly on the reachable block of the
 vectorized state: the set R of vec(rho) indices reachable from the
@@ -64,12 +55,11 @@ symmetry of these generators (Buca & Prosen, New J. Phys. 14:073007,
 2012) keeps them small: at most 19 rows for a full-rank [3,3,2] state,
 55 for (|0> + |4>)_slow at n_max = 8.  A block with a component of more
 than _DENSE_MAX_DIM rows is refused with a one-line ValueError that
-names the component's size and points to method "rk4": the n_max = 8
-robust coherent state on the Fock-basis route (components of up to 285
-rows) and any full-rank n_max = 8 state (489) are such blocks, and no
-command builds one.  That caps the dense part's memory.  No route
-diagonalizes, so both stay exact where the generator is defective, as
-at the decoherence-free point r = k.  Both run on numpy alone.
+names the component's size and points to method "rk4": any full-rank
+n_max = 8 state (489 rows) is such a block, and no command builds one.
+That caps the dense part's memory.  No route diagonalizes, so both stay
+exact where the generator is defective, as at the decoherence-free point
+r = k.  Both run on numpy alone.
 
 In the lab frame a dense block B carries the phases -i omega q of its
 coherence orders on its diagonal, and squaring would carry them too.
@@ -104,7 +94,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, isfinite, ldexp, log2, sqrt
+from math import ceil, exp, expm1, isfinite, ldexp, log2
 
 import numpy as np
 
@@ -113,9 +103,8 @@ from .liouvillian import (
     _CSR,
     SuperOperator,
     _frame_omega,
-    _gksl,
-    _SymmetricGenerator,
-    normal_mode_ops,
+    _LossGenerator,
+    _mode_hamiltonian,
 )
 from .tensor import (
     DensityMatrix,
@@ -124,7 +113,6 @@ from .tensor import (
     SpaceSignature,
     annihilation_op,
     atom_ops,
-    make_space,
     number_op,
 )
 
@@ -162,8 +150,6 @@ _unitaries = _memo.register(_memo.ByteLRU(_UNITARY_CACHE_BYTES))
 _block_exponentials = _memo.register(_memo.ByteLRU(_BLOCK_CACHE_BYTES))
 # _CSR -> (supp(v) bytes, _plan(A, supp(v))) of the last window on it
 _plans = _memo.register(weakref.WeakKeyDictionary())
-# _SymmetricGenerator -> its factorized plan (_factorization)
-_factorizations = _memo.register(weakref.WeakKeyDictionary())
 
 
 @dataclass(frozen=True)
@@ -448,110 +434,118 @@ def _run_parts(parts, v: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def _shell(n: int) -> np.ndarray:
-    """Mask of the kets |n1, n2> of an [n, n] space with n1 + n2 < n, in basis order."""
-    levels = np.arange(n)
-    return (levels[:, None] + levels).ravel() < n
+@lru_cache(maxsize=16)  # one entry per field-mode dimension in use
+def _sectors(n: int):
+    """(kets, lowered) of S on two field modes [n, n].
 
-
-def _mode_parts(rate: float, n: int):
-    """The dense parts of exp(G t) for the one-mode GKSL generator G on n levels.
-
-    G is rho -> rate (2 a rho a^dag - {a^dag a, rho}), built by _gksl.  It
-    keeps the coherence order n - m of every |n><m|, so it runs as one
-    dense part per order, of at most n rows.  G is real and commutes with
-    the transpose |n><m| -> |m><n|, which maps order q to -q index by
-    index in basis order, so both orders share one block and its powers.
+    kets are the Fock indices n1 n + n2 of S, sector by sector (n1 + n2 =
+    0, 1, ..., n - 1, so sector m starts at m (m + 1) / 2), n1 ascending
+    within one.  lowered[j] = (src, dst, c): a_j maps position src of S to
+    dst with the factor c = sqrt(n_j).
     """
-    space = make_space([n])
-    a = annihilation_op(space, 0).matrix
-    G = _gksl(space, [a], np.array([[rate]]), np.zeros((1, 1))).matrix
-    rows = G.row_of()
-    order = np.subtract.outer(np.arange(n), np.arange(n)).ravel()
-    parts = []
-    for q in range(n):
-        part = _dense_part(*_block(G, rows, order == q))
-        parts.append(part)
-        if q:
-            parts.append((np.flatnonzero(order == -q), *part[1:]))
-    return parts
+    total = np.repeat(np.arange(n), np.arange(1, n + 1))
+    n1 = np.arange(len(total)) - total * (total + 1) // 2
+    kets = n1 * n + total - n1
+    pos = np.empty(n * n, dtype=int)
+    pos[kets] = np.arange(len(kets))
+    lowered = []
+    for nj, step in ((n1, n), (total - n1, 1)):
+        src = np.flatnonzero(nj)
+        lowered.append((src, pos[kets[src] - step], np.sqrt(nj[src])))
+    return kets, lowered
 
 
-def _factorization(params, frame: str, n: int):
-    """(kets, W, slow, fast, mu): the factorized plan of a symmetric generator on [n, n].
+def _lower(X: np.ndarray, Q: np.ndarray, lowered) -> np.ndarray:
+    """D(X) = sum_jj' Q_j'j a_j X a_j'^dag on S, by index shifts (_sectors)."""
+    rows = []
+    for src, dst, c in lowered:
+        Y = np.zeros_like(X)
+        Y[dst] = c[:, None] * X[src]
+        rows.append(Y)
+    out = np.zeros_like(X)
+    for (src, dst, c), q in zip(lowered, Q):
+        out[:, dst] += (q[0] * rows[0] + q[1] * rows[1])[:, src] * c
+    return out
 
-    kets are the Fock indices of the kets of S, in basis order.  Column c
-    of W is the normal-mode Fock state |n_s, n_f> whose index n_s n + n_f
-    is kets[c], built from the vacuum by the creation operators of
-    normal_mode_ops and given on the kets of S, its only nonzero rows;
-    W is unitary.  slow and fast are the dense parts (_mode_parts) of
-    the one-mode channels at rates k - r and k + r.  mu is None in the
-    rotating frame, else -omega (n1 + n2) on the kets of S.
+
+def _ladder(M: np.ndarray, n: int, phase) -> np.ndarray:
+    """Gamma(M) on S, block diagonal in the sectors of _sectors.
+
+    Sector m is multiplied by phase[m] unless phase is None.  Its column q
+    is the image of |q, m - q>: b_1^dag / sqrt(q) of column q - 1 of
+    sector m - 1, or for q = 0 b_2^dag / sqrt(m) of its column 0, with
+    b_j^dag = sum_i M_ij a_i^dag.
     """
-    kets = np.flatnonzero(_shell(n))
-    A1, A2 = normal_mode_ops(make_space([n, n]), params.gamma)
-    up_s, up_f = A1.matrix.conj().T, A2.matrix.conj().T
-    W = np.empty((n * n, len(kets)), dtype=complex)
-    slow = np.zeros(n * n, dtype=complex)
-    slow[0] = 1.0
-    c = 0
-    for n_s in range(n):
-        if n_s:
-            slow = up_s @ slow / sqrt(n_s)
-        state = slow
-        for n_f in range(n - n_s):
-            if n_f:
-                state = up_f @ state / sqrt(n_f)
-            W[:, c] = state
-            c += 1
-    omega = _frame_omega(params.omega, frame)
-    mu = -omega * (kets // n + kets % n) if omega else None
-    return (kets, W[kets], _mode_parts(params.k - params.r, n),
-            _mode_parts(params.k + params.r, n), mu)
+    size = n * (n + 1) // 2
+    G = np.zeros((size, size), dtype=complex)
+    G[0, 0] = 1.0
+    block = G[:1, :1]
+    for m in range(1, n):
+        root = np.sqrt(np.arange(1, m + 1))
+        up1 = np.zeros((m + 1, m), dtype=complex)
+        up1[1:] = root[:, None] * block  # a_1^dag
+        up2 = np.zeros((m + 1, m), dtype=complex)
+        up2[:-1] = root[::-1, None] * block  # a_2^dag
+        start = m * (m + 1) // 2
+        block = G[start:start + m + 1, start:start + m + 1]
+        block[:, 1:] = (M[0, 0] * up1 + M[1, 0] * up2) / root
+        block[:, 0] = (M[0, 1] * up1[:, 0] + M[1, 1] * up2[:, 0]) / root[-1]
+    if phase is not None:
+        G *= np.repeat(phase, np.arange(1, n + 1))[:, None]
+    return G
 
 
-def _propagate_factorized(L: SuperOperator, rho: np.ndarray, t: float):
-    """exp(L t) rho on the factorized route, or None where that route does not run.
+def _loss_matrices(L: _LossGenerator, t: float):
+    """(M, Q, w): M = exp(-(Gamma^T + i (h - w I)) t), Q = I - M^dag M, w the mean mode frequency.
 
-    It runs when L is a _SymmetricGenerator on two field modes [n, n]
-    with N = n - 1 >= 3, so that S has more than _DENSE_MAX_DIM entries,
-    and rho vanishes outside S; see the module docstring.  The plan
-    (_factorization) is kept per generator.
+    For the symmetric builder they come from the rates k - r and k + r on
+    the projectors onto the rows of liouvillian.normal_mode_transform,
+    written with exact halves; r may exceed k by the parameters' rounding
+    allowance, and the slow rate is then 0.
     """
+    p = L.params
+    if L.frame is not None:
+        phase = np.exp(-1j * p.gamma)
+        slow = 0.5 * np.array([[1.0, -phase], [-np.conj(phase), 1.0]])
+        fast = np.eye(2) - slow
+        rate_s, rate_f = max(p.k - p.r, 0.0) * t, (p.k + p.r) * t
+        M = exp(-rate_s) * slow + exp(-rate_f) * fast
+        Q = -expm1(-2 * rate_s) * slow - expm1(-2 * rate_f) * fast
+        return M, Q, _frame_omega(p.omega, L.frame)
+    h = _mode_hamiltonian(p)
+    w = float(h.trace().real) / 2
+    B = -(p.damping_matrix().T + 1j * (h - w * np.eye(2)))
+    norm = float(np.abs(B).sum(axis=0).max())
+    M = _expm_dense(t, norm, _powers(B, norm)) if norm else np.eye(2, dtype=complex)
+    Q = np.eye(2) - M.conj().T @ M
+    return M, (Q + Q.conj().T) / 2, w
+
+
+def _propagate_channel(L: SuperOperator, rho: np.ndarray, t: float):
+    """exp(L t) rho by the loss channel, summing the D^m(rho) / m! one at a
+    time, or None where the channel does not run (module docstring)."""
     n = L.space.dims[0]
-    kets_in_s = n * (n + 1) // 2
-    if not (isinstance(L, _SymmetricGenerator) and L.space.dims == (n, n)
-            and kets_in_s**2 > _DENSE_MAX_DIM):
+    if not (isinstance(L, _LossGenerator) and L.space.dims == (n, n)):
         return None
-    outside = ~_shell(n)
-    if rho[outside].any() or rho[:, outside].any():
-        return None
-    plan = _factorizations.get(L)
-    if plan is None:
-        plan = _factorizations[L] = _factorization(L.params, L.frame, n)
-    kets, W, slow, fast, mu = plan
+    kets, lowered = _sectors(n)
     inside = np.ix_(kets, kets)
-    # rho in the normal-mode basis, as Y[(n_s, n_f), (m_s, m_f)]
-    Y = np.zeros((n * n, n * n), dtype=complex)
-    Y[inside] = W.conj().T @ rho[inside] @ W
-    # Z[(n_s, m_s), (n_f, m_f)]: the slow channel acts on the rows, the fast on the columns
-    Z = Y.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    Z = _run_parts(fast, _run_parts(slow, Z, t).T, t).T
-    Y = Z.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    X = W @ Y[inside] @ W.conj().T
-    if mu is not None:
-        # the lab frame: conjugation by the unitary e^(-i omega (n1 + n2) t)
-        u = _frame_phase(mu, t)
-        X = u[:, None] * X * u.conj()
+    X = term = rho[inside]
+    if np.count_nonzero(X) != np.count_nonzero(rho):  # rho has entries outside S
+        return None
+    M, Q, w = _loss_matrices(L, t)
+    for m in range(1, n):
+        term = _lower(term, Q, lowered) / m
+        X = X + term
+    G = _ladder(M, n, _frame_phase(-w * np.arange(n), t) if w else None)
     out = np.zeros_like(rho)
-    out[inside] = X
+    out[inside] = G @ X @ G.conj().T
     return out
 
 
 def evolve_master(rho0: DensityMatrix, L: SuperOperator, spec: EvolutionSpec) -> DensityMatrix:
     """Integrate d(rho)/dt = L rho for spec.duration.
 
-    method "expm" takes the factorized route where it runs, and otherwise
+    method "expm" takes the loss channel where it runs, and otherwise
     propagates the block of vec(rho0) reachable under L densely, one
     connected component at a time (see the module docstring); entries
     outside the block stay exactly zero.  It raises ValueError for a block
@@ -565,7 +559,7 @@ def evolve_master(rho0: DensityMatrix, L: SuperOperator, spec: EvolutionSpec) ->
         return rho0
     v0 = rho0.matrix.reshape(-1)
     if spec.method == "expm":
-        out = _propagate_factorized(L, rho0.matrix, spec.duration)
+        out = _propagate_channel(L, rho0.matrix, spec.duration)
         v = _propagate(L.matrix, v0, spec.duration) if out is None else out.reshape(-1)
     else:
         step = _auto_step(L, spec.duration) if spec.step == "auto" else float(spec.step)

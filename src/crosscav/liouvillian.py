@@ -18,13 +18,12 @@ builder arguments, (parameters, space) for the general builder and
 SuperOperator, whose CSR arrays are read-only, from a private cache of
 the two most recently used, which _memo.clear_all empties.
 
-The symmetric builder without H assembles lazily: it returns a
-_SymmetricGenerator, which keeps its (parameters, frame) and makes its
-CSR on the first read of .matrix.  Only then does
-SymmetricDecayParameters.to_general, and so its positivity check, run,
-once per generator, and the arrays are marked read-only.  So
-integrator.evolve_master can propagate a two-mode window from the
-parameters alone (its factorized route) and never assemble the
+A generator without H is a _LossGenerator, which keeps the builder's
+parameters (and frame) and makes its CSR on the first read of .matrix.
+Only then does _general run (and SymmetricDecayParameters.to_general,
+with its positivity check), once per generator, and the arrays are
+marked read-only.  So integrator.evolve_master can run a two-mode window
+from the 2x2 Gamma and h alone (its loss channel) and never assemble the
 D^2-row generator.
 """
 
@@ -276,24 +275,26 @@ class SuperOperator:
         return SuperOperator(self.matrix + other.matrix, self.space)
 
 
-class _SymmetricGenerator(SuperOperator):
-    """build_symmetric_liouvillian's generator without H, assembled on first read.
+class _LossGenerator(SuperOperator):
+    """A builder's generator without H, assembled on the first read of matrix.
 
-    params and frame are kept; the first read of matrix runs to_general
-    and _general once and marks the CSR arrays read-only.
+    params and frame are the builder's: SymmetricDecayParameters and the
+    frame, or DecayParameters and None for build_general_liouvillian.  The
+    first read of matrix runs _general once and marks the CSR read-only.
     """
 
-    def __init__(self, params: SymmetricDecayParameters, frame: str, space: SpaceSignature):
+    def __init__(self, params, frame, space: SpaceSignature):
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "space", space)
 
     @cached_property
     def matrix(self) -> _CSR:
-        return _read_only(_general(self.params.to_general(self.frame), self.space)).matrix
+        p = self.params if self.frame is None else self.params.to_general(self.frame)
+        return _read_only(_general(p, self.space)).matrix
 
     def __repr__(self):
-        return f"_SymmetricGenerator({self.params!r}, {self.frame!r}, {self.space!r})"
+        return f"_LossGenerator({self.params!r}, {self.frame!r}, {self.space!r})"
 
 
 @dataclass(frozen=True)
@@ -433,14 +434,17 @@ def _require_field_modes(space: SpaceSignature):
         raise ValueError("space must contain the two field modes")
 
 
+def _mode_hamiltonian(p: DecayParameters) -> np.ndarray:
+    """The 2x2 mode Hamiltonian h of build_general_liouvillian."""
+    c = 0.5 * (p.d12 + p.d21) + 0.5j * (p.k12 - p.k21)
+    return np.array([[p.omega1 - p.d11, -c], [-np.conj(c), p.omega2 - p.d22]])
+
+
 def _general(params: DecayParameters, space: SpaceSignature, H=None) -> SuperOperator:
     """A fresh build_general_liouvillian generator; H is a matrix or None."""
     _require_field_modes(space)
-    p = params
-    c = 0.5 * (p.d12 + p.d21) + 0.5j * (p.k12 - p.k21)
-    h = np.array([[p.omega1 - p.d11, -c], [-np.conj(c), p.omega2 - p.d22]])
     ops = [annihilation_op(space, 0).matrix, annihilation_op(space, 1).matrix]
-    return _gksl(space, ops, p.damping_matrix(), h, H)
+    return _gksl(space, ops, params.damping_matrix(), _mode_hamiltonian(params), H)
 
 
 def _reused(key, build) -> SuperOperator:
@@ -485,12 +489,14 @@ def build_general_liouvillian(
 
     Without H the generator is reused by value: equal (params, space) give
     the same object, whose CSR data, indices and indptr are read-only, and
-    the two most recently used generators are kept.  That object is shared
-    with every later caller and must not be modified; work on a copy, such
-    as L.matrix.toarray(), instead.  A build with H is fresh and writable.
+    the two most recently used generators are kept.  Its CSR is assembled
+    on the first read of .matrix.  That object is shared with every later
+    caller and must not be modified; work on a copy, such as
+    L.matrix.toarray(), instead.  A build with H is fresh and writable.
     """
     if H is None:
-        return _reused((params, space), lambda: _read_only(_general(params, space)))
+        _require_field_modes(space)
+        return _reused((params, space), lambda: _LossGenerator(params, None, space))
     if H.space != space:
         raise ValueError(f"Hamiltonian space {H.space.dims} does not match {space.dims}")
     return _general(params, space, H.matrix)
@@ -517,7 +523,7 @@ def build_symmetric_liouvillian(
         _require_field_modes(space)
         _frame_omega(params.omega, frame)
         return _reused(
-            (params, frame, space), lambda: _SymmetricGenerator(params, frame, space)
+            (params, frame, space), lambda: _LossGenerator(params, frame, space)
         )
     return build_general_liouvillian(params.to_general(frame), space, H)
 

@@ -1,14 +1,15 @@
 """Self-contained cross-validation suite.
 
-Every closed form is checked against brute-force master-equation
-integration, the sparse Liouvillian builder against a direct D x D
-term-by-term evaluation of the generator, the slow/fast channel split
-against the builder, and the integrator's factorized route (two
-single-mode factors) against propagation by the assembled Fock-basis
-generator.  The suite also documents that the phase-only
-off-diagonal factor in the single-excitation propagator is the correct
-one: the r-scaled variant disagrees with the integrated dynamics by
-orders of magnitude.
+It checks one chain, link by link: the closed forms against the
+integrator's loss channel (oracle_probabilities, propagator_cross_factor
+and dfs_preservation, whose two-mode windows take it), the channel
+against propagation by the assembled Fock-basis generator (loss_channel),
+and the sparse Liouvillian builder against a direct D x D term-by-term
+evaluation of the generator (builder_consistency).  It also checks the
+slow/fast channel split against the builder and the protocol without
+decay.  The phase-only off-diagonal factor in the single-excitation
+propagator is the correct one: the r-scaled variant disagrees with the
+integrated dynamics by orders of magnitude.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .analytic import (
     single_excitation_propagator,
     two_mode_space,
 )
-from .integrator import EvolutionSpec, _propagate, _propagate_factorized, _shell, evolve_master
+from .integrator import EvolutionSpec, _propagate, _propagate_channel, _sectors, evolve_master
 from .liouvillian import (
     DecayParameters,
     SymmetricDecayParameters,
@@ -48,6 +49,11 @@ from .tensor import (
 )
 
 _SEED = 20260824
+# DecayParameters fields: a DecayParameters made at import runs eigvalsh
+_ASYMMETRIC = dict(
+    k11=1000.0, k22=800.0, k12=600.0, k21=200.0, d11=30.0, d22=-20.0,
+    d12=150.0, d21=-50.0, omega1=2e5, omega2=1.9e5,
+)
 
 
 def _check(name, max_dev, tol, detail=None):
@@ -197,10 +203,7 @@ def check_builder_consistency(tol=1e-12):
     Hamiltonian entries."""
     rng = random.Random(_SEED)
     cases = [(1000.0, 500.0, pi / 3), (800.0, 800.0, 1.1), (1.0, 0.0, 0.0)]
-    asymmetric = DecayParameters(
-        k11=1000.0, k22=800.0, k12=600.0, k21=200.0, d11=30.0, d22=-20.0,
-        d12=150.0, d21=-50.0, omega1=2e5, omega2=1.9e5,
-    )
+    asymmetric = DecayParameters(**_ASYMMETRIC)
     devs = []
     for space in (two_mode_space(1), make_space([3, 3, 2])):
         D = space.dim
@@ -258,53 +261,50 @@ def check_dfs_preservation(
     )
 
 
-# (N, r / k, frame) of the factorized_route windows.  One case keeps the
-# check near 0.4 MB (tracemalloc peak): at N = 3 and r = 0 the Fock side
-# runs densely in components of at most 10 rows, and the frame phases show.
-# The dfs_preservation checks already fail for a wrong normal-mode basis or
-# swapped channels.  At N = 3 and r > 0 the Fock side's power stacks reach
-# 1.9 MB, more than the rest of a validate pass holds at once, and at N = 5
-# its components exceed the dense cap, so method "expm" refuses them.  The
-# whole product of N in (3, 4), r / k in (0, 1/2, 1) and both frames, with
-# Fock-side components of at most 55 rows, takes about 180 ms on 2 vCPUs,
-# more than a default validate pass, so the tier-1 tests run it instead
-FACTORIZED_CASES = ((3, 0.0, "lab"),)
+# (N, parameter fields, frame) of the loss_channel windows; frame None is
+# the general builder, with an off-diagonal h.  At N = 3 the Fock side's
+# components have at most 10 rows, and omega T = 2 rad at 1 ms shows a
+# wrong frame phase.  At N = 2 the general case's Fock side is one 36-row
+# dense part, which took 3.7 ms and raised validate's peak RSS by 1 MB; at
+# N = 3 and r > 0 the symmetric power stacks reach 1.9 MB.  So the tier-1
+# tests run those windows
+LOSS_CHANNEL_CASES = (
+    (3, dict(k=1000.0, r=0.0, gamma=1.1, omega=2e3), "lab"),
+    (1, dict(k=1000.0, r=500.0, gamma=1.1, omega=2e3), "rotating"),
+    (1, _ASYMMETRIC, None),
+)
 
 
-def check_factorized_route(cases=FACTORIZED_CASES, k=1000.0, tol=1e-12):
-    """The factorized route against the Fock-basis generator on short windows.
+def check_loss_channel(cases=LOSS_CHANNEL_CASES, tol=1e-12):
+    """The loss channel against the Fock-basis generator on short windows.
 
-    For each case (N, r / k, frame), a robust coherent state and a random
+    For each case (N, fields, frame), a robust coherent state and a random
     full-rank state inside S (the kets with n1 + n2 <= N) are propagated
-    for T in (1e-4, 1e-3) s by the factorized route and by _propagate on
-    the assembled Fock-basis generator; the deviation is the largest
-    entry difference.  A window that does not take the factorized route
-    fails the check.  omega T = 2 rad at T = 1 ms, so a wrong frame phase
-    shows.
+    for T in (1e-4, 1e-3) s by the channel and by _propagate on the
+    assembled generator; the deviation is the largest entry difference.
+    A window that does not take the channel fails the check.
     """
-    gamma, omega = 1.1, 2e3
     rng = random.Random(_SEED)
     devs = []
-    for N, share, frame in cases:
+    for N, fields, frame in cases:
         space = two_mode_space(N)
         D = space.dim
-        kets = np.flatnonzero(_shell(N + 1))
+        kets = _sectors(N + 1)[0]
         X = _uniform_matrix(rng, len(kets)) + 1j * _uniform_matrix(rng, len(kets))
         full_rank = np.zeros((D, D), dtype=complex)
         full_rank[np.ix_(kets, kets)] = X @ X.conj().T / np.trace(X @ X.conj().T).real
-        states = (density_from_ket(robust_coherent_state(gamma, 0.5, N)).matrix, full_rank)
-        p = SymmetricDecayParameters(k, share * k, gamma, omega)
-        L = build_symmetric_liouvillian(p, space, frame)
-        fock = build_general_liouvillian(p.to_general(frame), space).matrix
+        states = (density_from_ket(robust_coherent_state(1.1, 0.5, N)).matrix, full_rank)
+        L = (build_general_liouvillian(DecayParameters(**fields), space) if frame is None
+             else build_symmetric_liouvillian(SymmetricDecayParameters(**fields), space, frame))
         for rho in states:
             for T in (1e-4, 1e-3):
-                factored = _propagate_factorized(L, rho, T)
-                if factored is None:
+                channel = _propagate_channel(L, rho, T)
+                if channel is None:
                     devs.append(float("inf"))
                     continue
-                ref = _propagate(fock, rho.reshape(-1), T).reshape(D, D)
-                devs.append(np.abs(factored - ref).max())
-    return _check("factorized_route", max(devs), tol)
+                ref = _propagate(L.matrix, rho.reshape(-1), T).reshape(D, D)
+                devs.append(np.abs(channel - ref).max())
+    return _check("loss_channel", max(devs), tol)
 
 
 def check_zero_dissipation(tol=1e-9):
@@ -330,7 +330,7 @@ def run_validation(profile: str = "default") -> dict:
             check_decomposition_identity(),
             check_dfs_preservation(SymmetricDecayParameters(1000.0, 1000.0, pi / 2)),
             check_dfs_preservation(SymmetricDecayParameters(900.0, 900.0, 2.0)),
-            check_factorized_route(),
+            check_loss_channel(),
             check_zero_dissipation(),
         ]
     elif profile == "zero-dissipation":

@@ -12,6 +12,7 @@ from scipy.sparse.linalg import expm_multiply
 
 import crosscav.integrator
 import crosscav.liouvillian
+import crosscav.validate
 from conftest import random_density, to_scipy
 from crosscav import _memo
 from crosscav.analytic import (
@@ -48,7 +49,7 @@ from crosscav.tensor import (
 )
 from crosscav.validate import (
     check_dfs_preservation,
-    check_factorized_route,
+    check_loss_channel,
     integrated_prob_two_cavity,
 )
 
@@ -314,9 +315,10 @@ def test_components_of_a_scattered_generator_match_scipy(rng):
 
 
 def _fock_generator(params, space, frame="rotating"):
-    """The symmetric generator from the general builder, which keeps no
-    (params, frame): its windows take the Fock-basis route even inside S."""
-    return build_general_liouvillian(params.to_general(frame), space)
+    """The symmetric generator's assembled matrix as a plain SuperOperator,
+    which keeps no builder parameters: its windows take the Fock-basis route
+    even inside S."""
+    return SuperOperator(build_general_liouvillian(params.to_general(frame), space).matrix, space)
 
 
 def _refused(L, rho0, rows, T=1e-3):
@@ -332,8 +334,8 @@ def _refused(L, rho0, rows, T=1e-3):
 def test_expm_refuses_a_component_over_the_dense_cap(case, rows, monkeypatch, rng):
     params = SymmetricDecayParameters(K_EXACT, K_EXACT, 2.0)
     if case == "coherent":
-        # the general builder keeps the n_max = 8 robust coherent state on the
-        # Fock-basis route, where its block splits into components of up to 285 rows
+        # on the Fock-basis route the n_max = 8 robust coherent state's block
+        # splits into components of up to 285 rows
         psi = robust_coherent_state(2.0, 0.3, n_max=8)
         L, rho0 = _fock_generator(params, psi.space), density_from_ket(psi)
     else:
@@ -380,8 +382,8 @@ def test_a_decoherence_free_superposition_runs_densely_by_block_component(r, T, 
     psi = _dfs_superposition(gamma)
     params = SymmetricDecayParameters(K_EXACT, r, gamma)
     rho0 = density_from_ket(psi)
-    # the symmetric builder's generator takes the factorized route, the
-    # general builder's the Fock-basis blocks; both must give the fidelity
+    # the symmetric builder's generator takes the loss channel, its assembled
+    # matrix the Fock-basis blocks; both must give the fidelity
     L = build_symmetric_liouvillian(params, psi.space, "rotating")
     fock = _fock_generator(params, psi.space)
     for generator in (L, fock):
@@ -433,9 +435,9 @@ def test_robust_coherent_states_are_stationary_at_r_equal_k(v, gamma):
     assert 1.0 - rho_T.purity() <= 1e-14
 
 
-# validate's two dfs_preservation checks and their deviations.  The robust
-# coherent state lies in S, so both windows take the factorized route and
-# make no sparse product.  The case ids keep the deviations of the per-mode
+# validate's two dfs_preservation checks and their deviations.  Both states
+# lie in S, so every window takes the loss channel and makes no sparse
+# product.  The case ids keep the deviations of the per-mode
 # truncation (5.851e-14 and 5.418e-14), so each case runs under its earlier
 # name
 DFS_CHECKS = [
@@ -466,12 +468,17 @@ def test_robust_states_cost_the_action_few_products(k, gamma, deviation, monkeyp
     assert check["max_deviation"] <= deviation <= 1e-15
 
 
-# --- the factorized route: symmetric two-mode windows inside S ---
+# --- the loss channel: two-mode windows inside S without a pulse ---
+
+# general parameters with unequal local rates and mode frequencies and a
+# complex cross term in the damping matrix
+GENERAL = DecayParameters(k11=1000.0, k22=600.0, k12=400.0, k21=400.0,
+                          d12=100.0, d21=-100.0, omega1=50.0, omega2=-30.0)
 
 
 def _inside_s(space, rng):
     """A random full-rank density matrix on the kets with n1 + n2 <= N."""
-    kets = np.flatnonzero(crosscav.integrator._shell(space.dims[0]))
+    kets = crosscav.integrator._sectors(space.dims[0])[0]
     X = rng.normal(size=(len(kets), len(kets))) + 1j * rng.normal(size=(len(kets), len(kets)))
     m = np.zeros((space.dim, space.dim), dtype=complex)
     m[np.ix_(kets, kets)] = X @ X.conj().T
@@ -480,7 +487,7 @@ def _inside_s(space, rng):
 
 def _no_fock_route(monkeypatch):
     def fock(*args):
-        raise AssertionError("a state inside S must take the factorized route")
+        raise AssertionError("a state inside S must take the loss channel")
 
     monkeypatch.setattr(crosscav.integrator, "_propagate", fock)
 
@@ -522,6 +529,7 @@ def test_factorized_windows_keep_a_robust_state_at_any_length(T, monkeypatch):
 def test_factorized_lab_windows_keep_a_pure_state_pure(T):
     # the frame is one phase per ket, a unitary: a phase per coherence order,
     # each rounded on its own, left this state with eigenvalue -1.9e-6 at 1e6 s
+    # on the Fock-basis route
     psi = robust_coherent_state(1.1, 0.9, n_max=8)
     params = SymmetricDecayParameters(K_EXACT, K_EXACT, 1.1, 31415.9)
     lab, rotating = (build_symmetric_liouvillian(params, psi.space, frame)
@@ -565,36 +573,29 @@ def test_dfs_check_never_assembles_the_nmax8_generator(cold, monkeypatch):
     monkeypatch.setattr(crosscav.liouvillian, "_general", recording)
     for k, gamma in ((1000.0, pi / 2), (900.0, 2.0)):
         assert check_dfs_preservation(SymmetricDecayParameters(k, k, gamma))["passed"]
-    # the robust entangled state's [2, 2] generator is assembled; the
-    # n_max = 8 window runs on its two single-mode factors
-    assert (2, 2) in spaces and (9, 9) not in spaces
+    # the robust entangled state's [2, 2] window and the n_max = 8 window
+    # both take the loss channel
+    assert spaces == []
 
 
 def test_factorized_windows_share_one_plan_and_never_assemble(cold, monkeypatch):
-    calls = {"_general": 0, "_factorization": 0}
-
-    def counted(module, name):
-        fn = getattr(module, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(crosscav.liouvillian, "_general")
-    counted(crosscav.integrator, "_factorization")
+    # a channel window of either builder keeps no plan and never calls
+    # _general; a repeated window, warm or cold, gives the same bytes
+    calls = []
+    general = crosscav.liouvillian._general
+    monkeypatch.setattr(crosscav.liouvillian, "_general",
+                        lambda *args: calls.append(args) or general(*args))
     psi = robust_coherent_state(0.9, 0.6, n_max=8)
-    params = SymmetricDecayParameters(K_EXACT, 600.0, 0.9, 31415.9)
-    L = build_symmetric_liouvillian(params, psi.space, "lab")
     rho0 = density_from_ket(psi)
-    first = [evolve_master(rho0, L, EvolutionSpec(T)).matrix.tobytes() for T in (1e-3, 2e-3)]
-    assert evolve_master(rho0, L, EvolutionSpec(1e-3)).matrix.tobytes() == first[0]
-    assert calls == {"_general": 0, "_factorization": 1}
-    # the plan goes with its generator and with clear_all
-    assert len(crosscav.integrator._factorizations) == 1
-    _memo.clear_all()
-    assert len(crosscav.integrator._factorizations) == 0
-    assert evolve_master(rho0, L, EvolutionSpec(2e-3)).matrix.tobytes() == first[1]
+    symmetric = SymmetricDecayParameters(K_EXACT, 600.0, 0.9, 31415.9)
+    for L in (build_symmetric_liouvillian(symmetric, psi.space, "lab"),
+              build_general_liouvillian(GENERAL, psi.space)):
+        first = [evolve_master(rho0, L, EvolutionSpec(T)).matrix.tobytes() for T in (1e-3, 2e-3)]
+        assert evolve_master(rho0, L, EvolutionSpec(1e-3)).matrix.tobytes() == first[0]
+        _memo.clear_all()
+        assert evolve_master(rho0, L, EvolutionSpec(2e-3)).matrix.tobytes() == first[1]
+    assert calls == []
+    assert len(crosscav.integrator._plans) == 0
 
 
 def _fock_route_cases(rng):
@@ -602,15 +603,12 @@ def _fock_route_cases(rng):
     params = SymmetricDecayParameters(K_EXACT, 600.0, 0.9)
     four = make_space([4, 4])
     coherent = density_from_ket(robust_coherent_state(0.9, 0.6, n_max=3))
-    yield ("N=2", build_symmetric_liouvillian(params, make_space([3, 3])),
-           density_from_ket(robust_coherent_state(0.9, 0.6, n_max=2)))
     yield ("atom", build_symmetric_liouvillian(params, make_space([4, 4, 2])),
            random_density(make_space([4, 4, 2]), rng))
     yield ("unequal", build_symmetric_liouvillian(params, make_space([4, 3])),
            random_density(make_space([4, 3]), rng))
     yield ("hamiltonian", build_symmetric_liouvillian(params, four, "rotating",
                                                       1e3 * number_op(four, 0)), coherent)
-    yield ("general", _fock_generator(params, four), coherent)
     # one ket with n1 + n2 = 4 puts the state outside S
     psi = coherent.matrix[:, 0] + 0.1 * basis_ket(four, (1, 3)).amplitudes
     yield ("outside-S", build_symmetric_liouvillian(params, four),
@@ -618,10 +616,10 @@ def _fock_route_cases(rng):
 
 
 def test_other_windows_keep_the_fock_route(monkeypatch, rng):
-    def no_factors(*args):
+    def no_channel(*args):
         raise AssertionError("this window must keep the Fock-basis route")
 
-    monkeypatch.setattr(crosscav.integrator, "_factorization", no_factors)
+    monkeypatch.setattr(crosscav.integrator, "_loss_matrices", no_channel)
     for label, L, rho0 in _fock_route_cases(rng):
         T = 1e-4
         out = evolve_master(rho0, L, EvolutionSpec(T)).matrix.reshape(-1)
@@ -630,20 +628,20 @@ def test_other_windows_keep_the_fock_route(monkeypatch, rng):
         assert L.matrix in crosscav.integrator._plans, label
 
 
-@pytest.mark.parametrize("rate", [0.0, 500.0])
-@pytest.mark.parametrize("n", [4, 9])
-def test_opposite_coherence_orders_share_one_block(n, rate):
-    # each order's part, as _dense_part makes it from the one-mode generator
-    space = make_space([n])
-    a = crosscav.integrator.annihilation_op(space, 0).matrix
-    G = crosscav.liouvillian._gksl(space, [a], np.array([[rate]]), np.zeros((1, 1))).matrix
-    order = np.subtract.outer(np.arange(n), np.arange(n)).ravel()
-    rows = G.row_of()
-    for R, norm, data, powers, mu in crosscav.integrator._mode_parts(rate, n):
-        q = order[R[0]]
-        ref = crosscav.integrator._dense_part(*crosscav.integrator._block(G, rows, order == q))
-        assert np.array_equal(R, ref[0]) and (norm, data, mu) == (ref[1], ref[2], ref[4]), q
-        assert (powers is None) == (ref[3] is None) and np.array_equal(powers, ref[3]), q
+def test_n2_and_general_windows_take_the_loss_channel(monkeypatch):
+    # the symmetric builder at N = 2 and the general builder at N = 3
+    params = SymmetricDecayParameters(K_EXACT, 600.0, 0.9)
+    general = build_general_liouvillian(params.to_general("rotating"), make_space([4, 4]))
+    cases = [("N=2", build_symmetric_liouvillian(params, make_space([3, 3])),
+              density_from_ket(robust_coherent_state(0.9, 0.6, n_max=2))),
+             ("general", general, density_from_ket(robust_coherent_state(0.9, 0.6, n_max=3)))]
+    with monkeypatch.context() as m:
+        _no_fock_route(m)
+        outs = [evolve_master(rho0, L, EvolutionSpec(1e-4)).matrix.reshape(-1)
+                for _, L, rho0 in cases]
+    for out, (label, L, rho0) in zip(outs, cases):
+        ref = expm_multiply(to_scipy(L.matrix) * 1e-4, rho0.matrix.reshape(-1))
+        assert np.abs(out - ref).max() <= 1e-10, label
 
 
 GRID = [(share, frame) for share in (0.0, 0.5, 1.0) for frame in ("rotating", "lab")]
@@ -651,23 +649,66 @@ GRID = [(share, frame) for share in (0.0, 0.5, 1.0) for frame in ("rotating", "l
 
 def test_factorized_route_check_passes_on_the_whole_grid():
     # the Fock side runs densely up to N = 4, in components of at most 55 rows
-    check = check_factorized_route([(N, *case) for N in (3, 4) for case in GRID], k=K_EXACT)
+    cases = [(N, dict(k=K_EXACT, r=share * K_EXACT, gamma=1.1, omega=2e3), frame)
+             for N in (1, 2, 3, 4) for share, frame in GRID]
+    # validate's asymmetric general parameters, up to N = 3
+    cases += [(N, crosscav.validate._ASYMMETRIC, None) for N in (1, 2, 3)]
+    check = check_loss_channel(cases)
     assert check["passed"] and check["max_deviation"] <= 1e-12
 
 
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_general_windows_match_the_fock_route(N):
+    # omega1 = 50 and omega2 = -30 rad/s: the mean frequency leaves M as a
+    # phase per ket, and the difference stays in M with the cross term
+    check = check_loss_channel([(N, vars(GENERAL), None)])
+    assert check["passed"] and check["max_deviation"] <= 1e-12
+
+
+def test_general_nmax8_coherent_window_answers(monkeypatch):
+    # on the Fock-basis route this window has a 285-row component, which
+    # method "expm" refuses; the channel answers it
+    psi = robust_coherent_state(1.1, 0.9, n_max=8)
+    L = build_general_liouvillian(GENERAL, psi.space)
+    rho0 = density_from_ket(psi)
+    with monkeypatch.context() as m:
+        _no_fock_route(m)
+        outs = [evolve_master(rho0, L, EvolutionSpec(T)).matrix.reshape(-1) for T in (1e-4, 1e-3)]
+    A = to_scipy(L.matrix)
+    for out, T in zip(outs, (1e-4, 1e-3)):
+        ref = expm_multiply(A * T, rho0.matrix.reshape(-1))
+        assert np.abs(out - ref).max() <= 1e-12, T
+
+
+@pytest.mark.parametrize("T", [1e3, 1e6])
+def test_lab_windows_keep_a_robust_state_positive_at_long_times(T):
+    # at N = 2 this window took the Fock-basis route, whose phase per
+    # coherence order left eigenvalues of -1.324e-09 (1e3 s) and -1.356e-06
+    # (1e6 s), and DensityMatrix refused the result
+    psi = robust_coherent_state(1.1, 0.7, 2)
+    params = SymmetricDecayParameters(K_EXACT, K_EXACT, 1.1, 31415.9)
+    L = build_symmetric_liouvillian(params, psi.space, "lab")
+    rho_T = evolve_master(density_from_ket(psi), L, EvolutionSpec(T))
+    assert np.linalg.eigvalsh(rho_T.matrix).min() >= -1e-14
+    assert 1.0 - rho_T.purity() <= 1e-14
+
+
 @pytest.mark.parametrize("share, frame", GRID)
-def test_factorized_route_matches_expm_multiply_at_n5(share, frame, rng):
+def test_factorized_route_matches_expm_multiply_at_n5(share, frame, monkeypatch, rng):
     # at N = 5 the Fock side's components exceed the dense cap, so the
-    # factorized route is checked against scipy on the assembled generator
+    # channel is checked against scipy on the assembled generator
     space = make_space([6, 6])
     params = SymmetricDecayParameters(K_EXACT, share * K_EXACT, 1.1, 2e3)
     L = build_symmetric_liouvillian(params, space, frame)
-    A = to_scipy(build_general_liouvillian(params.to_general(frame), space).matrix)
-    for rho0 in (density_from_ket(robust_coherent_state(1.1, 0.5, 5)), _inside_s(space, rng)):
-        for T in (1e-4, 1e-3):
-            out = crosscav.integrator._propagate_factorized(L, rho0.matrix, T)
-            ref = expm_multiply(A * T, rho0.matrix.reshape(-1))
-            assert np.abs(out.reshape(-1) - ref).max() <= 1e-12, T
+    states = (density_from_ket(robust_coherent_state(1.1, 0.5, 5)), _inside_s(space, rng))
+    with monkeypatch.context() as m:
+        _no_fock_route(m)
+        outs = [evolve_master(rho0, L, EvolutionSpec(T)).matrix.reshape(-1)
+                for rho0 in states for T in (1e-4, 1e-3)]
+    A = to_scipy(L.matrix)
+    refs = [expm_multiply(A * T, rho0.matrix.reshape(-1)) for rho0 in states for T in (1e-4, 1e-3)]
+    for out, ref in zip(outs, refs):
+        assert np.abs(out - ref).max() <= 1e-12
 
 
 def _assert_product_matches_scipy(A, rng, label):
