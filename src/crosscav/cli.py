@@ -179,7 +179,12 @@ def _sweep_range(args, cfg, default_start, default_stop):
         if count < 2:
             raise UsageError(f"--points must be at least 2, got {count}")
     else:
-        count = _number(sec.get("count", 201), "sweep.count", int)
+        count = sec.get("count", 201)
+        # int() would truncate 3.9 to 3 and read true as 1
+        _require(not isinstance(count, bool)
+                 and not (isinstance(count, float) and not count.is_integer()),
+                 "sweep.count", f"must be a whole number, got {count!r}")
+        count = _number(count, "sweep.count", int)
         _require(count >= 2, "sweep.count", "must be at least 2")
     _require(isfinite(stop - start), "sweep.start", "the range must be finite")
     _require(start < stop, "sweep.start", "must be below sweep.stop")

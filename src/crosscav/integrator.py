@@ -409,18 +409,9 @@ def _propagate(A: _CSR, v: np.ndarray, t: float) -> np.ndarray:
     last = _plans.get(A)
     if last is None or last[0] != pattern:
         last = _plans[A] = (pattern, _plan(A, support))
-    return _run_parts(last[1], v, t)
-
-
-def _run_parts(parts, v: np.ndarray, t: float) -> np.ndarray:
-    """exp(A t) v for the dense parts of a plan of A, whose indices are v's rows.
-
-    v is a vector, or a matrix when no part carries a frame phase; rows
-    of v in no part come out zero.
-    """
     out = np.zeros_like(v)
     t_hex = float(t).hex()
-    for R, norm, data, powers, mu in parts:
+    for R, norm, data, powers, mu in last[1]:
         w = v[R]
         if norm:
             key = (data, len(R), t_hex)

@@ -2,12 +2,10 @@
 
 The generator acts on row-major vectorized density matrices: with
 vec(rho) = rho.reshape(-1), a sandwich map rho -> A rho B becomes
-kron(A, B.T).  One routine, _gksl, assembles every generator in two
-steps.  A symbolic plan, made by index arithmetic on the nonzero patterns
-of the dense D x D factors, holds the compressed-sparse-row pattern of
-the sum of all sandwich terms and each term's slots in it.  The numeric
-fill then adds each term's values into its slots, so no Kronecker
-product is ever formed and only integer keys are sorted.
+kron(A, B.T).  One routine, _gksl, assembles every generator: each
+sandwich term gives the COO triplets of its dense D x D factors' nonzero
+pairs, and _CSR.from_coo sums them all in one stable sort, so no
+Kronecker product is ever formed.
 Superoperator matrices are stored in _CSR, a small numpy-only CSR record,
 so the n_max = 8 coherent-state space (D = 81, D^2 = 6561) stays cheap
 and the package runs without scipy.
@@ -171,7 +169,8 @@ class _CSR:
         """Sum the triplets (rows, cols, vals) into CSR, dropping exact zeros.
 
         Duplicates are summed in the order given; an entry whose sum is
-        exactly zero is not stored.
+        exactly zero is not stored.  Every CSR of the package is made here:
+        by _gksl, from_dense and the sums of two records.
         """
         n_rows, n_cols = shape
         key = np.asarray(rows, dtype=np.int64) * n_cols + np.asarray(cols)
@@ -336,44 +335,6 @@ def normal_mode_ops(space: SpaceSignature, gamma: float):
     return tuple(Operator(u1 * a1 + u2 * a2, space) for u1, u2 in m)
 
 
-def _sparsity_plan(patterns: np.ndarray, jumps: list):
-    """Where _gksl's sandwich terms put their entries, from nonzero masks alone.
-
-    patterns holds the D x D nonzero masks of the lowering operators and,
-    last, of K; jumps lists the (i, j) with gamma_ij != 0.  The sandwiches
-    are those of _gksl, in its order: o_i rho o_j^dag for each jump, then
-    K rho and rho K^dag.  A sandwich A rho B vectorizes to kron(A, B.T):
-    entry (a, c) of A times entry (d, b) of B lands at row a*D + b, column
-    c*D + d.  Returns (groups, indices, indptr).  groups holds, per
-    sandwich, the nonzero positions of A and of B and the int32 slots of
-    its entries in the union pattern, in the row-major order of
-    np.multiply.outer over those positions; indices and indptr are the
-    union's int32 column indices and row pointers.  One np.unique over
-    keys row*D^2 + column, int32 wherever D^4 fits, sorts the union.
-    """
-    *ops, k = patterns
-    D = len(k)
-    n = D * D
-    dtype = np.int32 if n * n < 2**31 else np.int64
-    eye = np.eye(D, dtype=bool)
-    masks = [(ops[i], ops[j].T) for i, j in jumps] + [(k, eye), (eye, k.T)]
-    positions, keys = [], []
-    for mA, mB in masks:
-        a, b = np.nonzero(mA), np.nonzero(mB)
-        ra, ca = (x.astype(dtype) for x in a)
-        cb, rb = (x.astype(dtype) for x in b)
-        rows = (ra[:, None] * D + rb).ravel()
-        cols = (ca[:, None] * D + cb).ravel()
-        keys.append(rows * n + cols)
-        positions.append((a, b))
-    splits = np.cumsum([len(x) for x in keys])[:-1]
-    keys = np.concatenate(keys)
-    union, slots = np.unique(keys, return_inverse=True)
-    groups = [(a, b, s) for (a, b), s in zip(positions, np.split(slots.astype(np.int32), splits))]
-    indptr = np.searchsorted(union, np.arange(n + 1, dtype=dtype) * n).astype(np.int32)
-    return groups, (union % n).astype(np.int32), indptr
-
-
 def _gksl(space: SpaceSignature, ops, gamma, h, H=None) -> SuperOperator:
     """GKSL generator of the lowering operators ops on row-major vec(rho).
 
@@ -384,24 +345,16 @@ def _gksl(space: SpaceSignature, ops, gamma, h, H=None) -> SuperOperator:
     and -rho K^dag with the dense K = sum_ij (gamma_ij + i h_ji) o_j^dag o_i
     + iH.
 
-    Where the entries go depends only on D and the nonzero patterns of the
-    operators and of K, so a symbolic plan (_sparsity_plan) gives each
-    sandwich's slots in the union CSR pattern.  The numeric fill adds
-    each sandwich's values, the products of its factors' nonzeros, into
-    its slots in the order above; a sandwich's slots are distinct, since
-    kron places each pair of factor entries once.  In the package's
-    generators no position takes more than two of them:
-    K rho and rho K^dag meet only on the diagonal, where no jump lands
-    because every o_i has a zero diagonal, and the jumps of different
-    (i, j) lower different modes.  So the sums equal those of one stable
-    sort of all the entries.  The fill starts from -0.0 so that an entry
-    with one contribution keeps its sign of zero.  Entries that cancel
+    Entry (a, c) of A times entry (d, b) of B lands at row a*D + b, column
+    c*D + d.  Each sandwich gives the triplets of its factors' nonzero
+    pairs, in the order above, and _CSR.from_coo sums them all in one
+    stable sort, so no Kronecker product is formed.  Entries that cancel
     exactly are dropped.
     """
     D = space.dim
     K = np.zeros((D, D), dtype=complex) if H is None else 1j * np.asarray(H)
     adjoints = [o.conj().T for o in ops]
-    jumps = []
+    sandwiches = []
     for i, oi in enumerate(ops):
         for j, oj_dag in enumerate(adjoints):
             P = oj_dag @ oi
@@ -411,22 +364,18 @@ def _gksl(space: SpaceSignature, ops, gamma, h, H=None) -> SuperOperator:
                 P = 0.5 * (P + P.conj().T)
             K = K + complex(gamma[i, j] + 1j * h[j, i]) * P
             if gamma[i, j] != 0:
-                jumps.append((i, j))
-    patterns = np.array([o != 0 for o in ops] + [K != 0])
-    groups, indices, indptr = _sparsity_plan(patterns, jumps)
+                sandwiches.append((2 * gamma[i, j], oi, oj_dag))
     eye = np.eye(D, dtype=complex)
-    sandwiches = [(2 * gamma[i, j], ops[i], adjoints[j]) for i, j in jumps]
     sandwiches += [(-1, K, eye), (-1, eye, K.conj().T)]
-    data = np.full(len(indices), complex(-0.0, -0.0))
-    for (coef, A, B), (a, b, slots) in zip(sandwiches, groups):
-        vals = np.multiply.outer(A[a], B[b]).ravel()
-        data[slots] += np.multiply(coef, vals, out=vals)
-    keep = data != 0
-    if not keep.all():
-        dropped = np.flatnonzero(~keep)
-        indptr = (indptr - np.searchsorted(dropped, indptr)).astype(np.int32)
-        data, indices = data[keep], indices[keep]
-    return SuperOperator(_CSR(data, indices, indptr, (D * D, D * D)), space)
+    rows, cols, vals = [], [], []
+    for coef, A, B in sandwiches:
+        ra, ca = np.nonzero(A)
+        cb, rb = np.nonzero(B)
+        rows.append((ra[:, None] * D + rb).ravel())
+        cols.append((ca[:, None] * D + cb).ravel())
+        vals.append(coef * np.multiply.outer(A[ra, ca], B[cb, rb]).ravel())
+    triplets = (np.concatenate(x) for x in (rows, cols, vals))
+    return SuperOperator(_CSR.from_coo(*triplets, (D * D, D * D)), space)
 
 
 def _require_field_modes(space: SpaceSignature):

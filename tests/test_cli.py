@@ -372,6 +372,26 @@ def test_points_below_two_names_its_source(tmp_path, capsys, source):
     assert named in captured.err and unnamed not in captured.err
 
 
+@pytest.mark.parametrize("count", [3.9, 4.5, 2.000001, True, False])
+def test_non_integral_sweep_count_is_refused(tmp_path, capsys, count):
+    # int() would run 3.9 as 3 points and true as 1
+    cfg = write_config(tmp_path, {"sweep": {"count": count}})
+    assert run_cli(["sweep-phi", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert "config field 'sweep.count'" in captured.err
+
+
+@pytest.mark.parametrize("count", [4, 4.0])
+def test_integral_sweep_count_runs_that_many_points(tmp_path, capsys, count):
+    cfg = write_config(tmp_path, {"sweep": {"count": count, "r_list": [1000.0]}})
+    assert run_cli(["sweep-phi", "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert len(captured.out.split("\n")[2:-1]) == 4
+
+
 def test_sweep_too_large_to_allocate_exit_1_one_line(capsys):
     # the 7.3 TiB grid is refused at once, so nothing is allocated
     assert run_cli(["sweep-phi", "--points", "1000000000000"]) == 1

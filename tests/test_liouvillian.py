@@ -668,9 +668,9 @@ def _sort_and_sum_gksl(space, ops, gamma, h, H=None):
 
 @KERNEL_SPACES
 def test_assembly_is_byte_identical_to_one_sort_and_sum(dims, rng, monkeypatch):
-    # no position of these generators takes more than two contributions, so
-    # adding sandwich by sandwich from -0.0 reproduces the sums of a stable
-    # sort; from +0.0 a zero imaginary part could change its sign
+    # an independent copy of the assembly pins its summation order: each
+    # position sums its sandwich contributions in the order jumps, K rho,
+    # rho K^dag, and a lone contribution keeps its sign of zero
     space = make_space(dims)
     builds = [(label, build) for label, build, _ in _record_cases(space, rng)]
     for frame in ("rotating", "lab"):
@@ -690,8 +690,8 @@ def test_assembly_is_byte_identical_to_one_sort_and_sum(dims, rng, monkeypatch):
 
 
 def test_each_build_owns_its_arrays(cold, rng):
-    # a sparsity plan lives only inside one build, so builds that share
-    # patterns share no array, and only the reuse cache makes them read-only
+    # each build sums its own triplets, so builds that share patterns
+    # share no array, and only the reuse cache makes them read-only
     space = make_space([9, 9])
     params = SymmetricDecayParameters(1000.0, 600.0, 0.7, 2e4)
 
