@@ -5,8 +5,8 @@ dataclass) that passed every check when it was built, so a hit returns a
 value that was already validated.  ByteLRU bounds what it holds by bytes
 rather than by entries, so its memory does not depend on the sizes of
 the matrices a caller happens to pass.  clear_all empties every cache
-registered here, the reused generators and the integrator's window plans
-among them, which gives a cold start without a new process.
+registered here, the integrator's window plans among them, which gives a
+cold start without a new process.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ _registered = []
 
 def register(cache):
     """Add cache to clear_all: a ByteLRU, an lru_cache-wrapped function or
-    a map with clear(), such as a dict or a weakref.WeakKeyDictionary."""
+    a map with clear(), such as a dict."""
     _registered.append(cache.cache_clear if hasattr(cache, "cache_clear") else cache.clear)
     return cache
 

@@ -528,7 +528,7 @@ def cmd_simulate(args):
     proto = _protocol_from_config(cfg, decay)
     sec = cfg.get("protocol", {})
     kind = sec.get("kind", "two_cavity")
-    engine = sec.get("engine", args.engine)
+    engine = sec.get("engine", "both")
     _require(
         kind in ("two_cavity", "single_cavity"),
         "protocol.kind",
@@ -539,6 +539,9 @@ def cmd_simulate(args):
         "protocol.engine",
         "must be 'analytic', 'simulated' or 'both'",
     )
+    # an explicit --engine wins, as --points does; a bad field still fails
+    if args.engine is not None:
+        engine = args.engine
     k, r, gamma, T = decay.k, decay.r, decay.gamma, proto.T
     if kind == "two_cavity":
         readout = sec.get("readout", "overlap")
@@ -627,7 +630,7 @@ def build_parser():
         p.set_defaults(func=func)
 
     p = sub.add_parser("simulate", help="run one protocol from a config file")
-    common(p, engine_default="both")
+    common(p, engine_default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("validate", help="run the cross-validation suite")

@@ -8,7 +8,7 @@ with method "expm" takes one of two exact routes:
   generator without H (a _LossGenerator), its space is exactly two field
   modes [N+1, N+1], and rho0 lies in S, every ket and bra with
   n1 + n2 <= N.  It never reads L.matrix (_propagate_channel);
-- the Fock-basis route, _propagate on L.matrix, for every other window:
+- the Fock-basis route, _propagate on L's CSR, for every other window:
   every protocol window (its space has the atom), a generator with H,
   and any state outside S.
 
@@ -81,17 +81,17 @@ value that passed them.  What a window does before any exponential, the
 reachable-block search, the component split and the assembly of each
 dense part with its powers (B / ||B||_1)^j, j <= 25, is its plan
 (_plan); it depends on the generator and supp(v) alone.
-Each generator record keeps its last plan, with that support, in a weak
-map (_plans), so a window that repeats both skips that work, the windows
-of a sweep over T on one generator share one stack of powers, and the
-plan goes when the record does.  The map is keyed by the record, not by
-its values: a record must not be written after a window has run on it,
-and the package never writes one.
+This module alone decides which window work is reused: the builders
+return a fresh generator on every call, and _plans keeps, for the two
+most recently used values of a builder's generator without H, its CSR,
+the last support's plan and the general loss channel's 2x2 power stack
+(_reuse).  So an equal generator is assembled once while its value is
+kept, and the windows of a sweep over T share one stack of powers.
 """
 
 from __future__ import annotations
 
-import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, exp, expm1, isfinite, ldexp, log2
@@ -142,14 +142,17 @@ _HAMILTONIAN_CACHE_SIZE = 16
 # are not counted here: a plan holds, per dense part, the bytes of B
 # (64 KiB for a full 64-row block, under 1 KiB for a protocol window) and
 # 25 n^2 16 bytes of its powers (1.6 MB for a 64-row block, 10 and 40 KB
-# for the 5- and 10-row windows of a protocol sweep), and lives as long
-# as its generator, of which the builders keep two.
+# for the 5- and 10-row windows of a protocol sweep), and _plans keeps
+# those of _PLANS_SIZE generators.
 _UNITARY_CACHE_BYTES = 256 * 1024
 _BLOCK_CACHE_BYTES = 1024 * 1024
 _unitaries = _memo.register(_memo.ByteLRU(_UNITARY_CACHE_BYTES))
 _block_exponentials = _memo.register(_memo.ByteLRU(_BLOCK_CACHE_BYTES))
-# _CSR -> (supp(v) bytes, _plan(A, supp(v))) of the last window on it
-_plans = _memo.register(weakref.WeakKeyDictionary())
+# generator values whose window work is kept: a sweep's window generator
+# plus one other
+_PLANS_SIZE = 2
+# (type(params), params, frame, space) of a _LossGenerator -> _Reuse
+_plans = _memo.register(OrderedDict())
 
 
 @dataclass(frozen=True)
@@ -393,25 +396,52 @@ def _frame_phase(mu: np.ndarray, t: float) -> np.ndarray:
     return np.exp(1j * np.fmod(mu * t, 2 * np.pi))
 
 
-def _propagate(A: _CSR, v: np.ndarray, t: float) -> np.ndarray:
-    """exp(A t) v on the block R of v's reachable indices; zero elsewhere.
+class _Reuse:
+    """Window work kept for one generator value, each None until a window
+    needs it: the CSR (matrix), the last Fock-basis support (bytes) and
+    its plan (support, parts), and (w, norm, powers) of the general loss
+    channel (channel)."""
 
-    The plan (_plan) depends on A and supp(v) alone, so the last one made
-    for A is kept, with its support, until A is freed or a window with
-    another support replaces it.  A dense part's exp(B t) is reused by the
-    bytes of B, its size and t, so equal blocks of different generators
-    share one exponential; a miss sums the Taylor series over the part's
-    stored powers.  B's entries are stored in row-major order, so B and t
-    fix its norm too.
+    matrix = support = parts = channel = None
+
+
+def _reuse(L: SuperOperator) -> _Reuse:
+    """The _plans entry of L's value; a fresh one, not kept, unless L is a
+    _LossGenerator.  A miss evicts the least recently used entries first,
+    so at most _PLANS_SIZE CSRs are held even while one is assembled."""
+    if not isinstance(L, _LossGenerator):
+        return _Reuse()
+    key = (type(L.params), L.params, L.frame, L.space)
+    entry = _plans.get(key)
+    if entry is None:
+        while len(_plans) >= _PLANS_SIZE:
+            _plans.popitem(last=False)
+        entry = _plans[key] = _Reuse()
+    _plans.move_to_end(key)
+    return entry
+
+
+def _propagate(L: SuperOperator, v: np.ndarray, t: float) -> np.ndarray:
+    """exp(L t) v on the block R of v's reachable indices; zero elsewhere.
+
+    The plan (_plan) depends on L's CSR and supp(v) alone, and the entry
+    of L's value (_reuse) keeps both; L.matrix is read only for a plan on
+    an entry that holds no CSR yet.  A dense part's exp(B t) is reused by the bytes of B, its size and t, so
+    equal blocks of different generators share one exponential; a miss
+    sums the Taylor series over the part's stored powers.  B's entries
+    are stored in row-major order, so B and t fix its norm too.
     """
     support = v != 0
     pattern = support.tobytes()
-    last = _plans.get(A)
-    if last is None or last[0] != pattern:
-        last = _plans[A] = (pattern, _plan(A, support))
+    entry = _reuse(L)
+    if entry.support != pattern:
+        if entry.matrix is None:
+            entry.matrix = L.matrix
+        entry.parts = _plan(entry.matrix, support)
+        entry.support = pattern
     out = np.zeros_like(v)
     t_hex = float(t).hex()
-    for R, norm, data, powers, mu in last[1]:
+    for R, norm, data, powers, mu in entry.parts:
         w = v[R]
         if norm:
             key = (data, len(R), t_hex)
@@ -492,7 +522,8 @@ def _loss_matrices(L: _LossGenerator, t: float):
     For the symmetric builder they come from the rates k - r and k + r on
     the projectors onto the rows of liouvillian.normal_mode_transform,
     written with exact halves; r may exceed k by the parameters' rounding
-    allowance, and the slow rate is then 0.
+    allowance, and the slow rate is then 0.  For the general builder M is
+    _expm_dense over the 2x2 generator's power stack, kept by _reuse.
     """
     p = L.params
     if L.frame is not None:
@@ -503,11 +534,15 @@ def _loss_matrices(L: _LossGenerator, t: float):
         M = exp(-rate_s) * slow + exp(-rate_f) * fast
         Q = -expm1(-2 * rate_s) * slow - expm1(-2 * rate_f) * fast
         return M, Q, _frame_omega(p.omega, L.frame)
-    h = _mode_hamiltonian(p)
-    w = float(h.trace().real) / 2
-    B = -(p.damping_matrix().T + 1j * (h - w * np.eye(2)))
-    norm = float(np.abs(B).sum(axis=0).max())
-    M = _expm_dense(t, norm, _powers(B, norm)) if norm else np.eye(2, dtype=complex)
+    entry = _reuse(L)
+    if entry.channel is None:
+        h = _mode_hamiltonian(p)
+        w = float(h.trace().real) / 2
+        B = -(p.damping_matrix().T + 1j * (h - w * np.eye(2)))
+        norm = float(np.abs(B).sum(axis=0).max())
+        entry.channel = w, norm, _powers(B, norm) if norm else None
+    w, norm, powers = entry.channel
+    M = _expm_dense(t, norm, powers) if norm else np.eye(2, dtype=complex)
     Q = np.eye(2) - M.conj().T @ M
     return M, (Q + Q.conj().T) / 2, w
 
@@ -541,8 +576,7 @@ def evolve_master(rho0: DensityMatrix, L: SuperOperator, spec: EvolutionSpec) ->
     connected component at a time (see the module docstring); entries
     outside the block stay exactly zero.  It raises ValueError for a block
     with a component of more than _DENSE_MAX_DIM rows; method "rk4" runs
-    any block.  L is only read, so a generator shared through the
-    builders' reuse cache can be passed as it is.
+    any block.
     """
     if rho0.space != L.space:
         raise ValueError("space mismatch between state and superoperator")
@@ -551,7 +585,7 @@ def evolve_master(rho0: DensityMatrix, L: SuperOperator, spec: EvolutionSpec) ->
     v0 = rho0.matrix.reshape(-1)
     if spec.method == "expm":
         out = _propagate_channel(L, rho0.matrix, spec.duration)
-        v = _propagate(L.matrix, v0, spec.duration) if out is None else out.reshape(-1)
+        v = _propagate(L, v0, spec.duration) if out is None else out.reshape(-1)
     else:
         step = _auto_step(L, spec.duration) if spec.step == "auto" else float(spec.step)
         v = _rk4(L.matrix, v0, spec.duration, step, check_step=spec.step != "auto")

@@ -10,30 +10,24 @@ Superoperator matrices are stored in _CSR, a small numpy-only CSR record,
 so the n_max = 8 coherent-state space (D = 81, D^2 = 6561) stays cheap
 and the package runs without scipy.
 
-Generators without an extra Hamiltonian are reused by value: equal
-builder arguments, (parameters, space) for the general builder and
-(parameters, frame, space) for the symmetric one, return the same
-SuperOperator, whose CSR arrays are read-only, from a private cache of
-the two most recently used, which _memo.clear_all empties.
-
-A generator without H is a _LossGenerator, which keeps the builder's
-parameters (and frame) and makes its CSR on the first read of .matrix.
-Only then does _general run (and SymmetricDecayParameters.to_general,
-with its positivity check), once per generator, and the arrays are
-marked read-only.  So integrator.evolve_master can run a two-mode window
-from the 2x2 Gamma and h alone (its loss channel) and never assemble the
-D^2-row generator.
+A generator without H is a _LossGenerator, made fresh by every builder
+call: it keeps the builder's parameters (and frame) and makes its CSR on
+the first read of .matrix.  Only then does _general run (and
+SymmetricDecayParameters.to_general, with its positivity check), once per
+generator, and the arrays are marked read-only.  So
+integrator.evolve_master can run a two-mode window from the 2x2 Gamma and
+h alone (its loss channel) and never assemble the D^2-row generator, and
+the integrator, which keys its window plans by those values, reuses the
+CSR of an equal generator without reading .matrix again.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import _memo
 from .tensor import (
     DensityMatrix,
     Operator,
@@ -43,11 +37,6 @@ from .tensor import (
 
 _TWO_PI = 2.0 * np.pi
 _PSD_TOL = 1e-12
-# generators kept for reuse: a sweep's window generator plus one other
-_REUSE_SIZE = 2
-# (DecayParameters, space) or (SymmetricDecayParameters, frame, space)
-# -> SuperOperator
-_generators = _memo.register(OrderedDict())
 
 
 def _require_finite(params):
@@ -290,7 +279,10 @@ class _LossGenerator(SuperOperator):
     @cached_property
     def matrix(self) -> _CSR:
         p = self.params if self.frame is None else self.params.to_general(self.frame)
-        return _read_only(_general(p, self.space)).matrix
+        m = _general(p, self.space).matrix
+        for a in (m.data, m.indices, m.indptr):
+            a.setflags(write=False)
+        return m
 
     def __repr__(self):
         return f"_LossGenerator({self.params!r}, {self.frame!r}, {self.space!r})"
@@ -396,30 +388,6 @@ def _general(params: DecayParameters, space: SpaceSignature, H=None) -> SuperOpe
     return _gksl(space, ops, params.damping_matrix(), _mode_hamiltonian(params), H)
 
 
-def _reused(key, build) -> SuperOperator:
-    """The cached generator under key, made by build() on a miss.
-
-    The least recently used entry is evicted before a build, so no more
-    than _REUSE_SIZE generators are held even while a new one is built
-    or, for a lazy one, assembled.
-    """
-    L = _generators.get(key)
-    if L is not None:
-        _generators.move_to_end(key)
-        return L
-    while len(_generators) >= _REUSE_SIZE:
-        _generators.popitem(last=False)
-    L = _generators[key] = build()
-    return L
-
-
-def _read_only(L: SuperOperator) -> SuperOperator:
-    """L, with its CSR arrays marked read-only."""
-    for a in (L.matrix.data, L.matrix.indices, L.matrix.indptr):
-        a.setflags(write=False)
-    return L
-
-
 def build_general_liouvillian(
     params: DecayParameters, space: SpaceSignature, H: Operator = None
 ) -> SuperOperator:
@@ -436,16 +404,13 @@ def build_general_liouvillian(
     dynamics.  H, when given, is an extra full-space Hamiltonian, such as
     an atom-field pulse that runs while the modes decay; None means zero.
 
-    Without H the generator is reused by value: equal (params, space) give
-    the same object, whose CSR data, indices and indptr are read-only, and
-    the two most recently used generators are kept.  Its CSR is assembled
-    on the first read of .matrix.  That object is shared with every later
-    caller and must not be modified; work on a copy, such as
-    L.matrix.toarray(), instead.  A build with H is fresh and writable.
+    Without H the result is a fresh _LossGenerator that keeps params; its
+    CSR is assembled on the first read of .matrix, with read-only arrays.
+    A build with H is assembled at once, with writable arrays.
     """
     if H is None:
         _require_field_modes(space)
-        return _reused((params, space), lambda: _LossGenerator(params, None, space))
+        return _LossGenerator(params, None, space)
     if H.space != space:
         raise ValueError(f"Hamiltonian space {H.space.dims} does not match {space.dims}")
     return _general(params, space, H.matrix)
@@ -462,18 +427,14 @@ def build_symmetric_liouvillian(
     In the rotating frame the -i*Omega number commutators are dropped;
     measured probabilities are frame-independent.  H is an optional extra
     full-space Hamiltonian, as in build_general_liouvillian.  Without H the
-    result is reused by value under (params, frame, space) and keeps
-    params and frame; its CSR is assembled on the first read of .matrix,
-    when to_general runs.  It is not shared with a general build of the
-    same generator.
+    result is a fresh _LossGenerator that keeps params and frame; its CSR
+    is assembled on the first read of .matrix, when to_general runs.
     """
     if H is None:
         # a bad space or frame fails here, not at the first read of .matrix
         _require_field_modes(space)
         _frame_omega(params.omega, frame)
-        return _reused(
-            (params, frame, space), lambda: _LossGenerator(params, frame, space)
-        )
+        return _LossGenerator(params, frame, space)
     return build_general_liouvillian(params.to_general(frame), space, H)
 
 

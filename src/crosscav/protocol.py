@@ -12,8 +12,9 @@ preparations share one record of the read-only prepared DensityMatrix,
 the target ket and the fidelity between them, from a cache bounded by
 the bytes it holds; a pulse's decay and frame enter its key only when the
 pulse dissipates.  The |0,0,e> start state, the target and the fidelity
-are built only when a preparation is missed.  Pulse propagators and
-window exponentials are reused inside the integrator.  Every cached value
+are built only when a preparation is missed.  Pulse propagators, the
+window generators' assemblies and plans, and window exponentials are
+reused inside the integrator.  Every cached value
 passed its checks when it was built, and every state a run builds anew
 still runs the full DensityMatrix checks.
 """

@@ -302,7 +302,7 @@ def check_loss_channel(cases=LOSS_CHANNEL_CASES, tol=1e-12):
                 if channel is None:
                     devs.append(float("inf"))
                     continue
-                ref = _propagate(L.matrix, rho.reshape(-1), T).reshape(D, D)
+                ref = _propagate(L, rho.reshape(-1), T).reshape(D, D)
                 devs.append(np.abs(channel - ref).max())
     return _check("loss_channel", max(devs), tol)
 

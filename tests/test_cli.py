@@ -614,6 +614,31 @@ def test_simulate_rejects_unknown_engine(tmp_path, capsys):
     assert "protocol.engine" in captured.err
 
 
+@pytest.mark.parametrize("flag, field, expected", [
+    ("simulated", "both", "simulated"),
+    ("both", "simulated", "both"),
+    ("analytic", None, "analytic"),
+    (None, "simulated", "simulated"),
+    (None, None, "both"),
+])
+def test_explicit_engine_wins_over_protocol_engine(tmp_path, capsys, flag, field, expected):
+    # the order of --r-list and --points: the option, then the config
+    # field, then the default
+    protocol = {"T": 1e-4} if field is None else {"engine": field, "T": 1e-4}
+    argv = ["simulate", "--config", write_config(tmp_path, {"protocol": protocol})]
+    assert run_cli(argv + ([] if flag is None else ["--engine", flag])) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["config"]["engine"] == expected
+    assert ("p_e_analytic" in result) == (expected == "both")
+
+
+def test_explicit_engine_does_not_excuse_a_bad_protocol_engine(tmp_path, capsys):
+    path = write_config(tmp_path, {"protocol": {"engine": "foo", "T": 1e-4}})
+    assert run_cli(["simulate", "--engine", "simulated", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert "protocol.engine" in captured.err
 # at k = r the slow normal mode does not decay: after a window of 1 s or
 # longer the resonant single-cavity probability is (1 + sin gamma)^2 / 4,
 # while cosh(r T) in the closed form overflows a float

@@ -321,13 +321,35 @@ def _fock_generator(params, space, frame="rotating"):
     return SuperOperator(build_general_liouvillian(params.to_general(frame), space).matrix, space)
 
 
+def _kept(L):
+    """The window work kept for L's value (integrator._plans), or None."""
+    if not isinstance(L, crosscav.liouvillian._LossGenerator):
+        return None
+    return crosscav.integrator._plans.get((type(L.params), L.params, L.frame, L.space))
+
+
+@pytest.fixture
+def plans_made(monkeypatch):
+    """The parts of every window plan made (_plan), in order."""
+    made = []
+    plan = crosscav.integrator._plan
+
+    def recorded(*args):
+        made.append(plan(*args))
+        return made[-1]
+
+    monkeypatch.setattr(crosscav.integrator, "_plan", recorded)
+    return made
+
+
 def _refused(L, rho0, rows, T=1e-3):
     """Assert that method "expm" refuses the window in one line that names rows."""
     with pytest.raises(ValueError, match=rf"a component of {rows} rows, more than the 64 "
                        r'.*use method="rk4"') as exc:
         evolve_master(rho0, L, EvolutionSpec(T))
     assert "\n" not in str(exc.value)
-    assert L.matrix not in crosscav.integrator._plans
+    entry = _kept(L)
+    assert entry is None or entry.parts is None
 
 
 @pytest.mark.parametrize("case, rows", [("coherent", 285), ("full-rank", 489)])
@@ -377,7 +399,8 @@ def _dfs_superposition(gamma):
     # 1/4 (1 + (1 - x)^4) + x^4 / 4 + x^2 / 2 with x = exp(-2 (k - r) T)
     (500.0, 1e-3, 0.36216187637828623),
 ])
-def test_a_decoherence_free_superposition_runs_densely_by_block_component(r, T, fidelity):
+def test_a_decoherence_free_superposition_runs_densely_by_block_component(r, T, fidelity,
+                                                                        plans_made):
     gamma = 0.9
     psi = _dfs_superposition(gamma)
     params = SymmetricDecayParameters(K_EXACT, r, gamma)
@@ -388,12 +411,13 @@ def test_a_decoherence_free_superposition_runs_densely_by_block_component(r, T, 
     fock = _fock_generator(params, psi.space)
     for generator in (L, fock):
         rho_T = evolve_master(rho0, generator, EvolutionSpec(T))
+        # the channel window makes no plan
+        assert len(plans_made) == (generator is fock)
         assert rho_T.fidelity_with_ket(psi) == pytest.approx(fidelity, abs=1e-12)
         if T == 1e-3:
             ref = expm_multiply(to_scipy(fock.matrix) * T, rho0.matrix.reshape(-1))
             assert np.abs(rho_T.matrix.reshape(-1) - ref).max() <= 1e-10
-    assert L.matrix not in crosscav.integrator._plans
-    parts = crosscav.integrator._plans[fock.matrix][1]
+    (parts,) = plans_made
     assert sorted(len(part[0]) for part in parts) == [5, 5, 55]
 
 
@@ -580,7 +604,8 @@ def test_dfs_check_never_assembles_the_nmax8_generator(cold, monkeypatch):
 
 def test_factorized_windows_share_one_plan_and_never_assemble(cold, monkeypatch):
     # a channel window of either builder keeps no plan and never calls
-    # _general; a repeated window, warm or cold, gives the same bytes
+    # _general (the general builder's entry keeps only its channel's power
+    # stack); a repeated window, warm or cold, gives the same bytes
     calls = []
     general = crosscav.liouvillian._general
     monkeypatch.setattr(crosscav.liouvillian, "_general",
@@ -595,7 +620,8 @@ def test_factorized_windows_share_one_plan_and_never_assemble(cold, monkeypatch)
         _memo.clear_all()
         assert evolve_master(rho0, L, EvolutionSpec(2e-3)).matrix.tobytes() == first[1]
     assert calls == []
-    assert len(crosscav.integrator._plans) == 0
+    (entry,) = crosscav.integrator._plans.values()
+    assert entry.matrix is None and entry.parts is None and entry.channel is not None
 
 
 def _fock_route_cases(rng):
@@ -615,17 +641,17 @@ def _fock_route_cases(rng):
            density_from_ket(Ket(psi / np.linalg.norm(psi), four)))
 
 
-def test_other_windows_keep_the_fock_route(monkeypatch, rng):
+def test_other_windows_keep_the_fock_route(cold, plans_made, monkeypatch, rng):
     def no_channel(*args):
         raise AssertionError("this window must keep the Fock-basis route")
 
     monkeypatch.setattr(crosscav.integrator, "_loss_matrices", no_channel)
-    for label, L, rho0 in _fock_route_cases(rng):
+    for i, (label, L, rho0) in enumerate(_fock_route_cases(rng)):
         T = 1e-4
         out = evolve_master(rho0, L, EvolutionSpec(T)).matrix.reshape(-1)
+        assert len(plans_made) == i + 1, label
         ref = expm_multiply(to_scipy(L.matrix) * T, rho0.matrix.reshape(-1))
         assert np.abs(out - ref).max() <= 1e-10, label
-        assert L.matrix in crosscav.integrator._plans, label
 
 
 def test_n2_and_general_windows_take_the_loss_channel(monkeypatch):
@@ -1126,7 +1152,7 @@ def test_a_plans_stack_is_made_once_and_is_the_same_array_for_every_later_window
         # every window misses the result cache and sums the plan's powers
         crosscav.integrator._block_exponentials.cache_clear()
         assert evolve_master(rho0, L, EvolutionSpec(T)).matrix.tobytes() == cold_bytes[T], T
-        (part,) = crosscav.integrator._plans[L.matrix][1]
+        (part,) = _kept(L).parts
         stacks.append(part[3])
     # the plan made every power up to degree 25 once, read-only
     P = stacks[0]
@@ -1138,44 +1164,107 @@ def test_a_plans_stack_is_made_once_and_is_the_same_array_for_every_later_window
         np.testing.assert_array_equal(P[j], P[j - 1] @ P[0])
 
 
-def _assert_plan_dies_with_generator(space, H, rho0):
-    """Run one window on a fresh generator; its plan must go when it does."""
-    plans = crosscav.integrator._plans
-    # a generator with a Hamiltonian is never kept for reuse
-    L = build_symmetric_liouvillian(SymmetricDecayParameters(K_EXACT, 500.0, 0.9), space,
-                                    "rotating", H)
-    evolve_master(rho0, L, EvolutionSpec(1e-6))
-    assert L.matrix in plans and len(plans) == 1
-    ref = weakref.ref(L.matrix)
-    parts = plans[L.matrix][1]
-    del L
-    gc.collect()
-    assert ref() is None
-    assert len(plans) == 0
-    return parts
-
-
-def test_a_window_plan_lives_only_as_long_as_its_generator(cold):
+def test_a_window_plan_lives_only_as_long_as_its_generator(cold, monkeypatch):
     space = make_space([2, 2, 2])
-    H = jc_hamiltonian(space, "mode1", 1e5)
-    (part,) = _assert_plan_dies_with_generator(space, H, _one_excitation_state(space, (1.0, 1.0)))
-    powers_ref = weakref.ref(part[3])
-    del part
+    rho0 = _one_excitation_state(space, (1.0, 1.0))
+    powers = []  # weak references to every plan's power stack
+    plan = crosscav.integrator._plan
+
+    def watched(*args):
+        parts = plan(*args)
+        powers.extend(weakref.ref(part[3]) for part in parts)
+        return parts
+
+    monkeypatch.setattr(crosscav.integrator, "_plan", watched)
+
+    def window(r, H=None):
+        params = SymmetricDecayParameters(K_EXACT, r, 0.9)
+        L = build_symmetric_liouvillian(params, space, "rotating", H)
+        evolve_master(rho0, L, EvolutionSpec(1e-6))
+        return L
+
+    # a generator with a Hamiltonian is never kept: its plan goes with the
+    # window, while the generator lives on
+    L = window(500.0, jc_hamiltonian(space, "mode1", 1e5))
     gc.collect()
-    assert powers_ref() is None
+    assert len(powers) == 1 and powers[0]() is None
+    assert len(crosscav.integrator._plans) == 0
+    # a builder's generator without H keeps its CSR and plan under its
+    # value, past the generator, until two other values replace them
+    matrix = weakref.ref(window(500.0).matrix)
+    gc.collect()
+    assert powers[1]() is not None and matrix() is not None
+    for r in (600.0, 700.0):
+        window(r)
+    gc.collect()
+    assert powers[1]() is None and matrix() is None
 
 
-def test_clear_all_empties_the_generators_and_the_window_plans(cold):
+def test_clear_all_empties_the_generators_and_the_window_plans(cold, monkeypatch):
     space = make_space([2, 2, 2])
     params = SymmetricDecayParameters(K_EXACT, 500.0, 0.9)
+    rho0 = _one_excitation_state(space, (1.0, 1.0))
+    assembled = []
+    general = crosscav.liouvillian._general
+    monkeypatch.setattr(crosscav.liouvillian, "_general",
+                        lambda *args: assembled.append(args) or general(*args))
     L = build_symmetric_liouvillian(params, space)
-    evolve_master(_one_excitation_state(space, (1.0, 1.0)), L, EvolutionSpec(1e-3))
-    assert len(crosscav.liouvillian._generators) == 1
-    assert len(crosscav.integrator._plans) == 1
+    evolve_master(rho0, L, EvolutionSpec(1e-3))
+    (entry,) = crosscav.integrator._plans.values()
+    assert entry.matrix is L.matrix and entry.parts is not None
     _memo.clear_all()
-    assert len(crosscav.liouvillian._generators) == 0
     assert len(crosscav.integrator._plans) == 0
-    assert build_symmetric_liouvillian(params, space) is not L
+    # the next window on an equal generator assembles it again
+    evolve_master(rho0, build_symmetric_liouvillian(params, space), EvolutionSpec(1e-3))
+    assert len(assembled) == 2
+
+
+@pytest.mark.parametrize("builder", ["symmetric", "general"])
+def test_an_equal_generator_is_assembled_once_for_windows_of_any_support(builder, cold,
+                                                                        monkeypatch, rng):
+    space = make_space([2, 2, 2])
+    params = SymmetricDecayParameters(K_EXACT, 500.0, 0.9, 2 * pi * 5e3)
+
+    def build():
+        if builder == "symmetric":
+            return build_symmetric_liouvillian(params, space, "lab")
+        return build_general_liouvillian(params.to_general("lab"), space)
+
+    assembled = []
+    general = crosscav.liouvillian._general
+    monkeypatch.setattr(crosscav.liouvillian, "_general",
+                        lambda *args: assembled.append(args) or general(*args))
+    # a 5-row block and the whole space
+    states = (_one_excitation_state(space, (1.0, 1.0)), random_density(space, rng))
+    first, second = build(), build()
+    assert first is not second
+    outs = [evolve_master(rho0, L, EvolutionSpec(1e-3)).matrix.tobytes()
+            for L in (first, second) for rho0 in states]
+    assert len(assembled) == 1
+    assert "matrix" not in vars(second)
+    # every window is the one a generator that keeps nothing gives
+    fock = SuperOperator(first.matrix, space)
+    assert outs == [evolve_master(rho0, fock, EvolutionSpec(1e-3)).matrix.tobytes()
+                    for _ in range(2) for rho0 in states]
+
+
+def test_general_channel_windows_make_their_power_stack_once(cold, monkeypatch):
+    calls = []
+    powers = crosscav.integrator._powers
+    monkeypatch.setattr(crosscav.integrator, "_powers",
+                        lambda *args: calls.append(args) or powers(*args))
+    rho0 = density_from_ket(robust_coherent_state(0.9, 0.6, n_max=2))
+    windows = (1e-4, 1e-3, 1e-4, 2e-3)
+    # every window on a fresh but equal generator reuses the 2x2 stack
+    warm = [evolve_master(rho0, build_general_liouvillian(GENERAL, rho0.space),
+                          EvolutionSpec(T)).matrix.tobytes() for T in windows]
+    assert len(calls) == 1
+    assert warm[0] == warm[2]
+    for T, out in zip(windows, warm):
+        cold()
+        L = build_general_liouvillian(GENERAL, rho0.space)
+        assert evolve_master(rho0, L, EvolutionSpec(T)).matrix.tobytes() == out, T
+    assert len(calls) == 1 + len(windows)
 
 
 def test_block_cache_stays_under_its_bound_for_full_blocks(cold, rng):

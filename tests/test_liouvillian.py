@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import random_density, random_hermitian, to_scipy
-from crosscav import liouvillian
+from crosscav import integrator, liouvillian
 from crosscav.analytic import robust_entangled_state
 from crosscav.cli import main
 from crosscav.integrator import EvolutionSpec, evolve_master, jc_hamiltonian
@@ -397,14 +397,15 @@ def test_hamiltonian_only_channel_is_exactly_anti_hermitian(dims):
     assert abs(m + m.conj().T).max() == 0.0
 
 
-# --- reuse by value ---
+# --- reuse by value: fresh generators, window work kept by the integrator ---
 
 
 @pytest.fixture
 def reuse_cache(monkeypatch):
-    """An empty reuse cache for the test, restored afterwards."""
+    """An empty cache of window work (integrator._plans) for the test,
+    restored afterwards."""
     cache = OrderedDict()
-    monkeypatch.setattr(liouvillian, "_generators", cache)
+    monkeypatch.setattr(integrator, "_plans", cache)
     return cache
 
 
@@ -416,11 +417,22 @@ def _build(frame="lab", dims=(2, 2, 2), **changes):
     return params, make_space(dims), build_symmetric_liouvillian(params, make_space(dims), frame)
 
 
-def test_equal_inputs_share_one_read_only_generator(reuse_cache):
+def _window(L):
+    """One Fock-basis window on L, from a one-photon state with the atom."""
+    rho0 = density_from_ket(basis_ket(L.space, (1, 0, 0)))
+    return evolve_master(rho0, L, EvolutionSpec(1e-4)).matrix
+
+
+def test_equal_inputs_share_one_read_only_assembly(reuse_cache):
     params, space, L = _build()
-    assert _build()[2] is L
+    again = _build()[2]
+    assert again is not L
     general = build_general_liouvillian(params.to_general("lab"), space)
-    assert build_general_liouvillian(params.to_general("lab"), space) is general
+    assert build_general_liouvillian(params.to_general("lab"), space) is not general
+    # the windows of equal generators share the CSR of the first one
+    np.testing.assert_array_equal(_window(L), _window(again))
+    (entry,) = reuse_cache.values()
+    assert entry.matrix is L.matrix and "matrix" not in vars(again)
     for name in ("data", "indices", "indptr"):
         array = getattr(L.matrix, name)
         with pytest.raises(ValueError, match="read-only"):
@@ -429,13 +441,16 @@ def test_equal_inputs_share_one_read_only_generator(reuse_cache):
 
 def test_working_on_a_copy_leaves_the_shared_generator_unchanged(reuse_cache):
     L = _build()[2]
-    before = L.matrix.toarray()
+    before, window = L.matrix.toarray(), _window(L)
     work = to_scipy(L.matrix).copy()
     with pytest.warns(sp.SparseEfficiencyWarning):
         work[0, L.space.dim**2 - 1] = 1.0  # an unstored position: new arrays
     work.data *= 2
-    assert _build()[2] is L
     np.testing.assert_array_equal(L.matrix.toarray(), before)
+    # the kept CSR serves an equal generator's windows unchanged
+    (entry,) = reuse_cache.values()
+    np.testing.assert_array_equal(entry.matrix.toarray(), before)
+    np.testing.assert_array_equal(_window(_build()[2]), window)
 
 
 @pytest.mark.parametrize("change", [
@@ -446,7 +461,10 @@ def test_changed_input_gives_a_fresh_build(reuse_cache, change):
     base = _build()[2]
     frame = change.pop("frame", "lab")
     params, space, L = _build(frame, **change)
-    assert L is not base
+    _window(base)
+    _window(L)
+    # each value keeps its own assembly
+    assert len(reuse_cache) == 2
     fresh = liouvillian._general(params.to_general(frame), space).matrix
     assert L.matrix.nnz == fresh.nnz
     np.testing.assert_array_equal(L.matrix.toarray(), fresh.toarray())
@@ -463,10 +481,11 @@ def test_a_symmetric_generator_is_assembled_on_its_first_read(reuse_cache, monke
     monkeypatch.setattr(liouvillian, "_general", counted)
     params, space, L = _build()
     assert (L.params, L.frame, L.space) == (params, "lab", space)
-    assert _build()[2] is L and calls == []
+    assert calls == []
     m = L.matrix
     assert L.matrix is m and len(calls) == 1
-    assert list(reuse_cache.values()) == [L]
+    # reading the matrix keeps nothing; only a window does
+    assert not reuse_cache
     for name in ("data", "indices", "indptr"):
         assert not getattr(m, name).flags.writeable
     fresh = general(params.to_general("lab"), space).matrix
@@ -488,6 +507,7 @@ def test_builds_with_a_hamiltonian_are_never_cached(reuse_cache):
     second = build_symmetric_liouvillian(params, space, "rotating", H)
     assert first is not second
     assert first.matrix.data.flags.writeable
+    _window(first)
     assert not reuse_cache
 
 
@@ -525,9 +545,13 @@ def test_one_subsystem_space_is_rejected_by_both_builders(reuse_cache, frame, wi
 
 
 def test_at_most_two_generators_are_retained(reuse_cache):
-    first = weakref.ref(_build(r=100.0)[2])
+    L = _build(r=100.0)[2]
+    _window(L)
+    first = weakref.ref(L.matrix)
+    del L
+    assert first() is not None
     for r in (200.0, 300.0, 400.0):
-        _build(r=r)
+        _window(_build(r=r)[2])
         assert len(reuse_cache) <= 2
     assert first() is None
 
@@ -550,8 +574,13 @@ def test_never_holds_two_nmax8_generators_at_once(reuse_cache, monkeypatch):
 
     monkeypatch.setattr(liouvillian, "_general", tracked)
     for space, k in ((big, 1000.0), (small, 1000.0), (big, 900.0)):
-        # a symmetric generator is assembled on the first read of its matrix
-        build_symmetric_liouvillian(SymmetricDecayParameters(k, k, 2.0), space).matrix
+        # a Fock-basis window (the vacuum's one-row block) assembles the
+        # generator and keeps it for its value
+        v = np.zeros(space.dim**2, dtype=complex)
+        v[0] = 1.0
+        L = build_symmetric_liouvillian(SymmetricDecayParameters(k, k, 2.0), space)
+        integrator._propagate(L, v, 1e-3)
+        del L
     assert len(built) == 3 and live_big() == 1
 
 
