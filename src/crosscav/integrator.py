@@ -32,12 +32,26 @@ _expm_dense of the 2x2 generator.  The mean mode frequency w leaves M as
 the phase e^(-i w n t) of sector n, one phase per ket with w n t reduced
 modulo 2 pi, so a pure state stays rank one however large w t grows.
 
-The Fock-basis route propagates exactly on the reachable block of the
-vectorized state: the set R of vec(rho) indices reachable from the
-support of rho0 along the generator's nonzeros.  R is closed under L, so
-L[R^c, R] = 0 and exp(L t) v = (exp(L_RR t) v_R, 0) for any generator,
-frame or rate; a protocol state in the N <= 1 excitation sector touches a
-handful of the 64 entries of its space, a full-rank state all of them.
+The Fock-basis route propagates exactly on blocks of the vectorized
+state that conserved charges mark out (_charges, _plan).  Every generator
+the package builds conserves the total excitation N weakly (Buca &
+Prosen, New J. Phys. 14:073007, 2012): N is n1 + n2 plus 1 for an
+excited atom, the jumps lower ket and bra by one, and the mode terms, the
+JC pulses and the dispersive wait keep it.  So L never raises a ket's N,
+and the plan takes the finest of three nested charges, each a label of
+the vec(rho) indices and the ket excitations it bounds, that every
+stored entry keeps (label conserved, no bounded excitation raised): the
+per-mode orders (dn1, dn2) with the ket and bra levels of the factors
+after the two modes, bounding the ket's n1, n2 and N (no cross decay or
+coupling); the field order d(n1 + n2) with those levels, bounding N (any
+window without a pulse); or the total order q = dN (a pulse).  In each
+class the support of rho0 touches, the indices whose bounded excitations
+are at most the support's top form a set R closed under L, so
+L[R^c, R] = 0 and exp(L t) v = (exp(L_RR t) v_R, 0); a protocol state in
+the N <= 1 excitation sector touches a handful of the 64 entries of its
+space, a full-rank state all of them.  A generator that keeps no
+charge, such as one written in a permuted basis, is refused with a
+one-line ValueError that points to method "rk4".
 
 One function, _propagate, runs L_RR by dense Taylor scaling and
 squaring of exp(L_RR t), whose cost grows with log T (Higham, SIAM J.
@@ -47,26 +61,24 @@ coefficients, one cumulative sum (stopped once two successive terms
 fall below 2^-53 of the sum) and the squarings; the result is scattered
 into R, and entries outside R are never touched and stay exactly zero.
 
-Blocks of at most _DENSE_MAX_DIM rows, one full [2,2,2] protocol space,
-run densely as one part.  A larger block is split along its own
-connected components (_components): no stored entry joins two of them,
-so each is closed under L and propagates on its own.  The weak U(1)
-symmetry of these generators (Buca & Prosen, New J. Phys. 14:073007,
-2012) keeps them small: at most 19 rows for a full-rank [3,3,2] state,
-55 for (|0> + |4>)_slow at n_max = 8.  A block with a component of more
-than _DENSE_MAX_DIM rows is refused with a one-line ValueError that
-names the component's size and points to method "rk4": any full-rank
-n_max = 8 state (489 rows) is such a block, and no command builds one.
-That caps the dense part's memory.  No route diagonalizes, so both stay
-exact where the generator is defective, as at the decoherence-free point
-r = k.  Both run on numpy alone.
+If the classes' union has at most _DENSE_MAX_DIM rows, one full [2,2,2]
+protocol space, it runs densely as one part.  Otherwise each class is
+one part: at most 19 rows for a full-rank [3,3,2] state, 55 for
+(|0> + |4>)_slow at n_max = 8.  A class of more than _DENSE_MAX_DIM rows
+in a larger union is refused with a one-line ValueError that names its
+size and points to method "rk4": any full-rank n_max = 8 state (489
+rows) has one, and no command builds one.  That caps the dense part's
+memory.  No route diagonalizes, so both stay exact where the generator
+is defective, as at the decoherence-free point r = k.  Both run on numpy
+alone.
 
 In the lab frame a dense block B carries the phases -i omega q of its
 coherence orders on its diagonal, and squaring would carry them too.
-With mu the mean imaginary diagonal of each connected piece of B's
-pattern, diag(mu) commutes with B, so exactly exp(B t) =
-diag(e^(i mu t)) exp((B - i diag(mu)) t): a dense part squares only the
-second factor and applies the phase with mu t reduced modulo 2 pi.
+With mu the mean imaginary diagonal of each class in B, diag(mu)
+commutes with B, since no stored entry joins two classes, so exactly
+exp(B t) = diag(e^(i mu t)) exp((B - i diag(mu)) t): a dense part
+squares only the second factor and applies the phase with mu t reduced
+modulo 2 pi.
 
 Fixed-step RK4 runs only when a caller asks for it, as an independent
 oracle on the full generator.
@@ -78,9 +90,9 @@ t, so equal blocks of different generators share one exponential.  Both
 are read-only and held in least-recently-used caches bounded by the bytes
 they hold (_memo.ByteLRU).  A miss runs every check; a hit returns a
 value that passed them.  What a window does before any exponential, the
-reachable-block search, the component split and the assembly of each
-dense part with its powers (B / ||B||_1)^j, j <= 25, is its plan
-(_plan); it depends on the generator and supp(v) alone.
+charge check, the classes and the assembly of each dense part with its
+powers (B / ||B||_1)^j, j <= 25, is its plan (_plan); it depends on the
+generator and supp(v) alone.
 This module alone decides which window work is reused: the builders
 return a fresh generator on every call, and _plans keeps, for the two
 most recently used values of a builder's generator without H, its CSR,
@@ -108,7 +120,6 @@ from .liouvillian import (
 )
 from .tensor import (
     DensityMatrix,
-    Ket,
     Operator,
     SpaceSignature,
     annihilation_op,
@@ -121,12 +132,11 @@ _RK4_LOCAL_ERR_LIMIT = 1e-6
 # Taylor polynomial meets a backward error of 2^-53
 _TAYLOR_THETA = {10: 1.44e-1, 15: 6.41e-1, 20: 1.44, 25: 2.43}
 _UNIT_ROUNDOFF = 2.0**-53
-# the most rows a dense part may have: a reachable block or, past it,
-# each of the block's connected components; _plan refuses a block with a
-# larger component.  64 is one full [2,2,2] protocol space; a full-rank
-# [3,3,2] block's components have at most 19 rows.  A part's powers take
-# 25 n^2 16 bytes: 1.6 MB at 64 rows, 95 MB at the 489 of a full-rank
-# [9,9] state
+# the most rows a dense part may have: the union of a window's charge
+# classes or, past it, each class; _plan refuses a larger class.  64 is
+# one full [2,2,2] protocol space; a full-rank [3,3,2] state's classes
+# have at most 19 rows.  A part's powers take 25 n^2 16 bytes: 1.6 MB at
+# 64 rows, 95 MB at the 489 of a full-rank [9,9] state
 _DENSE_MAX_DIM = 64
 # distinct pulse Hamiltonians a process keeps; a sweep needs a few
 _HAMILTONIAN_CACHE_SIZE = 16
@@ -134,7 +144,7 @@ _HAMILTONIAN_CACHE_SIZE = 16
 # protocol's state caches they stay under 2 MiB, about 4 % of a
 # simulated sweep's peak RSS.  A pulse propagator on the protocol's
 # [2, 2, 2] space takes 2.5 KiB (H, U and the entry's objects), and a
-# benchmark sweep pass needs about 28.  A protocol window's reachable
+# benchmark sweep pass needs about 28.  A detuned protocol window's
 # block is 5 x 5, 1.3 KiB an entry: a sweep-time pass over n values of T
 # makes 2n per r, and 1 MiB keeps the n detuned windows, which repeat
 # for every r, up to the default n = 201.  A full 64-row block takes
@@ -160,9 +170,9 @@ class EvolutionSpec:
     """Duration, step size ('auto' or seconds) and integration method.
 
     method "expm" (the default) is exact propagation and ignores step; it
-    refuses a block it cannot hold densely (_plan).  "rk4" is fixed-step
-    RK4, an independent oracle that runs only when asked for, with step
-    "auto" or an explicit step in seconds.
+    refuses a window it cannot split into dense blocks (_plan).  "rk4" is
+    fixed-step RK4, an independent oracle that runs only when asked for,
+    with step "auto" or an explicit step in seconds.
     """
 
     duration: float
@@ -224,54 +234,6 @@ def _rk4(Lmat, v: np.ndarray, duration: float, step: float, check_step: bool) ->
     return y
 
 
-def _reachable(A: _CSR, rows: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Mask of the indices R reachable from a support mask along A's stored entries.
-
-    (A v)_i involves v_j wherever A[i, j] is stored, so R grows by the rows
-    (rows[k] is the row of stored entry k) of the stored entries in its
-    columns until it stops growing; R is then closed under A.
-    """
-    mask = support
-    while True:
-        grown = mask.copy()
-        grown[rows[mask[A.indices]]] = True
-        if np.array_equal(grown, mask):
-            return mask
-        mask = grown
-
-
-def _block(A: _CSR, rows: np.ndarray, mask: np.ndarray):
-    """The indices R of a mask closed under A, and A_RR.
-
-    Returns R and A_RR as COO triplets in block indices; every stored
-    entry of a column in R has its row in R.
-    """
-    R = np.flatnonzero(mask)
-    keep = mask[A.indices]
-    pos = np.cumsum(mask) - 1
-    return R, pos[rows[keep]], pos[A.indices[keep]], A.data[keep]
-
-
-def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """Connected components of the pattern (rows, cols) on indices 0..n-1.
-
-    Entry i is the smallest index of the component that i belongs to,
-    where an entry (i, j) joins i and j whatever its direction; no entry
-    joins two labels.  Every label is lowered to the labels of the indices
-    an entry joins it to, then to its own label's label, until nothing
-    changes.
-    """
-    labels = np.arange(n)
-    while True:
-        lowered = labels.copy()
-        np.minimum.at(lowered, rows, labels[cols])
-        np.minimum.at(lowered, cols, labels[rows])
-        lowered = lowered[lowered]
-        if np.array_equal(lowered, labels):
-            return labels
-        labels = lowered
-
-
 def _expm_dense(t: float, norm: float, powers: np.ndarray) -> np.ndarray:
     """exp(B t) by truncated Taylor scaling and squaring; norm = ||B||_1 > 0.
 
@@ -325,22 +287,63 @@ def _expm_dense(t: float, norm: float, powers: np.ndarray) -> np.ndarray:
     return eye + F
 
 
-def _dense_part(R: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
-    """The dense part (R, norm, data, powers, mu) of the block B = A_RR.
+@lru_cache(maxsize=16)  # one entry per space in use
+def _charges(space: SpaceSignature):
+    """The charges (label, levels) of the vec(rho) indices of space, finest first.
 
-    mu is None when B's diagonal is real.  Otherwise mu is, per row, the
-    mean imaginary diagonal of the row's piece (connected component) of
-    B's pattern, and the part stores B - i diag(mu) in place of B (see the
-    module docstring).  norm, data and powers are the stored matrix's
-    ||.||_1, bytes and power stack (_powers; None when norm is 0).
+    A label is a non-negative integer per index, and levels holds, one row
+    each, the ket excitations that bound a class of it (a factor's level
+    is its excitation, so an excited atom counts 1):
+    - the per-mode orders (dn1, dn2) with the ket and bra levels of every
+      factor after the two modes, bounding the ket's n1, n2 and total
+      excitation N;
+    - the field order d(n1 + n2) with those same levels, bounding the
+      ket's total excitation N;
+    - the total order q, the ket's N minus the bra's, bounding N.
+    Every array is read-only.
     """
+    dims = space.dims
+    levels = np.indices(dims).reshape(len(dims), -1)
+    ket = np.repeat(levels, space.dim, axis=1)  # index i D + j holds ket i, bra j
+    bra = np.tile(levels, space.dim)
+    top = np.array(dims)[:, None] - 1
+    orders = ket - bra + top  # per factor, shifted to be non-negative
+    kept, kept_dims = [*ket[2:], *bra[2:]], [*dims[2:], *dims[2:]]
+    excitation = ket.sum(axis=0, keepdims=True)
+    charges = (
+        (np.ravel_multi_index([*orders[:2], *kept], [*(2 * top[:2, 0] + 1), *kept_dims]),
+         np.concatenate([ket[:2], excitation])),
+        (np.ravel_multi_index([orders[:2].sum(axis=0), *kept],
+                              [2 * top[:2].sum() + 1, *kept_dims]), excitation),
+        (orders.sum(axis=0), excitation),
+    )
+    for charge in charges:
+        for a in charge:
+            a.setflags(write=False)
+    return charges
+
+
+def _dense_part(A: _CSR, rows: np.ndarray, mask: np.ndarray, label: np.ndarray):
+    """The dense part (R, norm, data, powers, mu) of A on a mask closed under A.
+
+    R is the mask's indices and B = A_RR: every stored entry of a column in
+    R has its row in R.  mu is None when B's diagonal is real.  Otherwise
+    mu is, per row, the mean imaginary diagonal of the row's class (its
+    value of label, a charge that A conserves), and the part stores
+    B - i diag(mu) in place of B (see the module docstring).  norm, data
+    and powers are the stored matrix's ||.||_1, bytes and power stack
+    (_powers; None when norm is 0).
+    """
+    R = np.flatnonzero(mask)
+    keep = mask[A.indices]
+    pos = np.cumsum(mask) - 1
     n = len(R)
     B = np.zeros((n, n), dtype=complex)
-    B[rows, cols] = vals  # a _CSR row stores each column once
+    B[pos[rows[keep]], pos[A.indices[keep]]] = A.data[keep]  # a _CSR row stores each column once
     mu = None
     if B.diagonal().imag.any():
-        labels = _components(rows, cols, n)
-        mu = np.bincount(labels, B.diagonal().imag)[labels] / np.bincount(labels)[labels]
+        c = label[R]
+        mu = np.bincount(c, B.diagonal().imag)[c] / np.bincount(c)[c]
         B[np.diag_indices(n)] -= 1j * mu
     norm = float(np.abs(B).sum(axis=0).max())
     return R, norm, B.tobytes(), _powers(B, norm) if norm else None, mu
@@ -356,33 +359,43 @@ def _powers(B: np.ndarray, norm: float) -> np.ndarray:
     return P
 
 
-def _plan(A: _CSR, support: np.ndarray):
+def _plan(A: _CSR, space: SpaceSignature, support: np.ndarray):
     """The dense parts of exp(A t) v for every v whose nonzeros are the support mask.
 
-    A reachable block of at most _DENSE_MAX_DIM rows is one dense part
-    (_dense_part).  A larger block is split along its own connected
-    components, each closed under A because the block is, and runs as one
-    dense part per component.  A component of more than _DENSE_MAX_DIM
-    rows raises ValueError before any product: "expm" holds no block that
-    large, and RK4 runs only when asked for.
+    The plan takes the finest charge of _charges whose label every stored
+    entry of A conserves and whose levels none raises.  Each class the
+    support touches keeps its indices whose levels are at most the
+    support's top in that class, a set closed under A.  If their union has
+    at most _DENSE_MAX_DIM rows it is one dense part (_dense_part),
+    otherwise each class is one.  A generator without such a charge, or a
+    class of more than _DENSE_MAX_DIM rows in a larger union, raises
+    ValueError before any product: "expm" holds no block that large, and
+    RK4 runs only when asked for.
     """
-    rows = A.row_of()
-    mask = _reachable(A, rows, support)
-    R, rows_R, cols, vals = block = _block(A, rows, mask)
-    n = len(R)
-    if n <= _DENSE_MAX_DIM:
-        return [_dense_part(*block)]
-    labels = _components(rows_R, cols, n)
-    sizes = np.bincount(labels, minlength=n)
+    rows, cols = A.row_of(), A.indices
+    for label, levels in _charges(space):
+        if np.array_equal(label[rows], label[cols]) and (levels[:, rows] <= levels[:, cols]).all():
+            break
+    else:
+        raise ValueError(
+            'the generator conserves no excitation charge, so method "expm" '
+            'cannot split it into dense blocks; use method="rk4"'
+        )
+    mask = np.ones(len(label), dtype=bool)
+    for level in levels:
+        top = np.full(label.max() + 1, -1)
+        np.maximum.at(top, label[support], level[support])
+        mask &= level <= top[label]
+    if np.count_nonzero(mask) <= _DENSE_MAX_DIM:
+        return [_dense_part(A, rows, mask, label)]
+    sizes = np.bincount(label[mask], minlength=label.max() + 1)
     if sizes.max() > _DENSE_MAX_DIM:
         raise ValueError(
             f"the state's reachable block has a component of {sizes.max()} rows, "
             f'more than the {_DENSE_MAX_DIM} that method "expm" propagates '
             'densely; use method="rk4"'
         )
-    owner = np.full(len(mask), -1)
-    owner[R] = labels
-    return [_dense_part(*_block(A, rows, owner == c)) for c in np.flatnonzero(sizes)]
+    return [_dense_part(A, rows, mask & (label == c), label) for c in np.flatnonzero(sizes)]
 
 
 def _frame_phase(mu: np.ndarray, t: float) -> np.ndarray:
@@ -422,7 +435,7 @@ def _reuse(L: SuperOperator) -> _Reuse:
 
 
 def _propagate(L: SuperOperator, v: np.ndarray, t: float) -> np.ndarray:
-    """exp(L t) v on the block R of v's reachable indices; zero elsewhere.
+    """exp(L t) v on the block R that supp(v) plans (_plan); zero elsewhere.
 
     The plan (_plan) depends on L's CSR and supp(v) alone, and the entry
     of L's value (_reuse) keeps both; L.matrix is read only for a plan on
@@ -437,7 +450,7 @@ def _propagate(L: SuperOperator, v: np.ndarray, t: float) -> np.ndarray:
     if entry.support != pattern:
         if entry.matrix is None:
             entry.matrix = L.matrix
-        entry.parts = _plan(entry.matrix, support)
+        entry.parts = _plan(entry.matrix, L.space, support)
         entry.support = pattern
     out = np.zeros_like(v)
     t_hex = float(t).hex()
@@ -572,11 +585,11 @@ def evolve_master(rho0: DensityMatrix, L: SuperOperator, spec: EvolutionSpec) ->
     """Integrate d(rho)/dt = L rho for spec.duration.
 
     method "expm" takes the loss channel where it runs, and otherwise
-    propagates the block of vec(rho0) reachable under L densely, one
-    connected component at a time (see the module docstring); entries
-    outside the block stay exactly zero.  It raises ValueError for a block
-    with a component of more than _DENSE_MAX_DIM rows; method "rk4" runs
-    any block.
+    propagates densely the classes of a charge that L conserves which
+    vec(rho0) touches (see the module docstring); entries outside them
+    stay exactly zero.  It raises ValueError for a generator that keeps no
+    charge or a class of more than _DENSE_MAX_DIM rows; method "rk4" runs
+    any window.
     """
     if rho0.space != L.space:
         raise ValueError("space mismatch between state and superoperator")
@@ -613,16 +626,6 @@ def unitary_propagator(H: Operator, duration: float) -> np.ndarray:
     U = (V * np.exp(-1j * w * duration)) @ V.conj().T
     U.setflags(write=False)
     return _unitaries.put(key, U, 2 * U.nbytes)
-
-
-def evolve_unitary(psi0: Ket, H: Operator, duration: float) -> Ket:
-    """psi(t) = exp(-i H t) psi0, with hbar = 1."""
-    if psi0.space != H.space:
-        raise ValueError("space mismatch between state and Hamiltonian")
-    if duration == 0:
-        return psi0
-    U = unitary_propagator(H, duration)
-    return Ket(U @ psi0.amplitudes, psi0.space, normalized=psi0.normalized)
 
 
 def _find_atom(space: SpaceSignature) -> int:

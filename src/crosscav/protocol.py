@@ -377,11 +377,3 @@ def run_single_cavity(
         pulse, ("single-cavity", variant), window_decay, pulse,
     )
 
-
-def atom_ground_population(rho: DensityMatrix) -> float:
-    """Population of |g> in the atom marginal (atom is the last subsystem)."""
-    return _atom_population(rho, ATOM_G)
-
-
-def field_marginal(rho: DensityMatrix) -> DensityMatrix:
-    return partial_trace(rho, range(len(rho.space.dims) - 1))

@@ -212,10 +212,6 @@ def embed_local(space: SpaceSignature, subsystem: int, local: np.ndarray) -> Ope
     return Operator(out, space)
 
 
-def identity_op(space: SpaceSignature) -> Operator:
-    return Operator(np.eye(space.dim, dtype=complex), space)
-
-
 @lru_cache(maxsize=_OP_CACHE_SIZE)
 def annihilation_op(space: SpaceSignature, subsystem: int) -> Operator:
     """Embedded lowering operator with <n-1|a|n> = sqrt(n).
@@ -262,24 +258,6 @@ def atom_ops(space: SpaceSignature, subsystem: int):
         embed_local(space, subsystem, sp),
         embed_local(space, subsystem, sm),
     )
-
-
-def adjoint(op: Operator) -> Operator:
-    return op.dag()
-
-
-def multiply(a: Operator, b: Operator) -> Operator:
-    return a @ b
-
-
-def commutator(a: Operator, b: Operator) -> Operator:
-    return a @ b - b @ a
-
-
-def expectation(op: Operator, rho: DensityMatrix) -> complex:
-    """trace(O rho)."""
-    _check_same_space(op, rho)
-    return complex(np.trace(op.matrix @ rho.matrix))
 
 
 def density_from_ket(ket: Ket) -> DensityMatrix:

@@ -263,7 +263,7 @@ def check_dfs_preservation(
 
 # (N, parameter fields, frame) of the loss_channel windows; frame None is
 # the general builder, with an off-diagonal h.  At N = 3 the Fock side's
-# components have at most 10 rows, and omega T = 2 rad at 1 ms shows a
+# charge classes have at most 10 rows, and omega T = 2 rad at 1 ms shows a
 # wrong frame phase.  At N = 2 the general case's Fock side is one 36-row
 # dense part, which took 3.7 ms and raised validate's peak RSS by 1 MB; at
 # N = 3 and r > 0 the symmetric power stacks reach 1.9 MB.  So the tier-1

@@ -5,9 +5,7 @@ from math import cos, exp, pi, sin, sqrt
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.linalg import expm
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 
 import crosscav.integrator
@@ -25,7 +23,6 @@ from crosscav.analytic import (
 from crosscav.integrator import (
     EvolutionSpec,
     evolve_master,
-    evolve_unitary,
     jc_hamiltonian,
     unitary_propagator,
 )
@@ -191,7 +188,7 @@ def test_expm_never_falls_back_to_rk4(two_mode_nmax1, rng, monkeypatch):
     assert abs(np.trace(out.matrix) - 1) <= 1e-12
 
 
-# --- reachable block: dense parts against scipy's expm ---
+# --- Fock-basis windows: dense parts against scipy's expm ---
 
 BLOCK_GENERATORS = {
     **{
@@ -268,50 +265,55 @@ def test_block_propagation_matches_dense_exponential(dims, case, rng):
                 assert outside.any()
 
 
-# --- connected components of a pattern: whole generators and reachable blocks ---
+# --- window plans: the classes of a conserved excitation charge ---
 
 
-def _assert_components_match_scipy(rows, cols, n, label):
-    labels = crosscav.integrator._components(rows, cols, n)
-    pattern = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    n_ref, ref = connected_components(pattern, directed=True, connection="weak")
-    # the same partition: each label pairs with exactly one scipy label
-    pairs = np.unique(np.stack([labels, ref]), axis=1)
-    assert pairs.shape[1] == n_ref == len(np.unique(labels)), label
-    # no entry joins two labels
-    assert (labels[rows] == labels[cols]).all(), label
-    # each label is the smallest index of its component
-    assert (labels[labels] == labels).all() and (labels <= np.arange(n)).all(), label
-
-
-def _assert_generator_components_match_scipy(A, label):
-    _assert_components_match_scipy(A.row_of(), A.indices, A.shape[0], label)
-
-
-@pytest.mark.parametrize("dims", [[2, 2], [2, 2, 2], [3, 3, 2], [9, 9]], ids=str)
-def test_components_match_scipy(dims, rng):
-    space = make_space(dims)
+def _plan_cases(space):
+    """(case, generator, the index of the finest _charges label it conserves):
+    per mode (0) at r = 0, the field order (1) for the other windows without
+    a pulse, the total order (2) with a JC pulse."""
     for case in BLOCK_GENERATORS:
-        A = _generator(case, space).matrix
-        _assert_generator_components_match_scipy(A, case)
-        if dims in ([3, 3, 2], [9, 9]):
-            # the reachable blocks of random supports, in block indices
-            rows = A.row_of()
-            for size in (1, 3, 10):
-                support = np.zeros(A.shape[0], dtype=bool)
-                support[rng.choice(A.shape[0], size, replace=False)] = True
-                mask = crosscav.integrator._reachable(A, rows, support)
-                R, rows_R, cols, _ = crosscav.integrator._block(A, rows, mask)
-                _assert_components_match_scipy(rows_R, cols, len(R), (case, size))
-    if len(dims) == 3:
-        params, frame = BLOCK_GENERATORS["r=k-lab"]
-        H = jc_hamiltonian(space, "both_with_phase", 1e5, 2e5, 2e5)
-        L = build_symmetric_liouvillian(params, space, frame, H)
-        _assert_generator_components_match_scipy(L.matrix, "pulse")
+        yield case, _generator(case, space), 0 if case.startswith("r=0-") else 1
+    if len(space.dims) == 3:
+        for case, which in (("r=k/2-rotating", "mode1"), ("r=k-lab", "both_with_phase")):
+            params, frame = BLOCK_GENERATORS[case]
+            H = jc_hamiltonian(space, which, 1e5, 2e5, 2e5)
+            yield f"{which} pulse", build_symmetric_liouvillian(params, space, frame, H), 2
 
 
-def test_components_of_a_scattered_generator_match_scipy(rng):
-    _assert_generator_components_match_scipy(_scattered_generator(rng).matrix, "scattered")
+@pytest.mark.parametrize("dims", [[2, 2], [2, 2, 2], [3, 3, 2]], ids=str)
+def test_window_plans_are_charge_classes_closed_under_the_generator(dims, rng):
+    space = make_space(dims)
+    charges = crosscav.integrator._charges(space)
+    for case, L, finest in _plan_cases(space):
+        A = L.matrix
+        rows = A.row_of()
+        # the charges the generator keeps: its label, with no level raised
+        kept = [np.array_equal(label[rows], label[A.indices])
+                and (levels[:, rows] <= levels[:, A.indices]).all()
+                for label, levels in charges]
+        assert kept == [i >= finest for i in range(3)], case
+        label, levels = charges[finest]
+        for size in (1, 3, 10):
+            support = np.zeros(A.shape[0], dtype=bool)
+            support[rng.choice(A.shape[0], size, replace=False)] = True
+            # per touched class, its indices up to the support's top levels
+            classes = []
+            for c in set(label[support].tolist()):
+                inside = support & (label == c)
+                classes.append(np.logical_and.reduce(
+                    [label == c] + [level <= level[inside].max() for level in levels]))
+            expected = np.logical_or.reduce(classes)
+            parts = crosscav.integrator._plan(A, space, support)
+            assert len(parts) == (1 if np.count_nonzero(expected) <= 64 else len(classes))
+            planned = np.zeros_like(support)
+            for part in parts:
+                assert not planned[part[0]].any(), (case, size)
+                planned[part[0]] = True
+            assert (planned == expected).all(), (case, size)
+            assert (planned >= _reachable_oracle(A, support)).all(), (case, size)
+            # no stored entry leaves the planned rows
+            assert planned[rows[planned[A.indices]]].all(), (case, size)
 
 
 def _fock_generator(params, space, frame="rotating"):
@@ -357,7 +359,7 @@ def test_expm_refuses_a_component_over_the_dense_cap(case, rows, monkeypatch, rn
     params = SymmetricDecayParameters(K_EXACT, K_EXACT, 2.0)
     if case == "coherent":
         # on the Fock-basis route the n_max = 8 robust coherent state's block
-        # splits into components of up to 285 rows
+        # splits into charge classes of up to 285 rows
         psi = robust_coherent_state(2.0, 0.3, n_max=8)
         L, rho0 = _fock_generator(params, psi.space), density_from_ket(psi)
     else:
@@ -376,7 +378,7 @@ def test_expm_refuses_a_component_over_the_dense_cap(case, rows, monkeypatch, rn
 
 
 def test_rk4_answers_a_window_that_expm_refuses(rng):
-    # a full-rank [5, 5] state: one 85-row component under the general builder
+    # a full-rank [5, 5] state: one 85-row charge class under the general builder
     space = make_space([5, 5])
     L = _fock_generator(SymmetricDecayParameters(K_EXACT, 600.0, 0.9), space)
     rho0 = random_density(space, rng)
@@ -570,7 +572,7 @@ def test_factorized_lab_windows_keep_a_pure_state_pure(T):
 
 def test_a_state_inside_s_answers_where_the_action_overflows():
     # a full-rank state reaches outside S, where method "expm" refuses its
-    # 489-row component: test_expm_refuses_a_component_over_the_dense_cap
+    # 489-row charge class: test_expm_refuses_a_component_over_the_dense_cap
     psi = robust_coherent_state(0.3, 0.3, n_max=8)
     rho0 = density_from_ket(psi)
 
@@ -674,7 +676,7 @@ GRID = [(share, frame) for share in (0.0, 0.5, 1.0) for frame in ("rotating", "l
 
 
 def test_factorized_route_check_passes_on_the_whole_grid():
-    # the Fock side runs densely up to N = 4, in components of at most 55 rows
+    # the Fock side runs densely up to N = 4, in classes of at most 55 rows
     cases = [(N, dict(k=K_EXACT, r=share * K_EXACT, gamma=1.1, omega=2e3), frame)
              for N in (1, 2, 3, 4) for share, frame in GRID]
     # validate's asymmetric general parameters, up to N = 3
@@ -692,7 +694,7 @@ def test_general_windows_match_the_fock_route(N):
 
 
 def test_general_nmax8_coherent_window_answers(monkeypatch):
-    # on the Fock-basis route this window has a 285-row component, which
+    # on the Fock-basis route this window has a 285-row charge class, which
     # method "expm" refuses; the channel answers it
     psi = robust_coherent_state(1.1, 0.9, n_max=8)
     L = build_general_liouvillian(GENERAL, psi.space)
@@ -721,7 +723,7 @@ def test_lab_windows_keep_a_robust_state_positive_at_long_times(T):
 
 @pytest.mark.parametrize("share, frame", GRID)
 def test_factorized_route_matches_expm_multiply_at_n5(share, frame, monkeypatch, rng):
-    # at N = 5 the Fock side's components exceed the dense cap, so the
+    # at N = 5 the Fock side's classes exceed the dense cap, so the
     # channel is checked against scipy on the assembled generator
     space = make_space([6, 6])
     params = SymmetricDecayParameters(K_EXACT, share * K_EXACT, 1.1, 2e3)
@@ -779,19 +781,24 @@ def _scattered_generator(rng):
 
 def test_scattered_generator_evolves_as_the_dense_exponential(rng):
     # relabelling the basis of [3, 3] scatters the generator's entries
-    # far from its diagonal; its windows must stay exact
+    # far from its diagonal, and it conserves no excitation charge of the
+    # space: method "expm" refuses it in one line, and RK4 stays exact
     scattered = _scattered_generator(rng)
     space = scattered.space
     dense = scattered.matrix.toarray()
     rho0 = random_density(space, rng)
+    refusal = r'conserves no excitation charge.*use method="rk4"'
+    with pytest.raises(ValueError, match=refusal) as exc:
+        evolve_master(rho0, scattered, EvolutionSpec(1e-4))
+    assert "\n" not in str(exc.value)
     for T in (1e-4, 1e-3):
-        out = evolve_master(rho0, scattered, EvolutionSpec(T))
+        out = evolve_master(rho0, scattered, EvolutionSpec(T, method="rk4"))
         ref = expm(dense * T) @ rho0.matrix.reshape(-1)
         v = out.matrix.reshape(-1)
         assert np.abs(v - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
-# full-rank [3, 3, 2] windows: no component has more than 19 of its 324
+# full-rank [3, 3, 2] windows: no charge class has more than 19 of its 324
 # rows, so they square densely too (the lab frame is left out at 1e308 s,
 # where its frame phase overflows)
 FULL_RANK_FRAMES = {1e-3: (), 1.0: ("rotating", "lab"), 1e308: ("rotating",)}
@@ -868,13 +875,18 @@ def test_spec_rejects_non_finite(kw):
 # --- unitary segments ---
 
 
+def _evolved(psi0, H, t):
+    """psi(t) = exp(-i H t) psi0, with hbar = 1."""
+    return Ket(unitary_propagator(H, t) @ psi0.amplitudes, psi0.space)
+
+
 def test_vacuum_rabi_oscillation():
     space = make_space([2, 2, 2])
     G = 2 * pi * 25e3
     H = jc_hamiltonian(space, "mode1", G)
     psi0 = basis_ket(space, (0, 0, ATOM_E))
     t = 0.3 / G
-    psi = evolve_unitary(psi0, H, t)
+    psi = _evolved(psi0, H, t)
     a_e = basis_ket(space, (0, 0, ATOM_E)).overlap(psi)
     a_g = basis_ket(space, (1, 0, ATOM_G)).overlap(psi)
     assert a_e == pytest.approx(cos(G * t), abs=1e-12)
@@ -890,7 +902,7 @@ def test_dispersive_segment_phase():
     b = basis_ket(space, (1, 0, ATOM_G))
     e = basis_ket(space, (0, 0, ATOM_E))
     psi0 = type(b)((b.amplitudes + e.amplitudes) / sqrt(2), space)
-    psi = evolve_unitary(psi0, H, t)
+    psi = _evolved(psi0, H, t)
     rel = b.overlap(psi) / e.overlap(psi)
     assert rel == pytest.approx(np.exp(1j * delta * t), abs=1e-12)
 
@@ -898,20 +910,18 @@ def test_dispersive_segment_phase():
 def test_zero_duration_identity():
     space = make_space([2, 2, 2])
     H = jc_hamiltonian(space, "mode2", 1e5)
-    psi0 = basis_ket(space, (0, 1, ATOM_G))
-    assert evolve_unitary(psi0, H, 0.0) is psi0
+    U = unitary_propagator(H, 0.0)
+    np.testing.assert_allclose(U, np.eye(space.dim), rtol=0, atol=1e-15)
 
 
 def test_unitary_norm_and_composition(rng):
     space = make_space([2, 2, 2])
     H = jc_hamiltonian(space, "both_with_phase", 1e5, Omega=2e5, Omega_a=2e5)
     v = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    from crosscav.tensor import Ket
-
     psi0 = Ket(v / np.linalg.norm(v), space)
     t1, t2 = 3.1e-6, 1.7e-6
-    once = evolve_unitary(evolve_unitary(psi0, H, t1), H, t2)
-    both = evolve_unitary(psi0, H, t1 + t2)
+    once = _evolved(_evolved(psi0, H, t1), H, t2)
+    both = _evolved(psi0, H, t1 + t2)
     assert abs(once.norm() - 1) < 1e-12
     np.testing.assert_allclose(once.amplitudes, both.amplitudes, atol=1e-10)
 
@@ -919,9 +929,8 @@ def test_unitary_norm_and_composition(rng):
 def test_non_hermitian_rejected():
     space = make_space([2])
     H = Operator(np.array([[0.0, 1.0], [0.0, 0.0]]), space)
-    psi = basis_ket(space, (0,))
     with pytest.raises(ValueError, match="Hermitian"):
-        evolve_unitary(psi, H, 1.0)
+        unitary_propagator(H, 1.0)
 
 
 def test_jc_variants_hermitian():
@@ -943,7 +952,7 @@ def test_both_modes_pulse_creates_entangled_state():
     G = 2 * pi * 25e3
     H = jc_hamiltonian(space, "both_with_phase", G)
     t = pi / (2 * sqrt(2.0) * G)
-    psi = evolve_unitary(basis_ket(space, (0, 0, ATOM_E)), H, t)
+    psi = _evolved(basis_ket(space, (0, 0, ATOM_E)), H, t)
     target = (
         basis_ket(space, (0, 1, ATOM_G)).amplitudes
         + 1j * basis_ket(space, (1, 0, ATOM_G)).amplitudes
@@ -1043,21 +1052,7 @@ def _one_excitation_state(space, weights):
     return density_from_ket(Ket(v / np.linalg.norm(v), space))
 
 
-@pytest.fixture
-def reachable_calls(monkeypatch):
-    """The arguments of every reachable-block search, in order."""
-    calls = []
-    reachable = crosscav.integrator._reachable
-
-    def counted(*args):
-        calls.append(args)
-        return reachable(*args)
-
-    monkeypatch.setattr(crosscav.integrator, "_reachable", counted)
-    return calls
-
-
-def test_block_cache_hits_by_value_and_misses_on_t_or_block(cold, reachable_calls):
+def test_block_cache_hits_by_value_and_misses_on_t_or_block(cold, plans_made):
     space = make_space([2, 2, 2])
     cache = crosscav.integrator._block_exponentials
 
@@ -1067,7 +1062,7 @@ def test_block_cache_hits_by_value_and_misses_on_t_or_block(cold, reachable_call
 
     first = window(500.0, 1e-3)
     assert len(cache) == 1
-    assert len(reachable_calls) == 1
+    assert len(plans_made) == 1
     for E, _ in cache._entries.values():
         assert not E.flags.writeable
     # the same generator and support reuse the window's plan
@@ -1076,16 +1071,16 @@ def test_block_cache_hits_by_value_and_misses_on_t_or_block(cold, reachable_call
     window(500.0, 1e-3, weights=(0.3, 1.0))
     assert len(cache) == 1
     window(500.0, 2e-3)
-    assert len(reachable_calls) == 1
+    assert len(plans_made) == 1
     window(K_EXACT, 1e-3)
     assert len(cache) == 3
-    assert len(reachable_calls) == 2
+    assert len(plans_made) == 2
     cold()
     assert window(500.0, 1e-3).matrix.tobytes() == first.matrix.tobytes()
-    assert len(reachable_calls) == 3
+    assert len(plans_made) == 3
 
 
-def test_a_window_plan_is_remade_when_the_support_changes(cold, reachable_calls, rng):
+def test_a_window_plan_is_remade_when_the_support_changes(cold, plans_made, rng):
     space = make_space([2, 2, 2])
     L = build_symmetric_liouvillian(SymmetricDecayParameters(K_EXACT, 500.0, 0.9), space)
     spec = EvolutionSpec(1e-3)
@@ -1097,11 +1092,11 @@ def test_a_window_plan_is_remade_when_the_support_changes(cold, reachable_calls,
         cold()
         cold_bytes.append(evolve_master(rho0, L, spec).matrix.tobytes())
     cold()
-    reachable_calls.clear()
+    plans_made.clear()
     for i in (0, 1, 0, 2, 2, 1):
         assert evolve_master(states[i], L, spec).matrix.tobytes() == cold_bytes[i], i
-    # only the last plan is kept: every change of support searches again
-    assert len(reachable_calls) == 5
+    # only the last plan is kept: every change of support plans again
+    assert len(plans_made) == 5
 
 
 def _large_block_case(case, rng):
@@ -1114,7 +1109,7 @@ def _large_block_case(case, rng):
 
 
 @pytest.mark.parametrize("case", ["rotating", "lab"])
-def test_large_blocks_reuse_their_window_plan(case, cold, reachable_calls, monkeypatch, rng):
+def test_large_blocks_reuse_their_window_plan(case, cold, plans_made, monkeypatch, rng):
     L, rho0 = _large_block_case(case, rng)
     calls = []
     expm_dense = crosscav.integrator._expm_dense
@@ -1128,13 +1123,13 @@ def test_large_blocks_reuse_their_window_plan(case, cold, reachable_calls, monke
     for T in (2e-4, 5e-4):
         cold()
         cold_bytes[T] = evolve_master(rho0, L, EvolutionSpec(T)).matrix.tobytes()
-    # the [3, 3, 2] states split into components, each squared densely
+    # the [3, 3, 2] states split into charge classes, each squared densely
     assert len(calls) > 2
     cold()
-    reachable_calls.clear()
+    plans_made.clear()
     for T in (2e-4, 5e-4, 2e-4):
         assert evolve_master(rho0, L, EvolutionSpec(T)).matrix.tobytes() == cold_bytes[T], T
-    assert len(reachable_calls) == 1
+    assert len(plans_made) == 1
 
 
 def test_a_plans_stack_is_made_once_and_is_the_same_array_for_every_later_window(cold, rng):

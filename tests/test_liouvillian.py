@@ -24,10 +24,10 @@ from crosscav.liouvillian import (
     normal_mode_transform,
 )
 from crosscav.tensor import (
+    Operator,
     annihilation_op,
     basis_ket,
     density_from_ket,
-    identity_op,
     make_space,
     number_op,
 )
@@ -380,7 +380,8 @@ def test_coo_assembly_matches_kron_reference(dims):
 
 def test_extra_hamiltonian_must_share_the_space(two_mode_nmax1):
     p = SymmetricDecayParameters(1000.0, 500.0, 1.0)
-    H = identity_op(make_space([2, 2, 2]))
+    space = make_space([2, 2, 2])
+    H = Operator(np.eye(space.dim), space)
     with pytest.raises(ValueError, match="Hamiltonian space"):
         build_symmetric_liouvillian(p, two_mode_nmax1, "rotating", H)
 
@@ -536,7 +537,7 @@ def test_to_general_runs_once_per_assembled_generator(reuse_cache, cold, capsys,
 def test_one_subsystem_space_is_rejected_by_both_builders(reuse_cache, frame, with_h):
     space = make_space([2])
     params = SymmetricDecayParameters(**REUSE_BASE)
-    H = identity_op(space) if with_h else None
+    H = Operator(np.eye(space.dim), space) if with_h else None
     with pytest.raises(ValueError, match="two field modes"):
         build_symmetric_liouvillian(params, space, frame, H)
     with pytest.raises(ValueError, match="two field modes"):

@@ -22,8 +22,6 @@ from crosscav.protocol import (
     ProtocolConfig,
     Segment,
     compose_segments,
-    atom_ground_population,
-    field_marginal,
     run_single_cavity,
     run_two_cavity,
 )
@@ -34,6 +32,7 @@ from crosscav.tensor import (
     basis_ket,
     density_from_ket,
     make_space,
+    partial_trace,
 )
 
 G_DEFAULT = 2 * pi * 47e3
@@ -115,12 +114,10 @@ def test_preparation_fidelity_and_marginals():
     cfg = make_cfg(theta=2.5, phi=0.4)
     rec = run_two_cavity(cfg)
     assert rec.prep_fidelity >= 1 - 1e-9
-    assert atom_ground_population(rec.after_preparation) == pytest.approx(
-        1.0, abs=1e-9
-    )
-    assert field_marginal(rec.after_preparation).purity() == pytest.approx(
-        1.0, abs=1e-9
-    )
+    atom = partial_trace(rec.after_preparation, [2])
+    assert atom.matrix[ATOM_G, ATOM_G].real == pytest.approx(1.0, abs=1e-9)
+    fields = partial_trace(rec.after_preparation, [0, 1])
+    assert fields.purity() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_zero_dissipation_returns_unity():
