@@ -92,6 +92,8 @@ def _require(cond, field, message):
 
 
 def _number(value, field, cast=float):
+    # float() and int() would read true as 1
+    _require(not isinstance(value, bool), field, f"must be a number, got {value!r}")
     try:
         return cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -180,9 +182,8 @@ def _sweep_range(args, cfg, default_start, default_stop):
             raise UsageError(f"--points must be at least 2, got {count}")
     else:
         count = sec.get("count", 201)
-        # int() would truncate 3.9 to 3 and read true as 1
-        _require(not isinstance(count, bool)
-                 and not (isinstance(count, float) and not count.is_integer()),
+        # int() would truncate 3.9 to 3
+        _require(not (isinstance(count, float) and not count.is_integer()),
                  "sweep.count", f"must be a whole number, got {count!r}")
         count = _number(count, "sweep.count", int)
         _require(count >= 2, "sweep.count", "must be at least 2")

@@ -83,22 +83,22 @@ modulo 2 pi.
 Fixed-step RK4 runs only when a caller asks for it, as an independent
 oracle on the full generator.
 
-A sweep repeats the same pulses and windows many times, so two pure
-pieces are reused by value: unitary_propagator by the bytes of H and t,
-and the dense branch's exp(B t) by the bytes of the block B, its size and
-t, so equal blocks of different generators share one exponential.  Both
-are read-only and held in least-recently-used caches bounded by the bytes
-they hold (_memo.ByteLRU).  A miss runs every check; a hit returns a
-value that passed them.  What a window does before any exponential, the
-charge check, the classes and the assembly of each dense part with its
-powers (B / ||B||_1)^j, j <= 25, is its plan (_plan); it depends on the
-generator and supp(v) alone.
-This module alone decides which window work is reused: the builders
+A sweep repeats the same windows many times, and this module alone
+decides which window work is reused, by value.  What a window does before
+any exponential, the charge check, the classes and the assembly of each
+dense part with its powers (B / ||B||_1)^j, j <= 25, is its plan
+(_plan); it depends on the generator and supp(v) alone.  The builders
 return a fresh generator on every call, and _plans keeps, for the two
 most recently used values of a builder's generator without H, its CSR,
 the last support's plan and the general loss channel's 2x2 power stack
-(_reuse).  So an equal generator is assembled once while its value is
-kept, and the windows of a sweep over T share one stack of powers.
+(_Reuse).  So an equal generator is assembled once while its value is
+kept, and the windows of a sweep over T share one stack of powers.  A
+dense part's exp(B t) is reused by the bytes of B, its size and t, so
+equal blocks of different generators share one read-only exponential
+(_block_exponentials, bounded by the bytes it holds).  A miss runs every
+check; a hit returns a value that passed them.  unitary_propagator keeps
+nothing: the protocol, which owns the pulses' frozen inputs, reuses
+their propagators.
 """
 
 from __future__ import annotations
@@ -110,7 +110,6 @@ from math import ceil, exp, expm1, isfinite, ldexp, log2
 
 import numpy as np
 
-from . import _memo
 from .liouvillian import (
     _CSR,
     SuperOperator,
@@ -138,31 +137,61 @@ _UNIT_ROUNDOFF = 2.0**-53
 # have at most 19 rows.  A part's powers take 25 n^2 16 bytes: 1.6 MB at
 # 64 rows, 95 MB at the 489 of a full-rank [9,9] state
 _DENSE_MAX_DIM = 64
-# distinct pulse Hamiltonians a process keeps; a sweep needs a few
-_HAMILTONIAN_CACHE_SIZE = 16
-# bytes the two exponential caches may hold (_memo.ByteLRU); with the
-# protocol's state caches they stay under 2 MiB, about 4 % of a
-# simulated sweep's peak RSS.  A pulse propagator on the protocol's
-# [2, 2, 2] space takes 2.5 KiB (H, U and the entry's objects), and a
-# benchmark sweep pass needs about 28.  A detuned protocol window's
-# block is 5 x 5, 1.3 KiB an entry: a sweep-time pass over n values of T
-# makes 2n per r, and 1 MiB keeps the n detuned windows, which repeat
-# for every r, up to the default n = 201.  A full 64-row block takes
-# 128.5 KiB, so at most 7 of those are kept.  The window plans (_plans)
-# are not counted here: a plan holds, per dense part, the bytes of B
-# (64 KiB for a full 64-row block, under 1 KiB for a protocol window) and
-# 25 n^2 16 bytes of its powers (1.6 MB for a 64-row block, 10 and 40 KB
-# for the 5- and 10-row windows of a protocol sweep), and _plans keeps
-# those of _PLANS_SIZE generators.
-_UNITARY_CACHE_BYTES = 256 * 1024
+# bytes of window exponentials kept (_block_exponentials).  Its entries
+# range from 1 to 64 rows, so an entry count would not bound its memory.
+# A detuned protocol window's block is 5 x 5, 1.3 KiB an entry: a
+# sweep-time pass over n values of T makes 2n per r, and 1 MiB keeps the
+# n detuned windows, which repeat for every r, up to the default n = 201.
+# A full 64-row block takes 128.5 KiB, so at most 7 of those are kept.
+# The plans (_plans) are not counted here: a dense part holds 25 n^2 16
+# bytes of powers (1.6 MB at 64 rows, 10 and 40 KB for the 5- and 10-row
+# windows of a protocol sweep), and _plans keeps those of two generators.
 _BLOCK_CACHE_BYTES = 1024 * 1024
-_unitaries = _memo.register(_memo.ByteLRU(_UNITARY_CACHE_BYTES))
-_block_exponentials = _memo.register(_memo.ByteLRU(_BLOCK_CACHE_BYTES))
-# generator values whose window work is kept: a sweep's window generator
-# plus one other
-_PLANS_SIZE = 2
-# (type(params), params, frame, space) of a _LossGenerator -> _Reuse
-_plans = _memo.register(OrderedDict())
+# bytes of the Python objects around an entry's arrays (dict slot, key
+# tuple, bytes and array headers), about 460 on CPython 3.11; counted so
+# that many tiny entries cannot outgrow the bound
+_ENTRY_OVERHEAD = 512
+
+
+class _ByteLRU:
+    """Least-recently-used map whose entries hold at most max_bytes in all.
+
+    The caller states the size of each entry it puts (the bytes of its key
+    and value), and _ENTRY_OVERHEAD is added to it; the least recently used
+    entries are evicted until the new one fits, and an entry larger than
+    max_bytes is not stored.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.cache_clear()
+
+    def __len__(self):
+        return len(self._entries)
+
+    def get(self, key):
+        """The value stored under key, or None."""
+        if key not in self._entries:
+            return None
+        self._entries.move_to_end(key)
+        return self._entries[key][0]
+
+    def put(self, key, value, size: int):
+        """Store value under key, which holds none, counted as size bytes."""
+        size += _ENTRY_OVERHEAD
+        if size > self.max_bytes:
+            return
+        while self.nbytes + size > self.max_bytes:
+            self.nbytes -= self._entries.popitem(last=False)[1][1]
+        self._entries[key] = (value, size)
+        self.nbytes += size
+
+    def cache_clear(self):
+        self._entries = OrderedDict()  # key -> (value, size)
+        self.nbytes = 0
+
+
+_block_exponentials = _ByteLRU(_BLOCK_CACHE_BYTES)
 
 
 @dataclass(frozen=True)
@@ -391,7 +420,7 @@ def _plan(A: _CSR, space: SpaceSignature, support: np.ndarray):
     sizes = np.bincount(label[mask], minlength=label.max() + 1)
     if sizes.max() > _DENSE_MAX_DIM:
         raise ValueError(
-            f"the state's reachable block has a component of {sizes.max()} rows, "
+            f"the state's reachable block has a charge class of {sizes.max()} rows, "
             f'more than the {_DENSE_MAX_DIM} that method "expm" propagates '
             'densely; use method="rk4"'
         )
@@ -418,20 +447,21 @@ class _Reuse:
     matrix = support = parts = channel = None
 
 
+@lru_cache(maxsize=2)  # a sweep's window generator plus one other
+def _plans(key) -> _Reuse:
+    """The window work kept for key = (type(params), params, frame, space),
+    the value of a _LossGenerator.  A miss stores a fresh, empty entry and
+    evicts the least recently used one before anything is assembled into
+    the new one, so at most two CSRs are held."""
+    return _Reuse()
+
+
 def _reuse(L: SuperOperator) -> _Reuse:
     """The _plans entry of L's value; a fresh one, not kept, unless L is a
-    _LossGenerator.  A miss evicts the least recently used entries first,
-    so at most _PLANS_SIZE CSRs are held even while one is assembled."""
+    _LossGenerator."""
     if not isinstance(L, _LossGenerator):
         return _Reuse()
-    key = (type(L.params), L.params, L.frame, L.space)
-    entry = _plans.get(key)
-    if entry is None:
-        while len(_plans) >= _PLANS_SIZE:
-            _plans.popitem(last=False)
-        entry = _plans[key] = _Reuse()
-    _plans.move_to_end(key)
-    return entry
+    return _plans((type(L.params), L.params, L.frame, L.space))
 
 
 def _propagate(L: SuperOperator, v: np.ndarray, t: float) -> np.ndarray:
@@ -439,10 +469,11 @@ def _propagate(L: SuperOperator, v: np.ndarray, t: float) -> np.ndarray:
 
     The plan (_plan) depends on L's CSR and supp(v) alone, and the entry
     of L's value (_reuse) keeps both; L.matrix is read only for a plan on
-    an entry that holds no CSR yet.  A dense part's exp(B t) is reused by the bytes of B, its size and t, so
-    equal blocks of different generators share one exponential; a miss
-    sums the Taylor series over the part's stored powers.  B's entries
-    are stored in row-major order, so B and t fix its norm too.
+    an entry that holds no CSR yet.  A dense part's exp(B t) is reused by
+    the bytes of B, its size and t, so equal blocks of different
+    generators share one exponential; a miss sums the Taylor series over
+    the part's stored powers.  B's entries are stored in row-major order,
+    so B and t fix its norm too.
     """
     support = v != 0
     pattern = support.tobytes()
@@ -607,25 +638,14 @@ def evolve_master(rho0: DensityMatrix, L: SuperOperator, spec: EvolutionSpec) ->
 
 
 def unitary_propagator(H: Operator, duration: float) -> np.ndarray:
-    """exp(-i H t) through the eigendecomposition of a Hermitian H.
-
-    Memoized by the bytes of H's matrix and of t: the result is read-only
-    and shared with every later caller that passes equal values.  Only a
-    miss checks Hermiticity, so a non-Hermitian H is never stored and
-    always raises.
-    """
+    """exp(-i H t) through the eigendecomposition of a Hermitian H; a
+    non-Hermitian H raises ValueError."""
     Hm = H.matrix
-    key = (Hm.tobytes(), float(duration).hex())
-    U = _unitaries.get(key)
-    if U is not None:
-        return U
     herm_dev = float(np.abs(Hm - Hm.conj().T).max())
     if herm_dev > 1e-10 * max(float(np.abs(Hm).max()), 1.0):
         raise ValueError(f"Hamiltonian is not Hermitian (deviation {herm_dev:.3e})")
     w, V = np.linalg.eigh(Hm)
-    U = (V * np.exp(-1j * w * duration)) @ V.conj().T
-    U.setflags(write=False)
-    return _unitaries.put(key, U, 2 * U.nbytes)
+    return (V * np.exp(-1j * w * duration)) @ V.conj().T
 
 
 def _find_atom(space: SpaceSignature) -> int:
@@ -635,7 +655,6 @@ def _find_atom(space: SpaceSignature) -> int:
     return idx
 
 
-@lru_cache(maxsize=_HAMILTONIAN_CACHE_SIZE)
 def jc_hamiltonian(
     space: SpaceSignature,
     which: str,
@@ -649,7 +668,6 @@ def jc_hamiltonian(
     'both_with_phase' variant couples it to both orthogonally polarized
     modes, with the mode-1 coupling carrying a relative factor i.
     Frequencies are angular; pass Omega = Omega_a = 0 for the rotating frame.
-    Memoized by its arguments: equal calls share one read-only Operator.
     """
     atom = _find_atom(space)
     sz, spl, smi = atom_ops(space, atom)
@@ -674,12 +692,8 @@ def jc_hamiltonian(
     return H
 
 
-@lru_cache(maxsize=_HAMILTONIAN_CACHE_SIZE)
 def free_hamiltonian(space: SpaceSignature, Omega: float, Omega_a: float) -> Operator:
-    """Dispersive segment: free fields plus the detuned atom splitting.
-
-    Memoized by its arguments, like jc_hamiltonian.
-    """
+    """Dispersive segment: free fields plus the detuned atom splitting."""
     atom = _find_atom(space)
     sz, _, _ = atom_ops(space, atom)
     n_total = number_op(space, 0)

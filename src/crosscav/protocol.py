@@ -6,27 +6,29 @@ at one photon plus the atom).  Dissipation during the pulses is off by
 default, matching the assumption that pulse times are short against 1/k;
 a flag turns it on for sensitivity checks.
 
-What a run repeats is reused by value.  A preparation depends only on
-its target, the preparation pulses and whether they dissipate, so equal
-preparations share one record of the read-only prepared DensityMatrix,
-the target ket and the fidelity between them, from a cache bounded by
-the bytes it holds; a pulse's decay and frame enter its key only when the
-pulse dissipates.  The |0,0,e> start state, the target and the fidelity
-are built only when a preparation is missed.  Pulse propagators, the
-window generators' assemblies and plans, and window exponentials are
-reused inside the integrator.  Every cached value
-passed its checks when it was built, and every state a run builds anew
-still runs the full DensityMatrix checks.
+What a run repeats is reused by value, keyed by the run's frozen inputs,
+in least-recently-used caches of entry counts: a pulse's propagator by
+its space, kind, coupling, frequencies and duration (_pulse), and a
+preparation by its target, its pulse segments and whether they dissipate
+(_prepared).  A pulse segment carries its decay and frame only when the
+pulses dissipate, since otherwise they do not act on the state.  A
+preparation's record holds the read-only prepared DensityMatrix, the
+target ket and the fidelity between them; the |0,0,e> start state, the
+target and the fidelity are built only when a preparation is missed.
+The window generators' assemblies and plans, and window exponentials,
+are reused inside the integrator.  Every cached value passed its checks
+when it was built, and every state a run builds anew still runs the full
+DensityMatrix checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isfinite, pi, sqrt
 
 import numpy as np
 
-from . import _memo
 from .analytic import PreparedStateParams, prepared_state
 from .integrator import (
     EvolutionSpec,
@@ -53,15 +55,13 @@ from .tensor import (
 )
 
 _PREP_FIDELITY_MIN = 1.0 - 1e-9
-# bytes of preparations kept (_memo.ByteLRU): a [2, 2, 2] state and its
-# 128-byte target ket take 1.6 KiB with their entry, so 576 KiB keeps 354,
-# more than the distinct preparations of a sweep over the default 201
-# values of phi; a sweep with more values revisits each phi once per r
-# and misses
-_PREPARED_CACHE_BYTES = 576 * 1024
-_prepared_states = _memo.register(_memo.ByteLRU(_PREPARED_CACHE_BYTES))
-
 UNITARY_KINDS = ("resonant-mode1", "resonant-mode2", "dispersive", "both-modes-phase")
+# jc_hamiltonian's coupling variant of each resonant pulse kind
+_COUPLINGS = {
+    "resonant-mode1": "mode1",
+    "resonant-mode2": "mode2",
+    "both-modes-phase": "both_with_phase",
+}
 
 
 @dataclass(frozen=True)
@@ -180,6 +180,22 @@ class RunRecord:
         }
 
 
+def _hamiltonian(space, kind, G, Omega, Omega_a):
+    """The Hamiltonian of a pulse segment of this kind."""
+    if kind == "dispersive":
+        return free_hamiltonian(space, Omega, Omega_a)
+    return jc_hamiltonian(space, _COUPLINGS[kind], G, Omega, Omega_a)
+
+
+@lru_cache(maxsize=100)  # a benchmark sweep pass computes 26
+def _pulse(space, kind, G, Omega, Omega_a, duration) -> np.ndarray:
+    """exp(-i H t) of a pulse that does not dissipate, read-only and
+    reused by value."""
+    U = unitary_propagator(_hamiltonian(space, kind, G, Omega, Omega_a), duration)
+    U.setflags(write=False)
+    return U
+
+
 def compose_segments(
     initial: DensityMatrix, segments, dissipate_during_pulses: bool = False
 ) -> DensityMatrix:
@@ -191,21 +207,13 @@ def compose_segments(
             L = build_symmetric_liouvillian(seg.decay, space, seg.frame)
             rho = evolve_master(rho, L, EvolutionSpec(seg.duration))
             continue
-        if seg.kind == "dispersive":
-            H = free_hamiltonian(space, seg.Omega, seg.Omega_a)
-        else:
-            which = {
-                "resonant-mode1": "mode1",
-                "resonant-mode2": "mode2",
-                "both-modes-phase": "both_with_phase",
-            }[seg.kind]
-            H = jc_hamiltonian(space, which, seg.G, seg.Omega, seg.Omega_a)
+        pulse = (space, seg.kind, seg.G, seg.Omega, seg.Omega_a)
         if dissipate_during_pulses and seg.decay is not None:
             # the pulse Hamiltonian and the dissipator make one generator
-            L = build_symmetric_liouvillian(seg.decay, space, seg.frame, H)
+            L = build_symmetric_liouvillian(seg.decay, space, seg.frame, _hamiltonian(*pulse))
             rho = evolve_master(rho, L, EvolutionSpec(seg.duration))
         else:
-            U = unitary_propagator(H, seg.duration)
+            U = _pulse(*pulse, seg.duration)
             rho = DensityMatrix(U @ rho.matrix @ U.conj().T, space)
     return rho
 
@@ -242,27 +250,18 @@ def _target(key) -> Ket:
     )
 
 
-def _prepared(target_key, prep, dissipate: bool):
-    """(state, target, fidelity): compose_segments from |0,0,e> over prep,
-    the target ket of target_key and the state's fidelity with it, reused
-    by value.
-
-    Without dissipation a pulse's decay and frame do not act on the state,
-    so they enter the key only when the pulses dissipate.
-    """
-    key = (target_key, dissipate, tuple(
-        (s.kind, s.duration, s.G, s.Omega, s.Omega_a)
-        + ((s.decay, s.frame) if dissipate else ())
-        for s in prep
-    ))
-    entry = _prepared_states.get(key)
-    if entry is None:
-        target = _target(target_key)
-        start = density_from_ket(basis_ket(target.space, (0, 0, ATOM_E)))
-        rho = compose_segments(start, prep, dissipate)
-        entry = (rho, target, rho.fidelity_with_ket(target))
-        _prepared_states.put(key, entry, rho.matrix.nbytes + target.amplitudes.nbytes)
-    return entry
+# more than the distinct preparations of a sweep over the default 201
+# values of phi; a sweep with more values revisits each phi once per r
+# and misses
+@lru_cache(maxsize=350)
+def _prepared(target_key, prep: tuple, dissipate: bool):
+    """(state, target, fidelity): compose_segments from |0,0,e> over the
+    pulse segments prep, the target ket of target_key and the state's
+    fidelity with it, reused by value."""
+    target = _target(target_key)
+    start = density_from_ket(basis_ket(target.space, (0, 0, ATOM_E)))
+    rho = compose_segments(start, prep, dissipate)
+    return rho, target, rho.fidelity_with_ket(target)
 
 
 def _atom_population(rho: DensityMatrix, level: int) -> float:
@@ -278,7 +277,7 @@ def _run(cfg, frame, dissipate, label, prep, target_key, window_decay, readout):
     readout=None projects the post-window state onto the target; a segment
     list replays those pulses and reads the atom's excited population.
     """
-    rho_prep, target, fid = _prepared(target_key, prep, dissipate)
+    rho_prep, target, fid = _prepared(target_key, tuple(prep), dissipate)
     if not dissipate and fid < _PREP_FIDELITY_MIN:
         raise RuntimeError(f"preparation fidelity {fid} below contract")
 
@@ -330,12 +329,15 @@ def run_two_cavity(
         )
     om_r, oma_r = _frame_freqs(cfg, frame, resonant=True)
     om_d, oma_d = _frame_freqs(cfg, frame, resonant=False)
+    # decay and frame act on a pulse only when it dissipates, and leaving
+    # them out otherwise lets equal preparations share one _prepared entry
+    leak = (cfg.decay, frame) if dissipate_during_pulses else ()
 
     def pulses(t_1, t_0, t_2):
         return [
-            Segment("resonant-mode1", t_1, cfg.G, om_r, oma_r, cfg.decay, frame),
-            Segment("dispersive", t_0, 0.0, om_d, oma_d, cfg.decay, frame),
-            Segment("resonant-mode2", t_2, cfg.G, om_r, oma_r, cfg.decay, frame),
+            Segment("resonant-mode1", t_1, cfg.G, om_r, oma_r, *leak),
+            Segment("dispersive", t_0, 0.0, om_d, oma_d, *leak),
+            Segment("resonant-mode2", t_2, cfg.G, om_r, oma_r, *leak),
         ]
 
     ro = pulses(cfg.t_1p, cfg.t_0p, cfg.t_2p) if readout == "explicit" else None
@@ -371,7 +373,8 @@ def run_single_cavity(
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
-    pulse = [Segment(pulse_kind, pulse_t, cfg.G, om_r, oma_r, window_decay, frame)]
+    leak = (window_decay, frame) if dissipate_during_pulses else ()
+    pulse = [Segment(pulse_kind, pulse_t, cfg.G, om_r, oma_r, *leak)]
     return _run(
         cfg, frame, dissipate_during_pulses, f"single-cavity/{variant}",
         pulse, ("single-cavity", variant), window_decay, pulse,

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from crosscav import _memo
+from crosscav import integrator, protocol
+from crosscav.liouvillian import _LossGenerator
 from crosscav.tensor import DensityMatrix, make_space
 
 # a test whose call phase takes longer than this fails the session.  The
@@ -60,8 +61,22 @@ def random_hermitian(d, rng, scale=1.0):
 @pytest.fixture
 def cold():
     """Empty every value cache of a protocol run, now and when called again."""
-    _memo.clear_all()
-    return _memo.clear_all
+
+    def clear():
+        for cache in (protocol._pulse, protocol._prepared, integrator._plans,
+                      integrator._block_exponentials):
+            cache.cache_clear()
+
+    clear()
+    return clear
+
+
+def kept(L):
+    """The window work integrator._plans keeps for L's value, an empty entry
+    if it keeps none; None for a generator whose work is never kept."""
+    if not isinstance(L, _LossGenerator):
+        return None
+    return integrator._plans((type(L.params), L.params, L.frame, L.space))
 
 
 @pytest.fixture

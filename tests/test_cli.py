@@ -392,6 +392,24 @@ def test_integral_sweep_count_runs_that_many_points(tmp_path, capsys, count):
     assert len(captured.out.split("\n")[2:-1]) == 4
 
 
+@pytest.mark.parametrize("field", [
+    "decay.k", "decay.r", "decay.gamma", "decay.omega", "protocol.G", "protocol.theta",
+    "protocol.phi", "protocol.T", "protocol.Omega", "protocol.delta", "sweep.start",
+    "sweep.stop", "sweep.r_list", "sweep.count",
+])
+def test_boolean_numeric_config_field_is_refused(tmp_path, capsys, field):
+    # float() and int() would read true as 1
+    section, key = field.split(".")
+    value = [True, 500.0] if key == "r_list" else True
+    cfg = write_config(tmp_path, {section: {key: value}})
+    command = "sweep-phi" if section == "sweep" else "simulate"
+    assert run_cli([command, "--config", cfg, "--engine", "analytic"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert f"config field '{field}'" in captured.err and "got True" in captured.err
+
+
 def test_sweep_too_large_to_allocate_exit_1_one_line(capsys):
     # the 7.3 TiB grid is refused at once, so nothing is allocated
     assert run_cli(["sweep-phi", "--points", "1000000000000"]) == 1

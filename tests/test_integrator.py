@@ -10,9 +10,9 @@ from scipy.sparse.linalg import expm_multiply
 
 import crosscav.integrator
 import crosscav.liouvillian
+import crosscav.protocol
 import crosscav.validate
-from conftest import random_density, to_scipy
-from crosscav import _memo
+from conftest import kept, random_density, to_scipy
 from crosscav.analytic import (
     PreparedStateParams,
     prob_e_two_cavity,
@@ -323,13 +323,6 @@ def _fock_generator(params, space, frame="rotating"):
     return SuperOperator(build_general_liouvillian(params.to_general(frame), space).matrix, space)
 
 
-def _kept(L):
-    """The window work kept for L's value (integrator._plans), or None."""
-    if not isinstance(L, crosscav.liouvillian._LossGenerator):
-        return None
-    return crosscav.integrator._plans.get((type(L.params), L.params, L.frame, L.space))
-
-
 @pytest.fixture
 def plans_made(monkeypatch):
     """The parts of every window plan made (_plan), in order."""
@@ -346,11 +339,11 @@ def plans_made(monkeypatch):
 
 def _refused(L, rho0, rows, T=1e-3):
     """Assert that method "expm" refuses the window in one line that names rows."""
-    with pytest.raises(ValueError, match=rf"a component of {rows} rows, more than the 64 "
+    with pytest.raises(ValueError, match=rf"a charge class of {rows} rows, more than the 64 "
                        r'.*use method="rk4"') as exc:
         evolve_master(rho0, L, EvolutionSpec(T))
     assert "\n" not in str(exc.value)
-    entry = _kept(L)
+    entry = kept(L)
     assert entry is None or entry.parts is None
 
 
@@ -619,10 +612,11 @@ def test_factorized_windows_share_one_plan_and_never_assemble(cold, monkeypatch)
               build_general_liouvillian(GENERAL, psi.space)):
         first = [evolve_master(rho0, L, EvolutionSpec(T)).matrix.tobytes() for T in (1e-3, 2e-3)]
         assert evolve_master(rho0, L, EvolutionSpec(1e-3)).matrix.tobytes() == first[0]
-        _memo.clear_all()
+        cold()
         assert evolve_master(rho0, L, EvolutionSpec(2e-3)).matrix.tobytes() == first[1]
     assert calls == []
-    (entry,) = crosscav.integrator._plans.values()
+    assert crosscav.integrator._plans.cache_info().currsize == 1
+    entry = kept(L)
     assert entry.matrix is None and entry.parts is None and entry.channel is not None
 
 
@@ -970,79 +964,47 @@ def test_jc_requires_atom():
 
 
 def test_byte_lru_evicts_the_least_recent_entry_by_bytes():
-    size = 100 + _memo.ENTRY_OVERHEAD
-    cache = _memo.ByteLRU(3 * size)
+    size = 100 + crosscav.integrator._ENTRY_OVERHEAD
+    cache = crosscav.integrator._ByteLRU(3 * size)
     for key in "abc":
         cache.put(key, key.upper(), 100)
     assert cache.get("a") == "A"  # now the most recent
-    assert cache.put("d", "D", 100) == "D"
+    cache.put("d", "D", 100)
     assert cache.get("b") is None
     assert [cache.get(key) for key in "acd"] == ["A", "C", "D"]
     assert len(cache) == 3 and cache.nbytes == 3 * size
-    assert cache.put("big", "X", cache.max_bytes) == "X"
+    cache.put("big", "X", cache.max_bytes)
     assert cache.get("big") is None and len(cache) == 3
     cache.cache_clear()
     assert len(cache) == 0 and cache.nbytes == 0
 
 
-def test_byte_lru_keeps_its_byte_count_under_threads():
-    import sys
-    import threading
-
-    cache = _memo.ByteLRU(20 * (8 + _memo.ENTRY_OVERHEAD))
-    errors = []
-
-    def work(seed):
-        try:
-            for i in range(20000):
-                key = (seed * 7 + i) % 50
-                if cache.get(key) is None:
-                    cache.put(key, key, 8)
-        except Exception as exc:  # a lost update can empty the map mid-eviction
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert cache.nbytes == len(cache) * (8 + _memo.ENTRY_OVERHEAD) <= cache.max_bytes
-
-
 def test_unitary_cache_hits_by_value_and_misses_on_t_or_h(cold):
     space = make_space([2, 2, 2])
-    H = jc_hamiltonian(space, "mode1", 1e5)
-    cache = crosscav.integrator._unitaries
-    U = unitary_propagator(H, 2e-6)
+    pulse = crosscav.protocol._pulse
+    U = pulse(space, "resonant-mode1", 1e5, 0.0, 0.0, 2e-6)
     assert not U.flags.writeable
     with pytest.raises(ValueError):
         U[0, 0] = 0
-    # an equal Hamiltonian built apart is served the same array
-    assert unitary_propagator(Operator(H.matrix.copy(), space), 2e-6) is U
-    assert len(cache) == 1
-    other_t = unitary_propagator(H, 3e-6)
-    other_h = unitary_propagator(jc_hamiltonian(space, "mode2", 1e5), 2e-6)
-    assert len(cache) == 3
+    np.testing.assert_array_equal(U, unitary_propagator(jc_hamiltonian(space, "mode1", 1e5), 2e-6))
+    # equal values passed apart are served the same array
+    assert pulse(make_space([2, 2, 2]), "resonant-mode1", 100000, 0, 0, 2e-6) is U
+    assert pulse.cache_info().currsize == 1
+    other_t = pulse(space, "resonant-mode1", 1e5, 0.0, 0.0, 3e-6)
+    other_h = pulse(space, "resonant-mode2", 1e5, 0.0, 0.0, 2e-6)
+    assert pulse.cache_info().currsize == 3
     assert not np.array_equal(other_t, U) and not np.array_equal(other_h, U)
     cold()
-    fresh = unitary_propagator(H, 2e-6)
+    fresh = pulse(space, "resonant-mode1", 1e5, 0.0, 0.0, 2e-6)
     assert fresh is not U and fresh.tobytes() == U.tobytes()
 
 
-def test_non_hermitian_hamiltonian_is_never_cached(cold):
+def test_non_hermitian_hamiltonian_is_never_cached():
     space = make_space([2])
     H = Operator(np.array([[0.0, 1.0], [0.0, 0.0]]), space)
     for _ in range(2):
         with pytest.raises(ValueError, match="Hermitian"):
             unitary_propagator(H, 1.0)
-    assert len(crosscav.integrator._unitaries) == 0
 
 
 def _one_excitation_state(space, weights):
@@ -1147,7 +1109,7 @@ def test_a_plans_stack_is_made_once_and_is_the_same_array_for_every_later_window
         # every window misses the result cache and sums the plan's powers
         crosscav.integrator._block_exponentials.cache_clear()
         assert evolve_master(rho0, L, EvolutionSpec(T)).matrix.tobytes() == cold_bytes[T], T
-        (part,) = _kept(L).parts
+        (part,) = kept(L).parts
         stacks.append(part[3])
     # the plan made every power up to degree 25 once, read-only
     P = stacks[0]
@@ -1183,7 +1145,7 @@ def test_a_window_plan_lives_only_as_long_as_its_generator(cold, monkeypatch):
     L = window(500.0, jc_hamiltonian(space, "mode1", 1e5))
     gc.collect()
     assert len(powers) == 1 and powers[0]() is None
-    assert len(crosscav.integrator._plans) == 0
+    assert crosscav.integrator._plans.cache_info().currsize == 0
     # a builder's generator without H keeps its CSR and plan under its
     # value, past the generator, until two other values replace them
     matrix = weakref.ref(window(500.0).matrix)
@@ -1195,7 +1157,7 @@ def test_a_window_plan_lives_only_as_long_as_its_generator(cold, monkeypatch):
     assert powers[1]() is None and matrix() is None
 
 
-def test_clear_all_empties_the_generators_and_the_window_plans(cold, monkeypatch):
+def test_clearing_the_caches_empties_the_generators_and_the_window_plans(cold, monkeypatch):
     space = make_space([2, 2, 2])
     params = SymmetricDecayParameters(K_EXACT, 500.0, 0.9)
     rho0 = _one_excitation_state(space, (1.0, 1.0))
@@ -1205,10 +1167,12 @@ def test_clear_all_empties_the_generators_and_the_window_plans(cold, monkeypatch
                         lambda *args: assembled.append(args) or general(*args))
     L = build_symmetric_liouvillian(params, space)
     evolve_master(rho0, L, EvolutionSpec(1e-3))
-    (entry,) = crosscav.integrator._plans.values()
+    plans = crosscav.integrator._plans
+    assert plans.cache_info().currsize == 1
+    entry = kept(L)
     assert entry.matrix is L.matrix and entry.parts is not None
-    _memo.clear_all()
-    assert len(crosscav.integrator._plans) == 0
+    cold()
+    assert plans.cache_info().currsize == 0
     # the next window on an equal generator assembles it again
     evolve_master(rho0, build_symmetric_liouvillian(params, space), EvolutionSpec(1e-3))
     assert len(assembled) == 2
@@ -1268,7 +1232,7 @@ def test_block_cache_stays_under_its_bound_for_full_blocks(cold, rng):
     bound = crosscav.integrator._BLOCK_CACHE_BYTES
     L = build_symmetric_liouvillian(SymmetricDecayParameters(K_EXACT, 700.0, 0.4), space)
     rho0 = random_density(space, rng)  # full rank: the block is all 64 rows
-    entry = 2 * 64 * 64 * 16 + _memo.ENTRY_OVERHEAD
+    entry = 2 * 64 * 64 * 16 + crosscav.integrator._ENTRY_OVERHEAD
     windows = np.linspace(1e-4, 3e-3, 12)
     warm = [evolve_master(rho0, L, EvolutionSpec(T)) for T in windows]
     assert cache.nbytes <= bound

@@ -1,12 +1,11 @@
 import weakref
-from collections import OrderedDict
 from math import pi
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import random_density, random_hermitian, to_scipy
+from conftest import kept, random_density, random_hermitian, to_scipy
 from crosscav import integrator, liouvillian
 from crosscav.analytic import robust_entangled_state
 from crosscav.cli import main
@@ -402,12 +401,12 @@ def test_hamiltonian_only_channel_is_exactly_anti_hermitian(dims):
 
 
 @pytest.fixture
-def reuse_cache(monkeypatch):
-    """An empty cache of window work (integrator._plans) for the test,
-    restored afterwards."""
-    cache = OrderedDict()
-    monkeypatch.setattr(integrator, "_plans", cache)
-    return cache
+def reuse_cache():
+    """The number of values whose window work integrator._plans keeps,
+    from an empty cache that is emptied again after the test."""
+    integrator._plans.cache_clear()
+    yield lambda: integrator._plans.cache_info().currsize
+    integrator._plans.cache_clear()
 
 
 REUSE_BASE = dict(k=1000.0, r=500.0, gamma=0.3, omega=2e4)
@@ -432,8 +431,8 @@ def test_equal_inputs_share_one_read_only_assembly(reuse_cache):
     assert build_general_liouvillian(params.to_general("lab"), space) is not general
     # the windows of equal generators share the CSR of the first one
     np.testing.assert_array_equal(_window(L), _window(again))
-    (entry,) = reuse_cache.values()
-    assert entry.matrix is L.matrix and "matrix" not in vars(again)
+    assert reuse_cache() == 1
+    assert kept(L).matrix is L.matrix and "matrix" not in vars(again)
     for name in ("data", "indices", "indptr"):
         array = getattr(L.matrix, name)
         with pytest.raises(ValueError, match="read-only"):
@@ -449,8 +448,8 @@ def test_working_on_a_copy_leaves_the_shared_generator_unchanged(reuse_cache):
     work.data *= 2
     np.testing.assert_array_equal(L.matrix.toarray(), before)
     # the kept CSR serves an equal generator's windows unchanged
-    (entry,) = reuse_cache.values()
-    np.testing.assert_array_equal(entry.matrix.toarray(), before)
+    assert reuse_cache() == 1
+    np.testing.assert_array_equal(kept(L).matrix.toarray(), before)
     np.testing.assert_array_equal(_window(_build()[2]), window)
 
 
@@ -465,7 +464,7 @@ def test_changed_input_gives_a_fresh_build(reuse_cache, change):
     _window(base)
     _window(L)
     # each value keeps its own assembly
-    assert len(reuse_cache) == 2
+    assert reuse_cache() == 2
     fresh = liouvillian._general(params.to_general(frame), space).matrix
     assert L.matrix.nnz == fresh.nnz
     np.testing.assert_array_equal(L.matrix.toarray(), fresh.toarray())
@@ -486,7 +485,7 @@ def test_a_symmetric_generator_is_assembled_on_its_first_read(reuse_cache, monke
     m = L.matrix
     assert L.matrix is m and len(calls) == 1
     # reading the matrix keeps nothing; only a window does
-    assert not reuse_cache
+    assert reuse_cache() == 0
     for name in ("data", "indices", "indptr"):
         assert not getattr(m, name).flags.writeable
     fresh = general(params.to_general("lab"), space).matrix
@@ -497,7 +496,7 @@ def test_a_symmetric_build_rejects_an_unknown_frame_at_once(reuse_cache):
     with pytest.raises(ValueError, match="frame must be 'lab' or 'rotating'"):
         build_symmetric_liouvillian(SymmetricDecayParameters(**REUSE_BASE), make_space([2, 2]),
                                     "rotate")
-    assert not reuse_cache
+    assert reuse_cache() == 0
 
 
 def test_builds_with_a_hamiltonian_are_never_cached(reuse_cache):
@@ -509,7 +508,7 @@ def test_builds_with_a_hamiltonian_are_never_cached(reuse_cache):
     assert first is not second
     assert first.matrix.data.flags.writeable
     _window(first)
-    assert not reuse_cache
+    assert reuse_cache() == 0
 
 
 def test_to_general_runs_once_per_assembled_generator(reuse_cache, cold, capsys,
@@ -542,7 +541,7 @@ def test_one_subsystem_space_is_rejected_by_both_builders(reuse_cache, frame, wi
         build_symmetric_liouvillian(params, space, frame, H)
     with pytest.raises(ValueError, match="two field modes"):
         build_general_liouvillian(params.to_general(frame), space, H)
-    assert not reuse_cache
+    assert reuse_cache() == 0
 
 
 def test_at_most_two_generators_are_retained(reuse_cache):
@@ -553,7 +552,7 @@ def test_at_most_two_generators_are_retained(reuse_cache):
     assert first() is not None
     for r in (200.0, 300.0, 400.0):
         _window(_build(r=r)[2])
-        assert len(reuse_cache) <= 2
+        assert reuse_cache() <= 2
     assert first() is None
 
 
