@@ -100,6 +100,15 @@ def _number(value, field, cast=float):
         raise UsageError(f"config field {field!r}: must be a number ({exc})") from exc
 
 
+def _choice(sec, key, default, choices):
+    """The protocol section's key, default when absent; one of choices."""
+    value = sec.get(key, default)
+    names = [repr(c) for c in choices]
+    _require(value in choices, f"protocol.{key}",
+             f"must be {', '.join(names[:-1])} or {names[-1]}")
+    return value
+
+
 def _section(cfg, name):
     sec = cfg.get(name, {})
     _require(isinstance(sec, dict), name, "must be an object")
@@ -528,39 +537,19 @@ def cmd_simulate(args):
     decay = _decay_from_config(cfg)
     proto = _protocol_from_config(cfg, decay)
     sec = cfg.get("protocol", {})
-    kind = sec.get("kind", "two_cavity")
-    engine = sec.get("engine", "both")
-    _require(
-        kind in ("two_cavity", "single_cavity"),
-        "protocol.kind",
-        "must be 'two_cavity' or 'single_cavity'",
-    )
-    _require(
-        engine in ("analytic", "simulated", "both"),
-        "protocol.engine",
-        "must be 'analytic', 'simulated' or 'both'",
-    )
+    kind = _choice(sec, "kind", "two_cavity", ("two_cavity", "single_cavity"))
+    engine = _choice(sec, "engine", "both", ("analytic", "simulated", "both"))
     # an explicit --engine wins, as --points does; a bad field still fails
     if args.engine is not None:
         engine = args.engine
     k, r, gamma, T = decay.k, decay.r, decay.gamma, proto.T
     if kind == "two_cavity":
-        readout = sec.get("readout", "overlap")
-        _require(
-            readout in ("overlap", "explicit"),
-            "protocol.readout",
-            "must be 'overlap' or 'explicit'",
-        )
+        readout = _choice(sec, "readout", "overlap", ("overlap", "explicit"))
         record = run_two_cavity(proto, readout=readout, frame=args.frame)
         params = PreparedStateParams(proto.theta, proto.phi)
         closed_form = partial(prob_e_two_cavity, params, k, r, gamma, T)
     else:
-        variant = sec.get("variant", "resonant")
-        _require(
-            variant in ("resonant", "detuned"),
-            "protocol.variant",
-            "must be 'resonant' or 'detuned'",
-        )
+        variant = _choice(sec, "variant", "resonant", ("resonant", "detuned"))
         record = run_single_cavity(proto, variant=variant, frame=args.frame)
         if variant == "resonant":
             closed_form = partial(prob_e_single_cavity_resonant, k, r, gamma, T)

@@ -96,9 +96,9 @@ kept, and the windows of a sweep over T share one stack of powers.  A
 dense part's exp(B t) is reused by the bytes of B, its size and t, so
 equal blocks of different generators share one read-only exponential
 (_block_exponentials, bounded by the bytes it holds).  A miss runs every
-check; a hit returns a value that passed them.  unitary_propagator keeps
-nothing: the protocol, which owns the pulses' frozen inputs, reuses
-their propagators.
+check; a hit returns a value that passed them.  A pulse propagator is
+reused by the bytes of H and by t (_unitary), behind unitary_propagator,
+so every pulse a run applies still passes through that one function.
 """
 
 from __future__ import annotations
@@ -639,13 +639,26 @@ def evolve_master(rho0: DensityMatrix, L: SuperOperator, spec: EvolutionSpec) ->
 
 def unitary_propagator(H: Operator, duration: float) -> np.ndarray:
     """exp(-i H t) through the eigendecomposition of a Hermitian H; a
-    non-Hermitian H raises ValueError."""
-    Hm = H.matrix
+    non-Hermitian H raises ValueError.
+
+    Reused by the bytes of H's matrix and the value of t (_unitary): the
+    result is read-only and shared with every later caller that passes
+    equal values.  lru_cache keeps no call that raised, so a non-Hermitian
+    H raises on every call.
+    """
+    return _unitary(H.matrix.tobytes(), H.space.dim, duration)
+
+
+@lru_cache(maxsize=100)  # a benchmark sweep pass computes 26
+def _unitary(H_bytes: bytes, dim: int, duration: float) -> np.ndarray:
+    Hm = np.frombuffer(H_bytes, dtype=complex).reshape(dim, dim)
     herm_dev = float(np.abs(Hm - Hm.conj().T).max())
     if herm_dev > 1e-10 * max(float(np.abs(Hm).max()), 1.0):
         raise ValueError(f"Hamiltonian is not Hermitian (deviation {herm_dev:.3e})")
     w, V = np.linalg.eigh(Hm)
-    return (V * np.exp(-1j * w * duration)) @ V.conj().T
+    U = (V * np.exp(-1j * w * duration)) @ V.conj().T
+    U.setflags(write=False)
+    return U
 
 
 def _find_atom(space: SpaceSignature) -> int:

@@ -7,18 +7,18 @@ default, matching the assumption that pulse times are short against 1/k;
 a flag turns it on for sensitivity checks.
 
 What a run repeats is reused by value, keyed by the run's frozen inputs,
-in least-recently-used caches of entry counts: a pulse's propagator by
-its space, kind, coupling, frequencies and duration (_pulse), and a
+in least-recently-used caches of entry counts: a pulse's Hamiltonian by
+its space, kind, coupling and frequencies (_hamiltonian), and a
 preparation by its target, its pulse segments and whether they dissipate
 (_prepared).  A pulse segment carries its decay and frame only when the
-pulses dissipate, since otherwise they do not act on the state.  A
-preparation's record holds the read-only prepared DensityMatrix, the
-target ket and the fidelity between them; the |0,0,e> start state, the
-target and the fidelity are built only when a preparation is missed.
-The window generators' assemblies and plans, and window exponentials,
-are reused inside the integrator.  Every cached value passed its checks
-when it was built, and every state a run builds anew still runs the full
-DensityMatrix checks.
+pulses dissipate (_pulse_segments), since otherwise they do not act on
+the state.  A preparation's record holds the read-only prepared
+DensityMatrix, the target ket and the fidelity between them; the
+|0,0,e> start state, the target and the fidelity are built only when a
+preparation is missed.  Pulse propagators, the window generators'
+assemblies and plans, and window exponentials are reused inside the
+integrator.  Every cached value passed its checks when it was built, and
+every state a run builds anew still runs the full DensityMatrix checks.
 """
 
 from __future__ import annotations
@@ -180,6 +180,7 @@ class RunRecord:
         }
 
 
+@lru_cache(maxsize=16)  # one entry per pulse in use
 def _hamiltonian(space, kind, G, Omega, Omega_a):
     """The Hamiltonian of a pulse segment of this kind."""
     if kind == "dispersive":
@@ -187,13 +188,15 @@ def _hamiltonian(space, kind, G, Omega, Omega_a):
     return jc_hamiltonian(space, _COUPLINGS[kind], G, Omega, Omega_a)
 
 
-@lru_cache(maxsize=100)  # a benchmark sweep pass computes 26
-def _pulse(space, kind, G, Omega, Omega_a, duration) -> np.ndarray:
-    """exp(-i H t) of a pulse that does not dissipate, read-only and
-    reused by value."""
-    U = unitary_propagator(_hamiltonian(space, kind, G, Omega, Omega_a), duration)
-    U.setflags(write=False)
-    return U
+def _pulse_segments(dissipate: bool, decay, frame: str, *pulses) -> list:
+    """Segments of (kind, duration, G, Omega, Omega_a) pulses.
+
+    A pulse's decay and frame act on the state only when it dissipates,
+    so they are left out otherwise, and equal preparations share one
+    _prepared entry.
+    """
+    leak = (decay, frame) if dissipate else ()
+    return [Segment(*pulse, *leak) for pulse in pulses]
 
 
 def compose_segments(
@@ -213,7 +216,7 @@ def compose_segments(
             L = build_symmetric_liouvillian(seg.decay, space, seg.frame, _hamiltonian(*pulse))
             rho = evolve_master(rho, L, EvolutionSpec(seg.duration))
         else:
-            U = _pulse(*pulse, seg.duration)
+            U = unitary_propagator(_hamiltonian(*pulse), seg.duration)
             rho = DensityMatrix(U @ rho.matrix @ U.conj().T, space)
     return rho
 
@@ -329,16 +332,14 @@ def run_two_cavity(
         )
     om_r, oma_r = _frame_freqs(cfg, frame, resonant=True)
     om_d, oma_d = _frame_freqs(cfg, frame, resonant=False)
-    # decay and frame act on a pulse only when it dissipates, and leaving
-    # them out otherwise lets equal preparations share one _prepared entry
-    leak = (cfg.decay, frame) if dissipate_during_pulses else ()
 
     def pulses(t_1, t_0, t_2):
-        return [
-            Segment("resonant-mode1", t_1, cfg.G, om_r, oma_r, *leak),
-            Segment("dispersive", t_0, 0.0, om_d, oma_d, *leak),
-            Segment("resonant-mode2", t_2, cfg.G, om_r, oma_r, *leak),
-        ]
+        return _pulse_segments(
+            dissipate_during_pulses, cfg.decay, frame,
+            ("resonant-mode1", t_1, cfg.G, om_r, oma_r),
+            ("dispersive", t_0, 0.0, om_d, oma_d),
+            ("resonant-mode2", t_2, cfg.G, om_r, oma_r),
+        )
 
     ro = pulses(cfg.t_1p, cfg.t_0p, cfg.t_2p) if readout == "explicit" else None
     return _run(
@@ -373,8 +374,9 @@ def run_single_cavity(
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
-    leak = (window_decay, frame) if dissipate_during_pulses else ()
-    pulse = [Segment(pulse_kind, pulse_t, cfg.G, om_r, oma_r, *leak)]
+    pulse = _pulse_segments(
+        dissipate_during_pulses, window_decay, frame, (pulse_kind, pulse_t, cfg.G, om_r, oma_r)
+    )
     return _run(
         cfg, frame, dissipate_during_pulses, f"single-cavity/{variant}",
         pulse, ("single-cavity", variant), window_decay, pulse,

@@ -63,8 +63,8 @@ def cold():
     """Empty every value cache of a protocol run, now and when called again."""
 
     def clear():
-        for cache in (protocol._pulse, protocol._prepared, integrator._plans,
-                      integrator._block_exponentials):
+        for cache in (protocol._hamiltonian, protocol._prepared, integrator._unitary,
+                      integrator._plans, integrator._block_exponentials):
             cache.cache_clear()
 
     clear()
@@ -72,11 +72,20 @@ def cold():
 
 
 def kept(L):
-    """The window work integrator._plans keeps for L's value, an empty entry
-    if it keeps none; None for a generator whose work is never kept."""
-    if not isinstance(L, _LossGenerator):
+    """The window work integrator._plans keeps for L's value; None for a
+    generator whose work is never kept or for an empty cache.
+
+    lru_cache has no lookup that leaves it unchanged: a lookup that misses
+    stores an empty entry and may evict a live one.  So a lookup that
+    misses fails the test, and cannot pass for a value kept empty.
+    """
+    plans = integrator._plans
+    if not isinstance(L, _LossGenerator) or plans.cache_info().currsize == 0:
         return None
-    return integrator._plans((type(L.params), L.params, L.frame, L.space))
+    hits = plans.cache_info().hits
+    entry = plans((type(L.params), L.params, L.frame, L.space))
+    assert plans.cache_info().hits == hits + 1, "the lookup missed and stored an entry"
+    return entry
 
 
 @pytest.fixture

@@ -981,30 +981,31 @@ def test_byte_lru_evicts_the_least_recent_entry_by_bytes():
 
 def test_unitary_cache_hits_by_value_and_misses_on_t_or_h(cold):
     space = make_space([2, 2, 2])
-    pulse = crosscav.protocol._pulse
-    U = pulse(space, "resonant-mode1", 1e5, 0.0, 0.0, 2e-6)
+    H = jc_hamiltonian(space, "mode1", 1e5)
+    cache = crosscav.integrator._unitary
+    U = unitary_propagator(H, 2e-6)
     assert not U.flags.writeable
     with pytest.raises(ValueError):
         U[0, 0] = 0
-    np.testing.assert_array_equal(U, unitary_propagator(jc_hamiltonian(space, "mode1", 1e5), 2e-6))
-    # equal values passed apart are served the same array
-    assert pulse(make_space([2, 2, 2]), "resonant-mode1", 100000, 0, 0, 2e-6) is U
-    assert pulse.cache_info().currsize == 1
-    other_t = pulse(space, "resonant-mode1", 1e5, 0.0, 0.0, 3e-6)
-    other_h = pulse(space, "resonant-mode2", 1e5, 0.0, 0.0, 2e-6)
-    assert pulse.cache_info().currsize == 3
+    # an equal Hamiltonian built apart is served the same array
+    assert unitary_propagator(Operator(H.matrix.copy(), space), 2e-6) is U
+    assert cache.cache_info().currsize == 1
+    other_t = unitary_propagator(H, 3e-6)
+    other_h = unitary_propagator(jc_hamiltonian(space, "mode2", 1e5), 2e-6)
+    assert cache.cache_info().currsize == 3
     assert not np.array_equal(other_t, U) and not np.array_equal(other_h, U)
     cold()
-    fresh = pulse(space, "resonant-mode1", 1e5, 0.0, 0.0, 2e-6)
+    fresh = unitary_propagator(H, 2e-6)
     assert fresh is not U and fresh.tobytes() == U.tobytes()
 
 
-def test_non_hermitian_hamiltonian_is_never_cached():
+def test_non_hermitian_hamiltonian_is_never_cached(cold):
     space = make_space([2])
     H = Operator(np.array([[0.0, 1.0], [0.0, 0.0]]), space)
     for _ in range(2):
         with pytest.raises(ValueError, match="Hermitian"):
             unitary_propagator(H, 1.0)
+    assert crosscav.integrator._unitary.cache_info().currsize == 0
 
 
 def _one_excitation_state(space, weights):
