@@ -180,7 +180,7 @@ class RunRecord:
         }
 
 
-@lru_cache(maxsize=16)  # one entry per pulse in use
+@lru_cache(maxsize=16)  # one entry per pulse Hamiltonian; both sweeps use 4
 def _hamiltonian(space, kind, G, Omega, Omega_a):
     """The Hamiltonian of a pulse segment of this kind."""
     if kind == "dispersive":
