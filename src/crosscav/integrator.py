@@ -87,26 +87,30 @@ A sweep repeats the same windows many times, and this module alone
 decides which window work is reused, by value.  What a window does before
 any exponential, the charge check, the classes and the assembly of each
 dense part with its powers (B / ||B||_1)^j, j <= 25, is its plan
-(_plan); it depends on the generator and supp(v) alone.  The builders
-return a fresh generator on every call, and _plans keeps, for the two
-most recently used values of a builder's generator without H, its CSR,
-the last support's plan and the general loss channel's 2x2 power stack
-(_Reuse).  So an equal generator is assembled once while its value is
-kept, and the windows of a sweep over T share one stack of powers.  A
-dense part's exp(B t) is reused by the bytes of B, its size and t, so
-equal blocks of different generators share one read-only exponential
-(_block_exponentials, bounded by the bytes it holds).  A miss runs every
-check; a hit returns a value that passed them.  A pulse propagator is
-reused by the bytes of H and by t (_unitary), behind unitary_propagator,
-so every pulse a run applies still passes through that one function.
+(_plan); it depends on the generator and supp(v) alone.  Equal blocks of
+one plan are matched once, when it is made, and share one power stack.
+The builders return a fresh generator on every call, and _plans keeps,
+for the two most recently used values of a builder's generator without
+H, its CSR, the last support's plan and the general loss channel's 2x2
+power stack (_Reuse).  So an equal generator is assembled once while its
+value is kept, and the windows of a sweep over T share one stack of
+powers.  A plan keeps the exponentials of its blocks for its most recent
+windows in an lru_cache over t (_exponentials), bounded so that the two
+kept plans hold at most _BLOCK_CACHE_BYTES; a generator with H makes a
+plan for every window, so its exponentials are not reused.  A miss runs
+every check; a hit returns read-only values that passed them.  A pulse
+propagator is reused by the bytes of H and by t (_unitary), behind
+unitary_propagator, so every pulse a run applies still passes through
+that one function.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, exp, expm1, isfinite, ldexp, log2
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,61 +141,20 @@ _UNIT_ROUNDOFF = 2.0**-53
 # have at most 19 rows.  A part's powers take 25 n^2 16 bytes: 1.6 MB at
 # 64 rows, 95 MB at the 489 of a full-rank [9,9] state
 _DENSE_MAX_DIM = 64
-# bytes of window exponentials kept (_block_exponentials).  Its entries
-# range from 1 to 64 rows, so an entry count would not bound its memory.
-# A detuned protocol window's block is 5 x 5, 1.3 KiB an entry: a
-# sweep-time pass over n values of T makes 2n per r, and 1 MiB keeps the
-# n detuned windows, which repeat for every r, up to the default n = 201.
-# A full 64-row block takes 128.5 KiB, so at most 7 of those are kept.
-# The plans (_plans) are not counted here: a dense part holds 25 n^2 16
-# bytes of powers (1.6 MB at 64 rows, 10 and 40 KB for the 5- and 10-row
-# windows of a protocol sweep), and _plans keeps those of two generators.
+# bytes of window exponentials that the two kept plans (_plans) hold in
+# all: each plan's cache over t (_exponentials) keeps as many windows as
+# half of it holds.  A detuned protocol window's block is 5 x 5, 912
+# bytes a window: a sweep-time pass over n values of T makes 2n windows
+# per r, and its detuned plan keeps its n windows, which repeat for every
+# r, up to n = 574.  A full 64-row block takes 64.5 KiB, so a plan keeps
+# at most 7 of those.  The plans' power stacks are not counted here: a
+# dense part holds 25 n^2 16 bytes of powers (1.6 MB at 64 rows, 10 and
+# 40 KB for the 5- and 10-row windows of a protocol sweep)
 _BLOCK_CACHE_BYTES = 1024 * 1024
-# bytes of the Python objects around an entry's arrays (dict slot, key
-# tuple, bytes and array headers), about 460 on CPython 3.11; counted so
-# that many tiny entries cannot outgrow the bound
+# bytes of the Python objects around a kept array (its header and its
+# slot in the cache's entry), counted per array so that many tiny blocks
+# cannot outgrow the bound
 _ENTRY_OVERHEAD = 512
-
-
-class _ByteLRU:
-    """Least-recently-used map whose entries hold at most max_bytes in all.
-
-    The caller states the size of each entry it puts (the bytes of its key
-    and value), and _ENTRY_OVERHEAD is added to it; the least recently used
-    entries are evicted until the new one fits, and an entry larger than
-    max_bytes is not stored.
-    """
-
-    def __init__(self, max_bytes: int):
-        self.max_bytes = max_bytes
-        self.cache_clear()
-
-    def __len__(self):
-        return len(self._entries)
-
-    def get(self, key):
-        """The value stored under key, or None."""
-        if key not in self._entries:
-            return None
-        self._entries.move_to_end(key)
-        return self._entries[key][0]
-
-    def put(self, key, value, size: int):
-        """Store value under key, which holds none, counted as size bytes."""
-        size += _ENTRY_OVERHEAD
-        if size > self.max_bytes:
-            return
-        while self.nbytes + size > self.max_bytes:
-            self.nbytes -= self._entries.popitem(last=False)[1][1]
-        self._entries[key] = (value, size)
-        self.nbytes += size
-
-    def cache_clear(self):
-        self._entries = OrderedDict()  # key -> (value, size)
-        self.nbytes = 0
-
-
-_block_exponentials = _ByteLRU(_BLOCK_CACHE_BYTES)
 
 
 @dataclass(frozen=True)
@@ -264,7 +227,7 @@ def _rk4(Lmat, v: np.ndarray, duration: float, step: float, check_step: bool) ->
 
 
 def _expm_dense(t: float, norm: float, powers: np.ndarray) -> np.ndarray:
-    """exp(B t) by truncated Taylor scaling and squaring; norm = ||B||_1 > 0.
+    """Read-only exp(B t) by truncated Taylor scaling and squaring; norm = ||B||_1 > 0.
 
     X = B t / 2^s takes the fewest squarings s with ||X||_1 = x <= theta_25
     = 2.43, then the smallest degree m with x <= theta_m: the backward-error
@@ -313,7 +276,9 @@ def _expm_dense(t: float, norm: float, powers: np.ndarray) -> np.ndarray:
         if done:
             break
         tol *= 2
-    return eye + F
+    E = eye + F
+    E.setflags(write=False)
+    return E
 
 
 @lru_cache(maxsize=16)  # one entry per space in use
@@ -353,15 +318,13 @@ def _charges(space: SpaceSignature):
 
 
 def _dense_part(A: _CSR, rows: np.ndarray, mask: np.ndarray, label: np.ndarray):
-    """The dense part (R, norm, data, powers, mu) of A on a mask closed under A.
+    """The dense part (R, B, mu) of A on a mask closed under A.
 
     R is the mask's indices and B = A_RR: every stored entry of a column in
     R has its row in R.  mu is None when B's diagonal is real.  Otherwise
     mu is, per row, the mean imaginary diagonal of the row's class (its
-    value of label, a charge that A conserves), and the part stores
-    B - i diag(mu) in place of B (see the module docstring).  norm, data
-    and powers are the stored matrix's ||.||_1, bytes and power stack
-    (_powers; None when norm is 0).
+    value of label, a charge that A conserves), and the part holds
+    B - i diag(mu) in place of B (see the module docstring).
     """
     R = np.flatnonzero(mask)
     keep = mask[A.indices]
@@ -374,8 +337,7 @@ def _dense_part(A: _CSR, rows: np.ndarray, mask: np.ndarray, label: np.ndarray):
         c = label[R]
         mu = np.bincount(c, B.diagonal().imag)[c] / np.bincount(c)[c]
         B[np.diag_indices(n)] -= 1j * mu
-    norm = float(np.abs(B).sum(axis=0).max())
-    return R, norm, B.tobytes(), _powers(B, norm) if norm else None, mu
+    return R, B, mu
 
 
 def _powers(B: np.ndarray, norm: float) -> np.ndarray:
@@ -388,15 +350,44 @@ def _powers(B: np.ndarray, norm: float) -> np.ndarray:
     return P
 
 
-def _plan(A: _CSR, space: SpaceSignature, support: np.ndarray):
-    """The dense parts of exp(A t) v for every v whose nonzeros are the support mask.
+class _Plan(NamedTuple):
+    """A window plan (_plan): parts lists (R, block, mu) per dense part,
+    block an index into blocks, which holds (norm, powers) of each distinct
+    B, with powers None when norm = ||B||_1 is 0; exponentials(t) is the
+    tuple of exp(B t) per block (_exponentials)."""
+
+    parts: list
+    blocks: list
+    exponentials: Callable
+
+
+def _exponentials(blocks) -> Callable:
+    """exp(B t) of every block (norm, powers) as a function of t, None
+    where norm is 0, each read-only.
+
+    An lru_cache over t: counting each array's bytes and _ENTRY_OVERHEAD,
+    its windows fill at most half of _BLOCK_CACHE_BYTES, so the two plans
+    that _plans keeps hold at most all of it.
+    """
+    size = sum(P[0].nbytes + _ENTRY_OVERHEAD for _, P in blocks if P is not None)
+
+    @lru_cache(maxsize=_BLOCK_CACHE_BYTES // 2 // size if size else 0)
+    def exponentials(t):
+        return tuple(None if P is None else _expm_dense(t, norm, P) for norm, P in blocks)
+
+    return exponentials
+
+
+def _plan(A: _CSR, space: SpaceSignature, support: np.ndarray) -> _Plan:
+    """The plan of exp(A t) v for every v whose nonzeros are the support mask.
 
     The plan takes the finest charge of _charges whose label every stored
     entry of A conserves and whose levels none raises.  Each class the
     support touches keeps its indices whose levels are at most the
     support's top in that class, a set closed under A.  If their union has
     at most _DENSE_MAX_DIM rows it is one dense part (_dense_part),
-    otherwise each class is one.  A generator without such a charge, or a
+    otherwise each class is one.  Equal blocks B share one power stack and
+    one exponential per window.  A generator without such a charge, or a
     class of more than _DENSE_MAX_DIM rows in a larger union, raises
     ValueError before any product: "expm" holds no block that large, and
     RK4 runs only when asked for.
@@ -415,16 +406,26 @@ def _plan(A: _CSR, space: SpaceSignature, support: np.ndarray):
         top = np.full(label.max() + 1, -1)
         np.maximum.at(top, label[support], level[support])
         mask &= level <= top[label]
-    if np.count_nonzero(mask) <= _DENSE_MAX_DIM:
-        return [_dense_part(A, rows, mask, label)]
-    sizes = np.bincount(label[mask], minlength=label.max() + 1)
-    if sizes.max() > _DENSE_MAX_DIM:
-        raise ValueError(
-            f"the state's reachable block has a charge class of {sizes.max()} rows, "
-            f'more than the {_DENSE_MAX_DIM} that method "expm" propagates '
-            'densely; use method="rk4"'
-        )
-    return [_dense_part(A, rows, mask & (label == c), label) for c in np.flatnonzero(sizes)]
+    masks = [mask]
+    if np.count_nonzero(mask) > _DENSE_MAX_DIM:
+        sizes = np.bincount(label[mask], minlength=label.max() + 1)
+        if sizes.max() > _DENSE_MAX_DIM:
+            raise ValueError(
+                f"the state's reachable block has a charge class of {sizes.max()} rows, "
+                f'more than the {_DENSE_MAX_DIM} that method "expm" propagates '
+                'densely; use method="rk4"'
+            )
+        masks = [mask & (label == c) for c in np.flatnonzero(sizes)]
+    parts, blocks, index = [], [], {}  # index: B's bytes -> its position in blocks
+    for m in masks:
+        R, B, mu = _dense_part(A, rows, m, label)
+        key = B.tobytes()
+        if key not in index:
+            index[key] = len(blocks)
+            norm = float(np.abs(B).sum(axis=0).max())
+            blocks.append((norm, _powers(B, norm) if norm else None))
+        parts.append((R, index[key], mu))
+    return _Plan(parts, blocks, _exponentials(blocks))
 
 
 def _frame_phase(mu: np.ndarray, t: float) -> np.ndarray:
@@ -441,10 +442,10 @@ def _frame_phase(mu: np.ndarray, t: float) -> np.ndarray:
 class _Reuse:
     """Window work kept for one generator value, each None until a window
     needs it: the CSR (matrix), the last Fock-basis support (bytes) and
-    its plan (support, parts), and (w, norm, powers) of the general loss
-    channel (channel)."""
+    its plan (a _Plan, with its exponentials), and (w, norm, powers) of the
+    general loss channel (channel)."""
 
-    matrix = support = parts = channel = None
+    matrix = support = plan = channel = None
 
 
 @lru_cache(maxsize=2)  # a sweep's window generator plus one other
@@ -452,7 +453,7 @@ def _plans(key) -> _Reuse:
     """The window work kept for key = (type(params), params, frame, space),
     the value of a _LossGenerator.  A miss stores a fresh, empty entry and
     evicts the least recently used one before anything is assembled into
-    the new one, so at most two CSRs are held."""
+    the new one, so at most two CSRs and two plans are held."""
     return _Reuse()
 
 
@@ -467,34 +468,26 @@ def _reuse(L: SuperOperator) -> _Reuse:
 def _propagate(L: SuperOperator, v: np.ndarray, t: float) -> np.ndarray:
     """exp(L t) v on the block R that supp(v) plans (_plan); zero elsewhere.
 
-    The plan (_plan) depends on L's CSR and supp(v) alone, and the entry
-    of L's value (_reuse) keeps both; L.matrix is read only for a plan on
-    an entry that holds no CSR yet.  A dense part's exp(B t) is reused by
-    the bytes of B, its size and t, so equal blocks of different
-    generators share one exponential; a miss sums the Taylor series over
-    the part's stored powers.  B's entries are stored in row-major order,
-    so B and t fix its norm too.
+    The plan depends on L's CSR and supp(v) alone, and the entry of L's
+    value (_reuse) keeps both; L.matrix is read only for a plan on an
+    entry that holds no CSR yet, and a rate whose assembly overflows a
+    float raises FloatingPointError there.  The plan keeps its blocks'
+    exponentials for its recent windows (_exponentials); a miss sums the
+    Taylor series over each block's stored powers.
     """
     support = v != 0
     pattern = support.tobytes()
     entry = _reuse(L)
     if entry.support != pattern:
         if entry.matrix is None:
-            entry.matrix = L.matrix
-        entry.parts = _plan(entry.matrix, L.space, support)
+            with np.errstate(over="raise", invalid="raise"):
+                entry.matrix = L.matrix
+        entry.plan = _plan(entry.matrix, L.space, support)
         entry.support = pattern
+    E = entry.plan.exponentials(t)
     out = np.zeros_like(v)
-    t_hex = float(t).hex()
-    for R, norm, data, powers, mu in entry.parts:
-        w = v[R]
-        if norm:
-            key = (data, len(R), t_hex)
-            E = _block_exponentials.get(key)
-            if E is None:
-                E = _expm_dense(t, norm, powers)
-                E.setflags(write=False)
-                _block_exponentials.put(key, E, 2 * E.nbytes)
-            w = E @ w
+    for R, block, mu in entry.plan.parts:
+        w = v[R] if E[block] is None else E[block] @ v[R]
         out[R] = w if mu is None else _frame_phase(mu, t) * w
     return out
 
@@ -639,12 +632,12 @@ def evolve_master(rho0: DensityMatrix, L: SuperOperator, spec: EvolutionSpec) ->
 
 def unitary_propagator(H: Operator, duration: float) -> np.ndarray:
     """exp(-i H t) through the eigendecomposition of a Hermitian H; a
-    non-Hermitian H raises ValueError.
+    non-finite H or duration, or a non-Hermitian H, raises ValueError.
 
     Reused by the bytes of H's matrix and the value of t (_unitary): the
     result is read-only and shared with every later caller that passes
-    equal values.  lru_cache keeps no call that raised, so a non-Hermitian
-    H raises on every call.
+    equal values.  lru_cache keeps no call that raised, so a refused H
+    raises on every call.
     """
     return _unitary(H.matrix.tobytes(), H.space.dim, duration)
 
@@ -652,6 +645,8 @@ def unitary_propagator(H: Operator, duration: float) -> np.ndarray:
 @lru_cache(maxsize=100)  # a benchmark sweep pass computes 26
 def _unitary(H_bytes: bytes, dim: int, duration: float) -> np.ndarray:
     Hm = np.frombuffer(H_bytes, dtype=complex).reshape(dim, dim)
+    if not (isfinite(duration) and np.isfinite(Hm).all()):
+        raise ValueError(f"unitary_propagator needs a finite H and duration, got t = {duration}")
     herm_dev = float(np.abs(Hm - Hm.conj().T).max())
     if herm_dev > 1e-10 * max(float(np.abs(Hm).max()), 1.0):
         raise ValueError(f"Hamiltonian is not Hermitian (deviation {herm_dev:.3e})")
@@ -668,6 +663,7 @@ def _find_atom(space: SpaceSignature) -> int:
     return idx
 
 
+@np.errstate(over="raise", invalid="raise")
 def jc_hamiltonian(
     space: SpaceSignature,
     which: str,
@@ -681,6 +677,7 @@ def jc_hamiltonian(
     'both_with_phase' variant couples it to both orthogonally polarized
     modes, with the mode-1 coupling carrying a relative factor i.
     Frequencies are angular; pass Omega = Omega_a = 0 for the rotating frame.
+    A product that overflows a float raises FloatingPointError.
     """
     atom = _find_atom(space)
     sz, spl, smi = atom_ops(space, atom)
@@ -705,8 +702,10 @@ def jc_hamiltonian(
     return H
 
 
+@np.errstate(over="raise", invalid="raise")
 def free_hamiltonian(space: SpaceSignature, Omega: float, Omega_a: float) -> Operator:
-    """Dispersive segment: free fields plus the detuned atom splitting."""
+    """Dispersive segment: free fields plus the detuned atom splitting; a
+    product that overflows a float raises FloatingPointError."""
     atom = _find_atom(space)
     sz, _, _ = atom_ops(space, atom)
     n_total = number_op(space, 0)

@@ -64,7 +64,7 @@ def cold():
 
     def clear():
         for cache in (protocol._hamiltonian, protocol._prepared, integrator._unitary,
-                      integrator._plans, integrator._block_exponentials):
+                      integrator._plans):
             cache.cache_clear()
 
     clear()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import crosscav
+import crosscav.integrator
 from crosscav.analytic import (
     PreparedStateParams,
     prob_e_single_cavity_detuned,
@@ -274,6 +275,19 @@ def test_analytic_sweeps_make_one_closed_form_call_per_point_and_r(monkeypatch, 
                      "prob_e_single_cavity_resonant": 3 * points,
                      "prob_e_single_cavity_detuned": 3 * points}
     capsys.readouterr()
+
+
+def test_a_long_simulated_time_sweep_keeps_its_detuned_windows_for_every_r(capsys, cold,
+                                                                        monkeypatch):
+    # 400 windows of nonzero length per r for 3 r, plus 400 detuned ones that
+    # every r shares: the detuned generator's plan keeps all of them
+    calls = []
+    expm_dense = crosscav.integrator._expm_dense
+    monkeypatch.setattr(crosscav.integrator, "_expm_dense",
+                        lambda *args: calls.append(args) or expm_dense(*args))
+    assert run_cli(["sweep-time", "--engine", "simulated", "--points", "401"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1600
 
 
 def test_sweep_overflow_leaves_no_partial_output(tmp_path, capsys):
@@ -621,6 +635,21 @@ def test_overflow_exit_1_one_line(tmp_path, capsys):
     )
     assert run_cli(["sweep-time", "--config", path]) == 1
     assert_one_error_line(capsys.readouterr().err)
+
+
+# a pulse frequency whose products overflow a float, and decay rates whose
+# generator assembly does: each printed RuntimeWarnings and then a
+# misleading message
+@pytest.mark.parametrize("cfg, frame", [
+    ({"protocol": {"Omega": 1e308, "T": 1e-4}}, ["--frame", "lab"]),
+    ({"decay": {"k": 1e308, "r": 1e308}, "protocol": {"T": 1e-4}}, []),
+], ids=["pulse-frequency", "decay-rates"])
+def test_overflowing_simulate_inputs_exit_1_one_line(tmp_path, capsys, cfg, frame):
+    assert run_cli(["simulate", "--config", write_config(tmp_path, cfg)] + frame) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert "overflow" in captured.err
 
 
 def test_simulate_rejects_unknown_engine(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import gc
 import time
 import weakref
-from math import cos, exp, pi, sin, sqrt
+from math import cos, exp, inf, nan, pi, sin, sqrt
 
 import numpy as np
 import pytest
@@ -304,7 +304,7 @@ def test_window_plans_are_charge_classes_closed_under_the_generator(dims, rng):
                 classes.append(np.logical_and.reduce(
                     [label == c] + [level <= level[inside].max() for level in levels]))
             expected = np.logical_or.reduce(classes)
-            parts = crosscav.integrator._plan(A, space, support)
+            parts = crosscav.integrator._plan(A, space, support).parts
             assert len(parts) == (1 if np.count_nonzero(expected) <= 64 else len(classes))
             planned = np.zeros_like(support)
             for part in parts:
@@ -325,7 +325,7 @@ def _fock_generator(params, space, frame="rotating"):
 
 @pytest.fixture
 def plans_made(monkeypatch):
-    """The parts of every window plan made (_plan), in order."""
+    """Every window plan made (_plan), in order."""
     made = []
     plan = crosscav.integrator._plan
 
@@ -344,7 +344,7 @@ def _refused(L, rho0, rows, T=1e-3):
         evolve_master(rho0, L, EvolutionSpec(T))
     assert "\n" not in str(exc.value)
     entry = kept(L)
-    assert entry is None or entry.parts is None
+    assert entry is None or entry.plan is None
 
 
 @pytest.mark.parametrize("case, rows", [("coherent", 285), ("full-rank", 489)])
@@ -412,8 +412,8 @@ def test_a_decoherence_free_superposition_runs_densely_by_block_component(r, T, 
         if T == 1e-3:
             ref = expm_multiply(to_scipy(fock.matrix) * T, rho0.matrix.reshape(-1))
             assert np.abs(rho_T.matrix.reshape(-1) - ref).max() <= 1e-10
-    (parts,) = plans_made
-    assert sorted(len(part[0]) for part in parts) == [5, 5, 55]
+    (plan,) = plans_made
+    assert sorted(len(R) for R, _, _ in plan.parts) == [5, 5, 55]
 
 
 @pytest.mark.parametrize("dims", [[2, 2, 2], [3, 3, 2]], ids=str)
@@ -617,7 +617,7 @@ def test_factorized_windows_share_one_plan_and_never_assemble(cold, monkeypatch)
     assert calls == []
     assert crosscav.integrator._plans.cache_info().currsize == 1
     entry = kept(L)
-    assert entry.matrix is None and entry.parts is None and entry.channel is not None
+    assert entry.matrix is None and entry.plan is None and entry.channel is not None
 
 
 def _fock_route_cases(rng):
@@ -960,23 +960,7 @@ def test_jc_requires_atom():
         jc_hamiltonian(make_space([3, 3]), "mode1", 1e5)
 
 
-# --- value caches: pulse propagators and window block exponentials ---
-
-
-def test_byte_lru_evicts_the_least_recent_entry_by_bytes():
-    size = 100 + crosscav.integrator._ENTRY_OVERHEAD
-    cache = crosscav.integrator._ByteLRU(3 * size)
-    for key in "abc":
-        cache.put(key, key.upper(), 100)
-    assert cache.get("a") == "A"  # now the most recent
-    cache.put("d", "D", 100)
-    assert cache.get("b") is None
-    assert [cache.get(key) for key in "acd"] == ["A", "C", "D"]
-    assert len(cache) == 3 and cache.nbytes == 3 * size
-    cache.put("big", "X", cache.max_bytes)
-    assert cache.get("big") is None and len(cache) == 3
-    cache.cache_clear()
-    assert len(cache) == 0 and cache.nbytes == 0
+# --- value caches: pulse propagators and window exponentials ---
 
 
 def test_unitary_cache_hits_by_value_and_misses_on_t_or_h(cold):
@@ -1008,6 +992,19 @@ def test_non_hermitian_hamiltonian_is_never_cached(cold):
     assert crosscav.integrator._unitary.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("entry, t", [(nan, 1e-6), (inf, 1e-6), (0.0, nan), (0.0, inf)],
+                         ids=["nan-H", "inf-H", "nan-t", "inf-t"])
+def test_non_finite_hamiltonian_or_duration_is_refused_and_never_cached(cold, entry, t):
+    space = make_space([2, 2, 2])
+    m = jc_hamiltonian(space, "mode1", 1e5).matrix.copy()
+    m[0, 0] = entry  # a NaN passes the Hermiticity check, since nan > tol is False
+    for _ in range(2):
+        with pytest.raises(ValueError, match="needs a finite H and duration") as exc:
+            unitary_propagator(Operator(m, space), t)
+        assert "\n" not in str(exc.value)
+    assert crosscav.integrator._unitary.cache_info().currsize == 0
+
+
 def _one_excitation_state(space, weights):
     e10 = basis_ket(space, (1, 0, ATOM_G)).amplitudes
     e01 = basis_ket(space, (0, 1, ATOM_G)).amplitudes
@@ -1017,29 +1014,34 @@ def _one_excitation_state(space, weights):
 
 def test_block_cache_hits_by_value_and_misses_on_t_or_block(cold, plans_made):
     space = make_space([2, 2, 2])
-    cache = crosscav.integrator._block_exponentials
 
     def window(r, T, weights=(1.0, 1.0)):
         L = build_symmetric_liouvillian(SymmetricDecayParameters(K_EXACT, r, 0.9), space)
-        return evolve_master(_one_excitation_state(space, weights), L, EvolutionSpec(T))
+        rho = evolve_master(_one_excitation_state(space, weights), L, EvolutionSpec(T))
+        return rho, kept(L).plan.exponentials
 
-    first = window(500.0, 1e-3)
-    assert len(cache) == 1
+    first, exponentials = window(500.0, 1e-3)
+    assert exponentials.cache_info().currsize == 1
     assert len(plans_made) == 1
-    for E, _ in cache._entries.values():
-        assert not E.flags.writeable
-    # the same generator and support reuse the window's plan
-    assert window(500.0, 1e-3).matrix.tobytes() == first.matrix.tobytes()
+    (E,) = exponentials(1e-3)
+    assert not E.flags.writeable
+    # an equal generator built apart reuses the window's plan
+    again, same = window(500.0, 1e-3)
+    assert again.matrix.tobytes() == first.matrix.tobytes() and same is exponentials
     # another state on the same block is served the same exponential
     window(500.0, 1e-3, weights=(0.3, 1.0))
-    assert len(cache) == 1
+    assert exponentials.cache_info().misses == 1
+    assert exponentials(1e-3)[0] is E
     window(500.0, 2e-3)
+    assert exponentials.cache_info().currsize == 2
     assert len(plans_made) == 1
-    window(K_EXACT, 1e-3)
-    assert len(cache) == 3
+    # another block is another plan, with exponentials of its own
+    _, other = window(K_EXACT, 1e-3)
+    assert other is not exponentials and other.cache_info().currsize == 1
+    assert exponentials.cache_info().currsize == 2
     assert len(plans_made) == 2
     cold()
-    assert window(500.0, 1e-3).matrix.tobytes() == first.matrix.tobytes()
+    assert window(500.0, 1e-3)[0].matrix.tobytes() == first.matrix.tobytes()
     assert len(plans_made) == 3
 
 
@@ -1086,8 +1088,11 @@ def test_large_blocks_reuse_their_window_plan(case, cold, plans_made, monkeypatc
     for T in (2e-4, 5e-4):
         cold()
         cold_bytes[T] = evolve_master(rho0, L, EvolutionSpec(T)).matrix.tobytes()
-    # the [3, 3, 2] states split into charge classes, each squared densely
-    assert len(calls) > 2
+    # the [3, 3, 2] states split into 36 charge classes, each squared
+    # densely; equal classes share one exponential per window
+    plan = plans_made[-1]
+    assert len(plan.parts) == 36 and len(plan.blocks) == 8
+    assert len(calls) == 2 * sum(P is not None for _, P in plan.blocks)
     cold()
     plans_made.clear()
     for T in (2e-4, 5e-4, 2e-4):
@@ -1107,17 +1112,19 @@ def test_a_plans_stack_is_made_once_and_is_the_same_array_for_every_later_window
     cold()
     stacks = []
     for T in windows:
-        # every window misses the result cache and sums the plan's powers
-        crosscav.integrator._block_exponentials.cache_clear()
         assert evolve_master(rho0, L, EvolutionSpec(T)).matrix.tobytes() == cold_bytes[T], T
-        (part,) = kept(L).parts
-        stacks.append(part[3])
+        plan = kept(L).plan
+        # every window misses the plan's exponentials and sums its powers
+        plan.exponentials.cache_clear()
+        ((R, block, mu),) = plan.parts
+        stacks.append(plan.blocks[block][1])
     # the plan made every power up to degree 25 once, read-only
     P = stacks[0]
     assert P.shape == (25, 64, 64) and not P.flags.writeable
     assert all(stack is P for stack in stacks)
-    B = np.frombuffer(part[2], dtype=complex).reshape(64, 64)
-    np.testing.assert_array_equal(P[0], B / part[1])
+    # the block is the whole generator, whose diagonal is real
+    assert np.array_equal(R, np.arange(64)) and mu is None
+    np.testing.assert_array_equal(P[0], L.matrix.toarray() / plan.blocks[block][0])
     for j in range(1, 25):
         np.testing.assert_array_equal(P[j], P[j - 1] @ P[0])
 
@@ -1129,9 +1136,9 @@ def test_a_window_plan_lives_only_as_long_as_its_generator(cold, monkeypatch):
     plan = crosscav.integrator._plan
 
     def watched(*args):
-        parts = plan(*args)
-        powers.extend(weakref.ref(part[3]) for part in parts)
-        return parts
+        made = plan(*args)
+        powers.extend(weakref.ref(P) for _, P in made.blocks)
+        return made
 
     monkeypatch.setattr(crosscav.integrator, "_plan", watched)
 
@@ -1171,7 +1178,7 @@ def test_clearing_the_caches_empties_the_generators_and_the_window_plans(cold, m
     plans = crosscav.integrator._plans
     assert plans.cache_info().currsize == 1
     entry = kept(L)
-    assert entry.matrix is L.matrix and entry.parts is not None
+    assert entry.matrix is L.matrix and entry.plan is not None
     cold()
     assert plans.cache_info().currsize == 0
     # the next window on an equal generator assembles it again
@@ -1228,16 +1235,17 @@ def test_general_channel_windows_make_their_power_stack_once(cold, monkeypatch):
 
 
 def test_block_cache_stays_under_its_bound_for_full_blocks(cold, rng):
+    # the two plans _plans keeps hold at most _BLOCK_CACHE_BYTES between them
     space = make_space([2, 2, 2])
-    cache = crosscav.integrator._block_exponentials
     bound = crosscav.integrator._BLOCK_CACHE_BYTES
     L = build_symmetric_liouvillian(SymmetricDecayParameters(K_EXACT, 700.0, 0.4), space)
     rho0 = random_density(space, rng)  # full rank: the block is all 64 rows
-    entry = 2 * 64 * 64 * 16 + crosscav.integrator._ENTRY_OVERHEAD
+    entry = 64 * 64 * 16 + crosscav.integrator._ENTRY_OVERHEAD
     windows = np.linspace(1e-4, 3e-3, 12)
     warm = [evolve_master(rho0, L, EvolutionSpec(T)) for T in windows]
-    assert cache.nbytes <= bound
-    assert 0 < len(cache) == bound // entry < len(windows)
+    info = kept(L).plan.exponentials.cache_info()
+    assert info.maxsize * entry <= bound // 2
+    assert 0 < info.currsize == info.maxsize == bound // 2 // entry < len(windows)
     for T, rho in zip(windows, warm):
         cold()
         assert evolve_master(rho0, L, EvolutionSpec(T)).matrix.tobytes() == rho.matrix.tobytes()
