@@ -637,13 +637,14 @@ def test_overflow_exit_1_one_line(tmp_path, capsys):
     assert_one_error_line(capsys.readouterr().err)
 
 
-# a pulse frequency whose products overflow a float, and decay rates whose
-# generator assembly does: each printed RuntimeWarnings and then a
-# misleading message
+# frequencies whose pulse or dispersive-wait Hamiltonian overflows a float,
+# and decay rates whose generator assembly does: each printed
+# RuntimeWarnings and then a misleading message
 @pytest.mark.parametrize("cfg, frame", [
     ({"protocol": {"Omega": 1e308, "T": 1e-4}}, ["--frame", "lab"]),
+    ({"protocol": {"Omega": 6e307, "delta": 1e308, "T": 1e-4}}, ["--frame", "lab"]),
     ({"decay": {"k": 1e308, "r": 1e308}, "protocol": {"T": 1e-4}}, []),
-], ids=["pulse-frequency", "decay-rates"])
+], ids=["pulse-frequency", "wait-frequency", "decay-rates"])
 def test_overflowing_simulate_inputs_exit_1_one_line(tmp_path, capsys, cfg, frame):
     assert run_cli(["simulate", "--config", write_config(tmp_path, cfg)] + frame) == 1
     captured = capsys.readouterr()
